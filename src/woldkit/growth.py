@@ -20,15 +20,14 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     as_matrix,
+    complement,
     hermitian_part,
     min_eigenvalue,
-    null_space,
-    pinv,
     psd_sqrt,
     reduced_min_modulus,
 )
 from .model import Representation, iterate_map
-from .structure import is_regular, lift_subspace
+from .structure import is_regular, iterated_pinv, lift_subspace
 
 __all__ = [
     "gamma",
@@ -52,7 +51,7 @@ __all__ = [
 
 def gamma(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Reduced minimum modulus of the representation map (inf for the zero map)."""
-    return reduced_min_modulus(rep.matrix, pol)
+    return rep.min_modulus(pol)
 
 
 def gamma_at_least_one(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -69,7 +68,7 @@ class DefectOperator:
 def defect_operator(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> DefectOperator:
     """sqrt(V*V - V+V).  NotPSD propagates when gamma < 1 (difference indefinite)."""
     v = rep.matrix
-    diff = v.conj().T @ v - pinv(v, pol) @ v
+    diff = v.conj().T @ v - rep.pseudo_inverse(pol) @ v
     return DefectOperator(matrix=psd_sqrt(diff, pol))
 
 
@@ -145,7 +144,7 @@ def _growth_operators(rep: Representation, m: int, pol: TolerancePolicy):
     """G = I (x) (V*V - V+V) and Q = V_m* V_m - I (x) V+V at level m."""
     d = rep.dim_e
     v = rep.matrix
-    vd = pinv(v, pol)
+    vd = rep.pseudo_inverse(pol)
     eye = np.eye(d ** (m - 1), dtype=np.complex128)
     ata = np.kron(eye, v.conj().T @ v)
     p = np.kron(eye, vd @ v)
@@ -169,7 +168,7 @@ def check_growth(
     """
     entries: list[GrowthEntry] = []
     v = rep.matrix
-    vd = pinv(v, pol)
+    vd = rep.pseudo_inverse(pol)
     for m in range(1, m_max + 1):
         g, q = _growth_operators(rep, m, pol)
         # q here is V_m*V_m - P; with d_const != 1 the constant shifts by (d_const-1)*P.
@@ -274,7 +273,7 @@ def growth_forms_agree(
     two verdicts coincide for identical (d_k, d_const).
     """
     d, v = rep.dim_e, rep.matrix
-    vd = pinv(v, pol)
+    vd = rep.pseudo_inverse(pol)
     dsq = hermitian_part(v.conj().T @ v - vd @ v)
     eye = np.eye(d ** (k - 1), dtype=np.complex128)
     vk = iterate_map(rep, k)
@@ -282,7 +281,7 @@ def growth_forms_agree(
     scale = max(1.0, float(np.linalg.norm(op_full, 2)))
     verdict_full = min_eigenvalue(op_full) >= -pol.tau_psd * scale
 
-    basis = lift_subspace(k - 1, _kernel_complement(rep, pol), d).basis
+    basis = lift_subspace(k - 1, complement(rep.kernel(pol), pol), d).basis
     a = np.kron(eye, v)
     dim = a.shape[1]
     inner = (
@@ -294,12 +293,6 @@ def growth_forms_agree(
     scale_r = max(1.0, float(np.linalg.norm(op_restricted, 2)) if op_restricted.size else 0.0)
     verdict_restricted = min_eigenvalue(op_restricted) >= -pol.tau_psd * scale_r
     return verdict_full, verdict_restricted
-
-
-def _kernel_complement(rep: Representation, pol: TolerancePolicy):
-    from .linalg import complement
-
-    return complement(null_space(rep.matrix, pol), pol)
 
 
 def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -332,11 +325,9 @@ def norm_partition_residual(
     with P_W = I - V V+ and D the defect operator.  Needs gamma >= 1 so
     the defect square root exists.
     """
-    from .structure import iterated_pinv
-
     d, m = rep.dim_e, rep.dim_h
     v = rep.matrix
-    vd = pinv(v, pol)
+    vd = rep.pseudo_inverse(pol)
     p_w = np.eye(m, dtype=np.complex128) - v @ vd
     defect = defect_operator(rep, pol).matrix
     worst = 0.0
@@ -367,11 +358,9 @@ def telescoping_residuals(
 
     with P_W = I - V V+ on H and P_Wd = I - V+ V on E (x) H.
     """
-    from .structure import iterated_pinv
-
     d, m = rep.dim_e, rep.dim_h
     v = rep.matrix
-    vd = pinv(v, pol)
+    vd = rep.pseudo_inverse(pol)
     p_w = np.eye(m, dtype=np.complex128) - v @ vd
     p_wd = np.eye(d * m, dtype=np.complex128) - vd @ v
 

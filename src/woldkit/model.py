@@ -7,10 +7,18 @@ index(h), so I_{E^(x)k} (x) A is realized exactly as kron(I_{d^k}, A).
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
+
+A Representation is immutable, but it memoizes the small objects derived
+from its matrix V (pseudoinverse, reduced minimum modulus, 2-norm, kernels,
+range chain) once per TolerancePolicy.  Iterates and lifts are never
+memoized, since caching them would raise peak memory.  Concurrent first use
+may build a value twice, with the same result, and a RankWarning fires on
+the first build only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -19,7 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, ParseError, ShapeError
-from .linalg import as_matrix
+from .linalg import (
+    DEFAULT_POLICY,
+    Subspace,
+    TolerancePolicy,
+    _frozen,
+    as_matrix,
+    null_space,
+    pinv,
+    reduced_min_modulus,
+    spectral_norm,
+)
 
 __all__ = [
     "DEFAULT_SIZE_BUDGET",
@@ -52,10 +70,17 @@ def size_budget() -> int:
     return value
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.flags.writeable = False
-    return out
+def derived(fn):
+    """Memoize fn(rep, pol) on rep, once per function and TolerancePolicy."""
+
+    @functools.wraps(fn)
+    def build_once(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY):
+        key = (fn, pol)
+        if key not in rep._derived:
+            rep._derived[key] = fn(rep, pol)
+        return rep._derived[key]
+
+    return build_once
 
 
 @dataclass(frozen=True)
@@ -71,6 +96,7 @@ class Representation:
     matrix: np.ndarray
     sigma: dict[str, np.ndarray] = field(default_factory=dict)
     phi: dict[str, np.ndarray] = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim_e < 1 or self.dim_h < 1:
@@ -96,6 +122,31 @@ class Representation:
     def ambient_domain(self) -> int:
         """Dimension of E (x) H."""
         return self.dim_e * self.dim_h
+
+    @derived
+    def pseudo_inverse(self, pol: TolerancePolicy) -> np.ndarray:
+        """Moore-Penrose inverse of the matrix (read-only)."""
+        return _frozen(pinv(self.matrix, pol))
+
+    @derived
+    def min_modulus(self, pol: TolerancePolicy) -> float:
+        """Reduced minimum modulus of the matrix; inf for the zero map."""
+        return reduced_min_modulus(self.matrix, pol)
+
+    @derived
+    def norm(self, pol: TolerancePolicy) -> float:
+        """2-norm of the matrix.  It needs no tolerance: callers pass no policy."""
+        return spectral_norm(self.matrix)
+
+    @derived
+    def kernel(self, pol: TolerancePolicy) -> Subspace:
+        """ker V inside E (x) H."""
+        return null_space(self.matrix, pol)
+
+    @derived
+    def cokernel(self, pol: TolerancePolicy) -> Subspace:
+        """ker V* = R(V)^perp inside H."""
+        return null_space(self.matrix.conj().T, pol)
 
 
 def tensor_lift(k: int, a, d: int) -> np.ndarray:
@@ -132,12 +183,10 @@ def budget_horizon(rep: Representation, cap: int = 64) -> int:
     return n
 
 
-def iterate_map(rep: Representation, n: int, *, verify_factorizations: bool = False) -> np.ndarray:
+def iterate_map(rep: Representation, n: int) -> np.ndarray:
     """n-fold iterated map E^(x)n (x) H -> H, of shape m x (d^n * m).
 
-    Built by the recursion V_n = V (I_E (x) V_{n-1}).  With
-    verify_factorizations=True the alternative factorization
-    V_{n-1} (I_{E^(x)n-1} (x) V) is computed and compared.
+    Built by the recursion V_n = V (I_E (x) V_{n-1}).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -151,14 +200,6 @@ def iterate_map(rep: Representation, n: int, *, verify_factorizations: bool = Fa
     vn = v
     for _ in range(n - 1):
         vn = v @ np.kron(np.eye(d, dtype=np.complex128), vn)
-    if verify_factorizations and n >= 2:
-        alt = v
-        for k in range(1, n):
-            alt = alt @ np.kron(np.eye(d**k, dtype=np.complex128), v)
-        tol = 1e-10 * max(1.0, float(np.linalg.norm(v, 2)) ** n)
-        err = float(np.linalg.norm(vn - alt, 2))
-        if err > tol:
-            raise ArithmeticError(f"iterate factorization mismatch: {err:.3e} > {tol:.3e}")
     return vn
 
 
@@ -186,7 +227,7 @@ def check_covariance(rep: Representation, tol: float = 1e-9) -> tuple[bool, dict
     Returns (holds, residuals-by-label); vacuously true for empty lists.
     """
     v = rep.matrix
-    scale = max(1.0, float(np.linalg.norm(v, 2)))
+    scale = max(1.0, rep.norm())
     residuals: dict[str, float] = {}
     ok = True
     eye_h = np.eye(rep.dim_h, dtype=np.complex128)

@@ -31,6 +31,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
+    _frozen,
     as_matrix,
     contains,
     hermitian_part,
@@ -39,6 +40,8 @@ from .linalg import (
 )
 from .model import (
     Representation,
+    _decode_complex_list,
+    _encode_complex_list,
     canonical_json,
     parse_json_file,
     size_budget,
@@ -83,9 +86,7 @@ class UnilateralSpec:
             want = self.d**k
             if z.shape != (want, want):
                 raise ShapeError(f"Z_{k} must be {want}x{want}, got {z.shape}")
-            z = np.ascontiguousarray(z)
-            z.flags.writeable = False
-            mats.append(z)
+            mats.append(_frozen(z))
         if len(mats) != self.L:
             raise ShapeError(f"need exactly L={self.L} weight matrices, got {len(mats)}")
         object.__setattr__(self, "Z", tuple(mats))
@@ -109,9 +110,7 @@ class BilateralSpec:
         w = as_matrix(self.w, name="weight table")
         if w.shape != (self.n, 2 * self.M + 1):
             raise ShapeError(f"weight table must be {self.n}x{2 * self.M + 1}, got {w.shape}")
-        w = np.ascontiguousarray(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _frozen(w))
 
     def weight(self, i: int, m: int) -> complex:
         return complex(self.w[i - 1, m + self.M])
@@ -562,17 +561,6 @@ def shift_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _encode_mat(a: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(a, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _decode_mat(entries, rows: int, cols: int, name: str) -> np.ndarray:
-    from .model import _decode_complex_list
-
-    return _decode_complex_list(entries, rows, cols, name=name)
-
-
 def shift_spec_to_dict(spec: UnilateralSpec | BilateralSpec) -> dict:
     if isinstance(spec, UnilateralSpec):
         return {
@@ -580,14 +568,14 @@ def shift_spec_to_dict(spec: UnilateralSpec | BilateralSpec) -> dict:
             "d": spec.d,
             "L": spec.L,
             "p": spec.p,
-            "Z": [_encode_mat(z) for z in spec.Z],
+            "Z": [_encode_complex_list(z) for z in spec.Z],
         }
     if isinstance(spec, BilateralSpec):
         return {
             "kind": "bilateral",
             "n": spec.n,
             "M": spec.M,
-            "w": [_encode_mat(spec.w[i : i + 1, :]) for i in range(spec.n)],
+            "w": [_encode_complex_list(spec.w[i : i + 1, :]) for i in range(spec.n)],
         }
     raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
@@ -604,9 +592,8 @@ def shift_spec_from_dict(data: dict, *, source: str = "<memory>") -> UnilateralS
         z_raw = data["Z"]
         if not isinstance(z_raw, list) or len(z_raw) != big_l:
             raise ShapeError(f"{source}: Z must list exactly L={big_l} matrices")
-        mats = [
-            _decode_mat(entries, d**k, d**k, f"Z_{k}") for k, entries in enumerate(z_raw, start=1)
-        ]
+        mats = [_decode_complex_list(entries, d**k, d**k, name=f"Z_{k}")
+                for k, entries in enumerate(z_raw, start=1)]
         return UnilateralSpec(d=d, L=big_l, p=p, Z=tuple(mats))
     if kind == "bilateral":
         for key in ("n", "M", "w"):
@@ -618,7 +605,8 @@ def shift_spec_from_dict(data: dict, *, source: str = "<memory>") -> UnilateralS
         w_raw = data["w"]
         if not isinstance(w_raw, list) or len(w_raw) != n:
             raise ShapeError(f"{source}: w must list one weight row per index")
-        rows = [_decode_mat(row, 1, 2 * big_m + 1, f"w[{i}]") for i, row in enumerate(w_raw)]
+        rows = [_decode_complex_list(row, 1, 2 * big_m + 1, name=f"w[{i}]")
+                for i, row in enumerate(w_raw)]
         return BilateralSpec(n=n, M=big_m, w=np.vstack(rows))
     raise ParseError(f"{source}: unknown or missing shift kind {kind!r}")
 

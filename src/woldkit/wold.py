@@ -36,7 +36,6 @@ from .linalg import (
     contains,
     intersect,
     null_space,
-    pinv,
     project,
     range_space,
     spectral_norm,
@@ -46,6 +45,7 @@ from .model import Representation, budget_horizon, iterate_map
 from .structure import (
     GenInverse,
     RegularityReport,
+    _forward_translate,
     _stabilized_chain,
     default_horizon,
     is_hyper_dagger,
@@ -81,22 +81,12 @@ _FLAG_TOL = 1e-8
 
 def wandering_space(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """W = ker(V*): the orthogonal complement of the range inside H."""
-    return null_space(rep.matrix.conj().T, pol)
+    return rep.cokernel(pol)
 
 
 def co_wandering_space(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """ker(V) inside E (x) H: the complement of the pseudoinverse's range."""
-    return null_space(rep.matrix, pol)
-
-
-def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -> Subspace:
-    """V(E (x) S) as a subspace of H."""
-    if s.dim == 0:
-        return Subspace.zero(rep.dim_h)
-    v = rep.matrix
-    return range_space(
-        v @ lift_subspace(1, s, rep.dim_e).basis, pol, scale=spectral_norm(v)
-    )
+    return rep.kernel(pol)
 
 
 def is_wandering(
@@ -212,7 +202,7 @@ class WoldResult:
 def _biregular_flag(rep: Representation, horizon: int, pol: TolerancePolicy) -> bool:
     """Kernel-range condition for the Moore-Penrose generalized inverse,
     checked raw (no regularity gate) so diagnostics stay computable."""
-    s = pinv(rep.matrix, pol)
+    s = rep.pseudo_inverse(pol)
     gi = GenInverse(rep=rep, matrix=s)
     ker = null_space(s, pol)
     ns = spectral_norm(s)
@@ -236,7 +226,7 @@ def wold_diagnostics(
     """Compute the decomposition subspaces and every diagnostic, no gating."""
     d, m = rep.dim_e, rep.dim_h
     v = rep.matrix
-    vd = pinv(v, pol)
+    vd = rep.pseudo_inverse(pol)
     reg = regularity if regularity is not None else is_regular(rep, pol, horizon)
 
     w = wandering_space(rep, pol)
@@ -255,7 +245,7 @@ def wold_diagnostics(
     lifted_ri = lift_subspace(1, rinf, d)
     forward = _forward_translate(rep, rinf, pol)
     backward = (
-        range_space(v.conj().T @ rinf.basis, pol, scale=spectral_norm(v))
+        range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
         if rinf.dim
         else Subspace.zero(d * m)
     )
@@ -365,7 +355,7 @@ def duality_check(
 
     # The kernels of the iterated pseudoinverse increase; join until the
     # chain ties (the gating horizon need not reach that depth).
-    nd = spectral_norm(pinv(rep.matrix, pol))
+    nd = spectral_norm(rep.pseudo_inverse(pol))
     joined = Subspace.zero(rep.dim_h)
     top = min(max(budget_horizon(rep), 1), rep.dim_h + 2)
     for n in range(1, top + 1):
@@ -374,8 +364,7 @@ def duality_check(
     if not subspaces_equal(bracket, joined, pol):
         return False
 
-    dual = Representation(rep.dim_e, rep.dim_h, pinv(rep.matrix, pol).conj().T)
-    chain, stable = range_chain(dual, pol)
+    chain, stable = range_chain(mp_cauchy_dual(rep, pol), pol)
     return subspaces_equal(bracket, complement(chain[stable - 1], pol), pol)
 
 
@@ -390,8 +379,8 @@ def kernel_span_check(
     images of the co-wandering space.
     """
     d, m = rep.dim_e, rep.dim_h
-    nv = spectral_norm(rep.matrix)
-    nd = spectral_norm(pinv(rep.matrix, pol))
+    nv = rep.norm()
+    nd = spectral_norm(rep.pseudo_inverse(pol))
     w = wandering_space(rep, pol)
     wd = co_wandering_space(rep, pol)
 
@@ -464,13 +453,13 @@ def cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> R
     Postconditions verified: dual @ (V*V) = V and dual* dual = (V*V)^{-1}.
     """
     v = rep.matrix
-    if null_space(v, pol).dim:
+    if rep.kernel(pol).dim:
         raise NotLeftInvertible("representation map has a nontrivial kernel")
     gram = v.conj().T @ v
     gram_inv = np.linalg.inv(gram)
     dual = v @ gram_inv
     res1 = float(np.linalg.norm(dual @ gram - v, 2))
-    if res1 > 1e-9 * max(1.0, float(np.linalg.norm(v, 2))):
+    if res1 > 1e-9 * max(1.0, rep.norm()):
         raise IdentityViolated(f"dual reconstruction residual {res1:.3e}")
     res2 = float(np.linalg.norm(dual.conj().T @ dual - gram_inv, 2))
     if res2 > 1e-9 * max(1.0, float(np.linalg.norm(gram_inv, 2))):
@@ -484,7 +473,7 @@ def mp_cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -
     Coincides with cauchy_dual for injective maps and stays defined for
     maps whose kernel comes from hard truncation.
     """
-    return Representation(rep.dim_e, rep.dim_h, pinv(rep.matrix, pol).conj().T)
+    return Representation(rep.dim_e, rep.dim_h, rep.pseudo_inverse(pol).conj().T)
 
 
 def check_intertwiner(rep: Representation, a, tol: float = 1e-9) -> bool:
@@ -496,7 +485,7 @@ def check_intertwiner(rep: Representation, a, tol: float = 1e-9) -> bool:
     residual = float(
         np.linalg.norm(a @ v - v @ np.kron(np.eye(rep.dim_e, dtype=np.complex128), a), 2)
     )
-    return residual <= tol * float(np.linalg.norm(a, 2)) * float(np.linalg.norm(v, 2))
+    return residual <= tol * float(np.linalg.norm(a, 2)) * rep.norm()
 
 
 def is_pure_contraction(a, horizon: int = 50, tol: float = 1e-8) -> str:

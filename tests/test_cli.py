@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import woldkit
 from woldkit.cli import main
 from woldkit.generate import truncated_shift_rep
 from woldkit.model import Representation, load_representation, save_representation
@@ -146,11 +149,16 @@ class TestEntryPoint:
 
     def test_budget_env_var(self, tmp_path):
         fixture = tmp_path / "rep.json"
+        out = tmp_path / "report.json"
         save_representation(truncated_shift_rep(4), fixture)
+        source_dir = str(Path(woldkit.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [source_dir, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "woldkit", "analyze", str(fixture), "--horizon", "3"],
+            [sys.executable, "-m", "woldkit", "analyze", str(fixture), "--horizon", "3",
+             "--out", str(out)],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "WOLDKIT_BUDGET": "50000"},
+            env={**os.environ, "WOLDKIT_BUDGET": "50000", "PYTHONPATH": pythonpath},
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["budget"] == 50000

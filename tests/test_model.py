@@ -79,8 +79,13 @@ class TestIterateMap:
 
     def test_both_factorization_orders_agree(self, rng):
         rep = generic_rep(rng, 2, 2)
-        out = iterate_map(rep, 3, verify_factorizations=True)
+        v, n = rep.matrix, 3
+        out = iterate_map(rep, n)
         assert out.shape == (2, 16)
+        alt = v
+        for k in range(1, n):
+            alt = alt @ np.kron(np.eye(2**k), v)
+        assert np.linalg.norm(out - alt, 2) <= 1e-10 * max(1.0, np.linalg.norm(v, 2) ** n)
 
     def test_semigroup_identity(self, rng):
         rep = generic_rep(rng, 2, 2)

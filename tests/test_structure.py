@@ -11,8 +11,9 @@ from woldkit.generate import (
     truncated_shift_rep,
 )
 from woldkit.linalg import null_space, pinv, subspaces_equal
-from woldkit.model import Representation, iterate_map
+from woldkit.model import Representation, iterate_map, representation_from_dict
 from woldkit.structure import (
+    GenInverse,
     algebraic_core,
     fixed_point_range_check,
     generalized_range,
@@ -27,6 +28,25 @@ from woldkit.structure import (
     kernel_intersection_identity,
     make_generalized_inverse,
 )
+
+
+# Instance 18 of `woldkit verify range-structure --count 25 --seed 2800`
+# (d=1, m=4, cond V ~ 361).  At n=4 the round-off in V_4 S^(4) h - h is
+# about 1e-6, far above tau_sub but only ~2e-16 of |V_4| |S^(4)|.
+ILL_CONDITIONED_DOC = {
+    "dim_E": 1,
+    "dim_H": 4,
+    "V": [
+        [-0.7203348275651226, -0.6091230515827469], [-0.11165888833789503, 1.0142072839237233],
+        [1.1435650771060786, -0.7939745819611076], [0.572217755231707, -0.6618602784267684],
+        [-0.7042854460193237, -0.46443169635315423], [-1.3833685414114012, 0.2252962766952768],
+        [-1.1046534381292787, 0.10513639733275526], [-0.5014664072348923, 0.39840218882691997],
+        [0.47228436362156545, 0.9515944915314055], [-0.13282583508325604, 0.1641716456827723],
+        [0.2014210524609828, -1.0498582127457867], [-0.18506756384303732, 0.5676899323932385],
+        [-1.028309609026032, -0.3795260845774896], [-0.14063584365203752, 0.627206732589275],
+        [-0.040764481706809824, -0.2909094778745166], [-0.09586990240828035, -0.5013040794091773],
+    ],
+}
 
 
 class TestGeneralizedRange:
@@ -137,7 +157,11 @@ class TestGeneralizedInverse:
     def test_composition_identity(self, rng):
         rep = generic_rep(rng, 2, 2)
         gi = make_generalized_inverse(rep, rand_complex(rng, 4, 2))
-        iterate_inverse(gi, 3, verify_composition=True)
+        n = 3
+        out = iterate_inverse(gi, n)
+        for split in range(1, n):
+            lhs = np.kron(np.eye(2**split), iterate_inverse(gi, n - split)) @ iterate_inverse(gi, split)
+            assert np.linalg.norm(lhs - out, 2) <= 1e-9 * max(1.0, np.linalg.norm(out, 2))
 
 
 class TestBiRegularity:
@@ -201,6 +225,17 @@ class TestFixedPointAndInvariance:
         rep = generic_rep(rng, 2, 2)
         gi = make_generalized_inverse(rep, rand_complex(rng, 4, 2))
         assert fixed_point_range_check(rep, gi, horizon=4)
+
+    def test_ill_conditioned_round_off_is_relative(self, rng):
+        rep = representation_from_dict(ILL_CONDITIONED_DOC)
+        for y in (np.zeros((4, 4)), rand_complex(rng, 4, 4)):
+            gi = make_generalized_inverse(rep, y)
+            assert fixed_point_range_check(rep, gi, horizon=4)
+
+    def test_rejects_map_that_is_not_a_generalized_inverse(self, rng):
+        for rep in (generic_rep(rng, 2, 2), representation_from_dict(ILL_CONDITIONED_DOC)):
+            s = rand_complex(rng, rep.ambient_domain, rep.dim_h)
+            assert not fixed_point_range_check(rep, GenInverse(rep=rep, matrix=s), horizon=4)
 
     def test_inverse_invariance(self, rng):
         for _ in range(5):
