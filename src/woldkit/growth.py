@@ -22,11 +22,12 @@ from .linalg import (
     as_matrix,
     complement,
     hermitian_part,
+    is_psd,
     min_eigenvalue,
     psd_sqrt,
     reduced_min_modulus,
 )
-from .model import Representation, iterate_map
+from .model import Representation, _lift, iterate_map
 from .structure import is_regular, iterated_pinv, lift_subspace
 
 __all__ = [
@@ -145,9 +146,8 @@ def _growth_operators(rep: Representation, m: int, pol: TolerancePolicy):
     d = rep.dim_e
     v = rep.matrix
     vd = rep.pseudo_inverse(pol)
-    eye = np.eye(d ** (m - 1), dtype=np.complex128)
-    ata = np.kron(eye, v.conj().T @ v)
-    p = np.kron(eye, vd @ v)
+    ata = _lift(m - 1, v.conj().T @ v, d)
+    p = _lift(m - 1, vd @ v, d)
     vm = iterate_map(rep, m)
     return ata - p, vm.conj().T @ vm - p
 
@@ -156,25 +156,18 @@ def check_growth(
     rep: Representation,
     d_seq: list[float] | None,
     m_max: int,
-    d_const: float = 1.0,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> GrowthReport:
     """Per-level feasibility of the growth operator inequality.
 
-    For each m the Hermitian operator d_m*(A*A - P) + d_const*P - V_m*V_m
+    For each m the Hermitian operator d_m*(A*A - P) + P - V_m*V_m
     must be PSD, with A = I (x) V and P = I (x) V+V; that single operator
     inequality is exactly the universal vector quantifier.  With d_seq
     None, feasibility means the minimal d at that level is finite.
     """
     entries: list[GrowthEntry] = []
-    v = rep.matrix
-    vd = rep.pseudo_inverse(pol)
     for m in range(1, m_max + 1):
         g, q = _growth_operators(rep, m, pol)
-        # q here is V_m*V_m - P; with d_const != 1 the constant shifts by (d_const-1)*P.
-        if d_const != 1.0:
-            eye = np.eye(rep.dim_e ** (m - 1), dtype=np.complex128)
-            q = q - (d_const - 1.0) * np.kron(eye, vd @ v)
         minimal = minimal_scale_factor(q, g, pol)
         if d_seq is not None and m <= len(d_seq):
             checked = hermitian_part(d_seq[m - 1] * g - q)
@@ -197,7 +190,7 @@ def minimal_growth_sequence(
     rep: Representation, m_max: int, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> list[float]:
     """Smallest feasible weight per level; inf marks an infeasible level."""
-    return [e.minimal_d for e in check_growth(rep, None, m_max, 1.0, pol).entries]
+    return [e.minimal_d for e in check_growth(rep, None, m_max, pol).entries]
 
 
 def _divergence_note(minimal: list[float], supplied: list[float] | None) -> str:
@@ -225,19 +218,17 @@ def _divergence_note(minimal: list[float], supplied: list[float] | None) -> str:
 def check_concave(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """2 (I (x) V)*(I (x) V) - V_2*V_2 - I >= 0 as a Hermitian operator."""
     d, v = rep.dim_e, rep.matrix
-    a = np.kron(np.eye(d, dtype=np.complex128), v)
+    a = _lift(1, v, d)
     v2 = iterate_map(rep, 2)
     op = 2.0 * (a.conj().T @ a) - v2.conj().T @ v2 - np.eye(a.shape[1], dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(op, 2)))
-    return min_eigenvalue(op) >= -pol.tau_psd * scale
+    return is_psd(op, pol)
 
 
 def check_expansive(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """V*V - I >= 0: the map increases every norm."""
     v = rep.matrix
     op = v.conj().T @ v - np.eye(v.shape[1], dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(op, 2)))
-    return min_eigenvalue(op) >= -pol.tau_psd * scale
+    return is_psd(op, pol)
 
 
 def gamma_power_bound_check(
@@ -275,14 +266,12 @@ def growth_forms_agree(
     d, v = rep.dim_e, rep.matrix
     vd = rep.pseudo_inverse(pol)
     dsq = hermitian_part(v.conj().T @ v - vd @ v)
-    eye = np.eye(d ** (k - 1), dtype=np.complex128)
     vk = iterate_map(rep, k)
-    op_full = d_k * np.kron(eye, dsq) + d_const * np.kron(eye, vd @ v) - vk.conj().T @ vk
-    scale = max(1.0, float(np.linalg.norm(op_full, 2)))
-    verdict_full = min_eigenvalue(op_full) >= -pol.tau_psd * scale
+    op_full = d_k * _lift(k - 1, dsq, d) + d_const * _lift(k - 1, vd @ v, d) - vk.conj().T @ vk
+    verdict_full = is_psd(op_full, pol)
 
     basis = lift_subspace(k - 1, complement(rep.kernel(pol), pol), d).basis
-    a = np.kron(eye, v)
+    a = _lift(k - 1, v, d)
     dim = a.shape[1]
     inner = (
         d_k * (a.conj().T @ a - np.eye(dim, dtype=np.complex128))
@@ -290,9 +279,7 @@ def growth_forms_agree(
         - vk.conj().T @ vk
     )
     op_restricted = basis.conj().T @ inner @ basis
-    scale_r = max(1.0, float(np.linalg.norm(op_restricted, 2)) if op_restricted.size else 0.0)
-    verdict_restricted = min_eigenvalue(op_restricted) >= -pol.tau_psd * scale_r
-    return verdict_full, verdict_restricted
+    return verdict_full, is_psd(op_restricted, pol)
 
 
 def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -301,8 +288,7 @@ def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFA
     ||V_k xi||^2 <= ||xi||^2 + k (||(I (x) V) xi||^2 - ||xi||^2).
     """
     d, v = rep.dim_e, rep.matrix
-    eye = np.eye(d ** (k - 1), dtype=np.complex128)
-    a = np.kron(eye, v)
+    a = _lift(k - 1, v, d)
     vk = iterate_map(rep, k)
     dim = a.shape[1]
     op = (
@@ -310,8 +296,7 @@ def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFA
         + k * (a.conj().T @ a - np.eye(dim, dtype=np.complex128))
         - vk.conj().T @ vk
     )
-    scale = max(1.0, float(np.linalg.norm(op, 2)))
-    return min_eigenvalue(op) >= -pol.tau_psd * scale
+    return is_psd(op, pol)
 
 
 def norm_partition_residual(
@@ -330,22 +315,15 @@ def norm_partition_residual(
     vd = rep.pseudo_inverse(pol)
     p_w = np.eye(m, dtype=np.complex128) - v @ vd
     defect = defect_operator(rep, pol).matrix
-    worst = 0.0
-    for j in range(m):
-        h = np.zeros(m, dtype=np.complex128)
-        h[j] = 1.0
-        total = 0.0
-        for i in range(0, n):
-            vdi_h = h if i == 0 else iterated_pinv(rep, i, pol) @ h
-            lifted_pw = np.kron(np.eye(d**i, dtype=np.complex128), p_w)
-            total += float(np.linalg.norm(lifted_pw @ vdi_h) ** 2)
-        total += float(np.linalg.norm(iterated_pinv(rep, n, pol) @ h) ** 2)
-        for i in range(1, n + 1):
-            vdi_h = iterated_pinv(rep, i, pol) @ h
-            lifted_d = np.kron(np.eye(d ** (i - 1), dtype=np.complex128), defect)
-            total += float(np.linalg.norm(lifted_d @ vdi_h) ** 2)
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    # One column per basis vector h; V+^(0) = I, so the i = 0 term is P_W.
+    total = np.linalg.norm(p_w, axis=0) ** 2
+    for i in range(1, n + 1):
+        vdi = iterated_pinv(rep, i, pol)
+        if i < n:
+            total += np.linalg.norm(_lift(i, p_w, d) @ vdi, axis=0) ** 2
+        total += np.linalg.norm(_lift(i - 1, defect, d) @ vdi, axis=0) ** 2
+    total += np.linalg.norm(iterated_pinv(rep, n, pol), axis=0) ** 2
+    return float(np.max(np.abs(total - 1.0)))
 
 
 def telescoping_residuals(
@@ -369,7 +347,7 @@ def telescoping_residuals(
     for i in range(0, n):
         vi = iterate_map(rep, i)
         vdi = np.eye(m, dtype=np.complex128) if i == 0 else iterated_pinv(rep, i, pol)
-        rhs1 = rhs1 + vi @ np.kron(np.eye(d**i, dtype=np.complex128), p_w) @ vdi
+        rhs1 = rhs1 + vi @ _lift(i, p_w, d) @ vdi
     res1 = float(np.linalg.norm(lhs1 - rhs1, 2)) / max(1.0, float(np.linalg.norm(lhs1, 2)))
 
     dim_n = d**n * m
@@ -378,9 +356,9 @@ def telescoping_residuals(
     for i in range(0, n):
         vi = iterate_map(rep, i)
         vdi = np.eye(m, dtype=np.complex128) if i == 0 else iterated_pinv(rep, i, pol)
-        left = np.kron(np.eye(d ** (n - i), dtype=np.complex128), vdi)
-        mid = np.kron(np.eye(d ** (n - i - 1), dtype=np.complex128), p_wd)
-        right = np.kron(np.eye(d ** (n - i), dtype=np.complex128), vi)
+        left = _lift(n - i, vdi, d)
+        mid = _lift(n - i - 1, p_wd, d)
+        right = _lift(n - i, vi, d)
         rhs2 = rhs2 + left @ mid @ right
     res2 = float(np.linalg.norm(lhs2 - rhs2, 2)) / max(1.0, float(np.linalg.norm(lhs2, 2)))
     return res1, res2

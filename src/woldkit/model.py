@@ -4,6 +4,9 @@ A representation is stored as the single matrix of the map E (x) H -> H,
 of shape m x (d*m) with d = dim E and m = dim H.  Tensor indices follow a
 fixed left-to-right Kronecker ordering: index(xi (x) h) = index(xi) * m +
 index(h), so I_{E^(x)k} (x) A is realized exactly as kron(I_{d^k}, A).
+_lift is the one place that forms this ampliation; every module lifts
+through it.  iterate_lower never forms it: it applies I (x) S blockwise, as
+S times each of the d^k row blocks of the iterate.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -167,6 +170,13 @@ def tensor_lift(k: int, a, d: int) -> np.ndarray:
         raise BudgetExceeded(
             f"tensor_lift size d^k*max(shape) = {d**k * max(a.shape)} exceeds budget {budget}"
         )
+    return _lift(k, a, d)
+
+
+def _lift(k: int, a: np.ndarray, d: int) -> np.ndarray:
+    """kron(I_{d^k}, A) without validation or budget check; A itself if k = 0 or d = 1."""
+    if k == 0 or d == 1:
+        return a
     return np.kron(np.eye(d**k, dtype=np.complex128), a)
 
 
@@ -199,7 +209,7 @@ def iterate_map(rep: Representation, n: int) -> np.ndarray:
     v = rep.matrix
     vn = v
     for _ in range(n - 1):
-        vn = v @ np.kron(np.eye(d, dtype=np.complex128), vn)
+        vn = v @ _lift(1, vn, d)
     return vn
 
 
@@ -207,6 +217,9 @@ def iterate_lower(s, d: int, n: int) -> np.ndarray:
     """n-fold lowering iterate of a map S: H -> E (x) H.
 
     S^(n) = (I_{E^(x)n-1} (x) S) ... (I_E (x) S) S, of shape (d^n * m) x m.
+    Each factor I_{E^(x)k} (x) S is applied blockwise, as S times each of
+    the d^k row blocks of height m, so no lift is formed and the largest
+    array is the output itself.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -217,7 +230,7 @@ def iterate_lower(s, d: int, n: int) -> np.ndarray:
         raise BudgetExceeded(f"iterate_lower needs {d**n * m} rows, budget is {budget}")
     out = s
     for k in range(1, n):
-        out = np.kron(np.eye(d**k, dtype=np.complex128), s) @ out
+        out = (s @ out.reshape(d**k, m, m)).reshape(d ** (k + 1) * m, m)
     return out
 
 

@@ -42,6 +42,7 @@ from .model import (
     Representation,
     _decode_complex_list,
     _encode_complex_list,
+    _lift,
     canonical_json,
     parse_json_file,
     size_budget,
@@ -149,7 +150,7 @@ def z_product(spec: UnilateralSpec, n: int) -> np.ndarray:
     d = spec.d
     out = np.array(spec.Z[n - 1])
     for j in range(1, n):
-        out = out @ np.kron(np.eye(d**j, dtype=np.complex128), spec.Z[n - j - 1])
+        out = out @ _lift(j, spec.Z[n - j - 1], d)
     return out
 
 
@@ -223,17 +224,11 @@ def check_unilateral_weight_condition(
                 skipped.append((k, n))
                 continue
             zn = z_product(spec, n)
-            y = z_product(spec, k + n) @ np.linalg.inv(
-                np.kron(np.eye(d**k, dtype=np.complex128), zn)
-            )
+            y = z_product(spec, k + n) @ np.linalg.inv(_lift(k, zn, d))
             lhs = hermitian_part(y.conj().T @ y - np.eye(y.shape[0], dtype=np.complex128))
-            y1 = z_product(spec, 1 + n) @ np.linalg.inv(
-                np.kron(np.eye(d, dtype=np.complex128), zn)
-            )
+            y1 = z_product(spec, 1 + n) @ np.linalg.inv(_lift(1, zn, d))
             inner = hermitian_part(y1.conj().T @ y1)
-            rhs = np.kron(np.eye(d ** (k - 1), dtype=np.complex128), inner) - np.eye(
-                lhs.shape[0], dtype=np.complex128
-            )
+            rhs = _lift(k - 1, inner, d) - np.eye(lhs.shape[0], dtype=np.complex128)
             minimal = minimal_scale_factor(lhs, rhs, pol)
             entry: dict = {"minimal_d": None if math.isinf(minimal) else minimal}
             if d_seq is not None and k <= len(d_seq):

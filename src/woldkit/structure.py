@@ -30,7 +30,15 @@ from .linalg import (
     spectral_norm,
     subspaces_equal,
 )
-from .model import Representation, budget_horizon, derived, iterate_lower, iterate_map, size_budget
+from .model import (
+    Representation,
+    _lift,
+    budget_horizon,
+    derived,
+    iterate_lower,
+    iterate_map,
+    size_budget,
+)
 
 __all__ = [
     "range_chain",
@@ -61,8 +69,7 @@ def lift_subspace(k: int, s: Subspace, d: int) -> Subspace:
     """E^(x)k (x) S as a subspace of E^(x)k (x) ambient."""
     if k == 0 or d == 1:
         return s
-    basis = np.kron(np.eye(d**k, dtype=np.complex128), s.basis)
-    return Subspace(d**k * s.ambient_dim, basis)
+    return Subspace(d**k * s.ambient_dim, _lift(k, s.basis, d))
 
 
 def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -> Subspace:
@@ -145,17 +152,12 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Greatest subspace K with V(E (x) K) = K, by greatest-fixed-point iteration.
 
-    Iterates K_0 = H, K_{j+1} = V(E (x) K_j) to mutual containment and
-    post-verifies the fixed-point identity.  In finite dimensions the core
+    The iteration K_0 = H, K_{j+1} = V(E (x) K_j) has K_1 = R(V) and is the
+    range chain from there on, so its limit is read from range_chain; the
+    fixed-point identity is post-verified.  In finite dimensions the core
     coincides with generalized_range; the range-structure suite checks it.
     """
-    def spaces():
-        current = Subspace.full(rep.dim_h)
-        while True:
-            yield current
-            current = _forward_translate(rep, current, pol)
-
-    chain, stable = _stabilized_chain(spaces(), pol, max_steps=rep.dim_h + 8)
+    chain, stable = range_chain(rep, pol)
     core = chain[stable - 1]
     if not subspaces_equal(_forward_translate(rep, core, pol), core, pol):
         raise IdentityViolated("fixed-point identity V(E (x) K) = K failed at tolerance")
@@ -442,7 +444,7 @@ def kernel_intersection_identity(
     d = rep.dim_e
     nv = rep.norm()
     vm = iterate_map(rep, m)
-    lifted_vm = np.kron(np.eye(d**n, dtype=np.complex128), vm)
+    lifted_vm = _lift(n, vm, d)
     ker_mn = null_space(iterate_map(rep, m + n), pol, scale=nv ** (m + n))
     lhs = range_space(lifted_vm @ ker_mn.basis, pol, scale=nv**m) if ker_mn.dim else Subspace.zero(
         d**n * rep.dim_h

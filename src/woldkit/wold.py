@@ -41,7 +41,7 @@ from .linalg import (
     spectral_norm,
     subspaces_equal,
 )
-from .model import Representation, budget_horizon, iterate_map
+from .model import Representation, _lift, budget_horizon, iterate_map
 from .structure import (
     GenInverse,
     RegularityReport,
@@ -402,8 +402,8 @@ def kernel_span_check(
     join2 = Subspace.zero(d**n * m)
     for i in range(n):
         vdi = np.eye(m, dtype=np.complex128) if i == 0 else iterated_pinv(rep, i, pol)
-        left = np.kron(np.eye(d ** (n - i), dtype=np.complex128), vdi)
-        arg = np.kron(np.eye(d ** (n - i - 1), dtype=np.complex128), wd.basis)
+        left = _lift(n - i, vdi, d)
+        arg = _lift(n - i - 1, wd.basis, d)
         if arg.shape[1] == 0:
             continue
         join2 = add(join2, range_space(left @ arg, pol, scale=nd**i), pol)
@@ -482,9 +482,7 @@ def check_intertwiner(rep: Representation, a, tol: float = 1e-9) -> bool:
     if a.shape != (rep.dim_h, rep.dim_h):
         raise PreconditionFailed("intertwiner must act on H")
     v = rep.matrix
-    residual = float(
-        np.linalg.norm(a @ v - v @ np.kron(np.eye(rep.dim_e, dtype=np.complex128), a), 2)
-    )
+    residual = float(np.linalg.norm(a @ v - v @ _lift(1, a, rep.dim_e), 2))
     return residual <= tol * float(np.linalg.norm(a, 2)) * rep.norm()
 
 

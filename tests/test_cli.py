@@ -137,12 +137,19 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def source_pythonpath() -> str:
+    """PYTHONPATH that lets a subprocess import the woldkit these tests import."""
+    source_dir = str(Path(woldkit.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [source_dir, os.environ.get("PYTHONPATH")]))
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "woldkit", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": source_pythonpath()},
         )
         assert proc.returncode == 0
         assert "woldkit" in proc.stdout
@@ -151,14 +158,12 @@ class TestEntryPoint:
         fixture = tmp_path / "rep.json"
         out = tmp_path / "report.json"
         save_representation(truncated_shift_rep(4), fixture)
-        source_dir = str(Path(woldkit.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [source_dir, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "woldkit", "analyze", str(fixture), "--horizon", "3",
              "--out", str(out)],
             capture_output=True,
             text=True,
-            env={**os.environ, "WOLDKIT_BUDGET": "50000", "PYTHONPATH": pythonpath},
+            env={**os.environ, "WOLDKIT_BUDGET": "50000", "PYTHONPATH": source_pythonpath()},
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["budget"] == 50000

@@ -8,6 +8,7 @@ from woldkit.generate import (
     coisometry_rep,
     concave_rep,
     expansive_rep,
+    generic_rep,
     left_invertible_rep,
     weighted_truncated_shift,
 )
@@ -27,10 +28,32 @@ from woldkit.growth import (
     telescoping_residuals,
 )
 from woldkit.model import Representation
+from woldkit.structure import iterated_pinv
 
 
 def scalar_rep(value: float) -> Representation:
     return Representation(1, 1, np.array([[value]], dtype=complex))
+
+
+def norm_partition_oracle(rep: Representation, n: int) -> float:
+    """norm_partition_residual one basis vector at a time, with explicit lifts."""
+    d, m = rep.dim_e, rep.dim_h
+    p_w = np.eye(m) - rep.matrix @ rep.pseudo_inverse()
+    defect = defect_operator(rep).matrix
+    worst = 0.0
+    for j in range(m):
+        h = np.zeros(m, dtype=np.complex128)
+        h[j] = 1.0
+        total = 0.0
+        for i in range(0, n):
+            vdi_h = h if i == 0 else iterated_pinv(rep, i) @ h
+            total += float(np.linalg.norm(np.kron(np.eye(d**i), p_w) @ vdi_h) ** 2)
+        total += float(np.linalg.norm(iterated_pinv(rep, n) @ h) ** 2)
+        for i in range(1, n + 1):
+            vdi_h = iterated_pinv(rep, i) @ h
+            total += float(np.linalg.norm(np.kron(np.eye(d ** (i - 1)), defect) @ vdi_h) ** 2)
+        worst = max(worst, abs(total - 1.0))
+    return worst
 
 
 class TestGamma:
@@ -199,6 +222,18 @@ class TestNormIdentities:
         rep = left_invertible_rep(rng, 4)
         for n in (1, 2, 3, 4):
             assert norm_partition_residual(rep, n) <= 1e-7
+
+    def test_norm_partition_matches_per_vector_oracle(self, rng):
+        generic = generic_rep(rng, 2, 3)
+        reps = [
+            left_invertible_rep(rng, 4),
+            coisometry_rep(rng, 2, 2),
+            # gamma = 1 after rescaling, so the defect exists and is nonzero
+            Representation(2, 3, generic.matrix / gamma(generic)),
+        ]
+        for rep in reps:
+            for n in (1, 2, 3, 4):
+                assert abs(norm_partition_residual(rep, n) - norm_partition_oracle(rep, n)) <= 1e-12
 
     def test_telescoping(self, rng):
         rep = left_invertible_rep(rng, 4)

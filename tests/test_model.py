@@ -8,6 +8,7 @@ from woldkit.generate import generic_rep, truncated_shift_rep
 from woldkit.model import (
     Representation,
     check_covariance,
+    iterate_lower,
     iterate_map,
     load_representation,
     representation_to_dict,
@@ -98,6 +99,29 @@ class TestIterateMap:
         monkeypatch.setenv("WOLDKIT_BUDGET", "8")
         with pytest.raises(BudgetExceeded):
             iterate_map(rep, 3)
+
+
+class TestIterateLower:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_lift(self, rng, d, n):
+        m = 3
+        s = rand_c(rng, d * m, m)
+        dense = s
+        for k in range(1, n):
+            dense = np.kron(np.eye(d**k), s) @ dense
+        out = iterate_lower(s, d, n)
+        assert out.shape == (d**n * m, m)
+        assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_budget(self, monkeypatch, rng, d):
+        m = 2
+        s = rand_c(rng, d * m, m)
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(d**3 * m))
+        assert iterate_lower(s, d, 3).shape == (d**3 * m, m)
+        with pytest.raises(BudgetExceeded):
+            iterate_lower(s, d, 4)
 
 
 class TestCovariance:
