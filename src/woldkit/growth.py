@@ -1,11 +1,14 @@
 """Reduced minimum modulus, defect operator, and growth-condition checks.
 
 Every "for all vectors" inequality here is decided as a Hermitian operator
-inequality through a minimum eigenvalue, never by sampling.  The per-level
-growth inequality compares the m-fold iterate against a weighted defect
-plus a projection term; minimal weights are extracted from the singular
-generalized eigenproblem (Rayleigh quotient on the complement of the
-pencil's kernel, with kernel directions deciding feasibility by sign).
+inequality through a minimum eigenvalue, never by sampling, at the PSD
+tolerance of linalg.psd_margin.  At level k every such operator is built
+from A = I (x) V*V, P = I (x) V+V and V_k*V_k, which _level_operators
+forms.  The per-level growth inequality compares the m-fold iterate
+against a weighted defect plus a projection term; minimal weights are
+extracted from the singular generalized eigenproblem (Rayleigh quotient on
+the complement of the pencil's kernel, with kernel directions deciding
+feasibility by sign).
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from .errors import NotRegular
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _psd_tolerance,
     as_matrix,
     complement,
     hermitian_part,
     is_psd,
-    min_eigenvalue,
+    psd_margin,
     psd_sqrt,
     reduced_min_modulus,
 )
@@ -114,7 +118,8 @@ def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
 
     Directions in ker(G) where Q is strictly positive make the problem
     infeasible (returns inf).  On the complement the answer is the largest
-    generalized Rayleigh quotient of Q against G.
+    generalized Rayleigh quotient of Q against G.  Both kernel decisions
+    use the psd_margin tolerance, from the spectra of Q and of G.
     """
     q = hermitian_part(as_matrix(q))
     g = hermitian_part(as_matrix(g))
@@ -123,14 +128,13 @@ def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     n = q.shape[0]
     if n == 0:
         return 0.0
-    scale_g = max(1.0, float(np.linalg.norm(g, 2)))
-    scale_q = max(1.0, float(np.linalg.norm(q, 2)))
+    tol_q = _psd_tolerance(np.linalg.eigvalsh(q), pol)
     w, u = np.linalg.eigh(g)
-    keep = w > pol.tau_psd * scale_g
+    keep = w > _psd_tolerance(w, pol)
     kernel = u[:, ~keep]
     if kernel.shape[1]:
         q_kernel = hermitian_part(kernel.conj().T @ q @ kernel)
-        if q_kernel.shape[0] and float(np.linalg.eigvalsh(q_kernel)[-1]) > pol.tau_psd * scale_q:
+        if q_kernel.shape[0] and float(np.linalg.eigvalsh(q_kernel)[-1]) > tol_q:
             return math.inf
     if not np.any(keep):
         return 0.0
@@ -141,15 +145,20 @@ def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     return max(0.0, top)
 
 
+def _level_operators(rep: Representation, k: int, pol: TolerancePolicy):
+    """A = I (x) V*V, P = I (x) V+V and V_k*V_k at level k, each of size d^k m."""
+    d, v = rep.dim_e, rep.matrix
+    vk = iterate_map(rep, k)
+    vkvk = vk.conj().T @ vk
+    a = _lift(k - 1, v.conj().T @ v, d)
+    p = _lift(k - 1, rep.pseudo_inverse(pol) @ v, d)
+    return a, p, vkvk
+
+
 def _growth_operators(rep: Representation, m: int, pol: TolerancePolicy):
-    """G = I (x) (V*V - V+V) and Q = V_m* V_m - I (x) V+V at level m."""
-    d = rep.dim_e
-    v = rep.matrix
-    vd = rep.pseudo_inverse(pol)
-    ata = _lift(m - 1, v.conj().T @ v, d)
-    p = _lift(m - 1, vd @ v, d)
-    vm = iterate_map(rep, m)
-    return ata - p, vm.conj().T @ vm - p
+    """G = A - P and Q = V_m*V_m - P at level m."""
+    a, p, vmvm = _level_operators(rep, m, pol)
+    return a - p, vmvm - p
 
 
 def check_growth(
@@ -160,8 +169,8 @@ def check_growth(
 ) -> GrowthReport:
     """Per-level feasibility of the growth operator inequality.
 
-    For each m the Hermitian operator d_m*(A*A - P) + P - V_m*V_m
-    must be PSD, with A = I (x) V and P = I (x) V+V; that single operator
+    For each m the Hermitian operator d_m*(A - P) + P - V_m*V_m
+    must be PSD, with A = I (x) V*V and P = I (x) V+V; that single operator
     inequality is exactly the universal vector quantifier.  With d_seq
     None, feasibility means the minimal d at that level is finite.
     """
@@ -170,10 +179,7 @@ def check_growth(
         g, q = _growth_operators(rep, m, pol)
         minimal = minimal_scale_factor(q, g, pol)
         if d_seq is not None and m <= len(d_seq):
-            checked = hermitian_part(d_seq[m - 1] * g - q)
-            lam = min_eigenvalue(checked)
-            scale = max(1.0, float(np.linalg.norm(checked, 2)) if checked.size else 0.0)
-            feasible = lam >= -pol.tau_psd * scale
+            lam, feasible = psd_margin(d_seq[m - 1] * g - q, pol)
             entries.append(GrowthEntry(m, feasible, minimal, lam))
         else:
             entries.append(GrowthEntry(m, math.isfinite(minimal), minimal, 0.0))
@@ -216,12 +222,11 @@ def _divergence_note(minimal: list[float], supplied: list[float] | None) -> str:
 
 
 def check_concave(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """2 (I (x) V)*(I (x) V) - V_2*V_2 - I >= 0 as a Hermitian operator."""
-    d, v = rep.dim_e, rep.matrix
-    a = _lift(1, v, d)
-    v2 = iterate_map(rep, 2)
-    op = 2.0 * (a.conj().T @ a) - v2.conj().T @ v2 - np.eye(a.shape[1], dtype=np.complex128)
-    return is_psd(op, pol)
+    """2 (I (x) V*V) - V_2*V_2 - I >= 0 as a Hermitian operator.
+
+    This is the chain inequality at level 2.
+    """
+    return concave_chain_check(rep, 2, pol)
 
 
 def check_expansive(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -263,23 +268,13 @@ def growth_forms_agree(
     lifted-map growth over E^(x)(k-1) (x) N(V)^perp.  For gamma >= 1 the
     two verdicts coincide for identical (d_k, d_const).
     """
-    d, v = rep.dim_e, rep.matrix
-    vd = rep.pseudo_inverse(pol)
-    dsq = hermitian_part(v.conj().T @ v - vd @ v)
-    vk = iterate_map(rep, k)
-    op_full = d_k * _lift(k - 1, dsq, d) + d_const * _lift(k - 1, vd @ v, d) - vk.conj().T @ vk
-    verdict_full = is_psd(op_full, pol)
+    a, p, vkvk = _level_operators(rep, k, pol)
+    verdict_full = is_psd(d_k * (a - p) + d_const * p - vkvk, pol)
 
-    basis = lift_subspace(k - 1, complement(rep.kernel(pol), pol), d).basis
-    a = _lift(k - 1, v, d)
-    dim = a.shape[1]
-    inner = (
-        d_k * (a.conj().T @ a - np.eye(dim, dtype=np.complex128))
-        + d_const * np.eye(dim, dtype=np.complex128)
-        - vk.conj().T @ vk
-    )
-    op_restricted = basis.conj().T @ inner @ basis
-    return verdict_full, is_psd(op_restricted, pol)
+    basis = lift_subspace(k - 1, complement(rep.kernel(pol), pol), rep.dim_e).basis
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    inner = d_k * (a - eye) + d_const * eye - vkvk
+    return verdict_full, is_psd(basis.conj().T @ inner @ basis, pol)
 
 
 def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -287,16 +282,9 @@ def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFA
 
     ||V_k xi||^2 <= ||xi||^2 + k (||(I (x) V) xi||^2 - ||xi||^2).
     """
-    d, v = rep.dim_e, rep.matrix
-    a = _lift(k - 1, v, d)
-    vk = iterate_map(rep, k)
-    dim = a.shape[1]
-    op = (
-        np.eye(dim, dtype=np.complex128)
-        + k * (a.conj().T @ a - np.eye(dim, dtype=np.complex128))
-        - vk.conj().T @ vk
-    )
-    return is_psd(op, pol)
+    a, _, vkvk = _level_operators(rep, k, pol)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    return is_psd(eye + k * (a - eye) - vkvk, pol)
 
 
 def norm_partition_residual(

@@ -2,9 +2,14 @@
 
 Every higher-level module works through the primitives here: a relative
 rank cutoff shared by all rank-revealing decompositions, a Moore-Penrose
-inverse, the reduced minimum modulus, Hermitian PSD square roots, and a
-small lattice of orthonormal-basis subspaces (range, kernel, complement,
-intersection, sum, containment, projection).
+inverse, the reduced minimum modulus, PSD decisions and Hermitian PSD
+square roots, and a small lattice of orthonormal-basis subspaces (range,
+kernel, complement, intersection, sum, containment, projection).
+
+A Hermitian matrix H counts as PSD iff its least eigenvalue is at least
+-tau_psd * max(1, ||H||_2), with ||H||_2 read off the same spectrum.
+psd_margin, psd_sqrt and _psd_tolerance are the only places that know
+this rule.
 
 All values are immutable after construction and all operations are pure
 functions, so everything in this module is safe to call concurrently.
@@ -30,7 +35,7 @@ __all__ = [
     "psd_sqrt",
     "spectral_norm",
     "hermitian_part",
-    "min_eigenvalue",
+    "psd_margin",
     "is_psd",
     "Subspace",
     "range_space",
@@ -171,40 +176,52 @@ def spectral_norm(a) -> float:
 def hermitian_part(a) -> np.ndarray:
     """(A + A*)/2 -- removes round-off asymmetry before eigendecomposition."""
     a = as_matrix(a)
-    return (a + a.conj().T) / 2.0
+    h = a + a.conj().T
+    h /= 2.0  # in place, to save one full-size temporary
+    return h
 
 
-def min_eigenvalue(a) -> float:
-    """Least eigenvalue of the Hermitian part of a."""
+def _psd_tolerance(w: np.ndarray, pol: TolerancePolicy) -> float:
+    """tau_psd * max(1, ||H||_2) from the ascending eigenvalues w of H."""
+    return pol.tau_psd * max(1.0, -float(w[0]), float(w[-1]))
+
+
+def psd_margin(a, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[float, bool]:
+    """Least eigenvalue of the Hermitian part h of a, and whether h is PSD.
+
+    h is PSD iff that eigenvalue is at least -tau_psd * max(1, ||h||_2);
+    the norm is max(-lambda_min, lambda_max) of the same eigvalsh call.
+    An empty matrix gives (0.0, True).
+    """
     h = hermitian_part(a)
     if h.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(h)[0])
+        return 0.0, True
+    w = np.linalg.eigvalsh(h)
+    lam = float(w[0])
+    return lam, lam >= -_psd_tolerance(w, pol)
 
 
 def is_psd(a, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff min eigenvalue >= -tau_psd * max(1, norm(a))."""
-    a = as_matrix(a)
-    scale = max(1.0, float(np.linalg.norm(a, 2)) if a.size else 0.0)
-    return min_eigenvalue(a) >= -pol.tau_psd * scale
+    """True iff the Hermitian part of a is PSD by the psd_margin rule."""
+    return psd_margin(a, pol)[1]
 
 
 def psd_sqrt(a, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues within -tau_psd of zero are clamped.
+    """Hermitian PSD square root; eigenvalues within the psd_margin tolerance
+    of zero are clamped.
 
-    Raises NotPSD when a genuinely negative eigenvalue is present.
+    Raises NotPSD when a is not Hermitian to tau_orth, or when a genuinely
+    negative eigenvalue is present.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("psd_sqrt requires a square matrix")
     if a.shape[0] == 0:
         return a.copy()
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    if np.linalg.norm(a - a.conj().T, 2) > pol.tau_orth * scale * 10.0:
+    w, u = np.linalg.eigh(hermitian_part(a))
+    if np.linalg.norm(a - a.conj().T, 2) > pol.tau_orth * max(1.0, -w[0], w[-1]) * 10.0:
         raise NotPSD("matrix is not Hermitian to tolerance")
-    h = hermitian_part(a)
-    w, u = np.linalg.eigh(h)
-    if w[0] < -pol.tau_psd * scale:
+    if w[0] < -_psd_tolerance(w, pol):
         raise NotPSD(f"min eigenvalue {w[0]:.3e} below -tau_psd*scale")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T

@@ -35,7 +35,7 @@ from .linalg import (
     as_matrix,
     contains,
     hermitian_part,
-    min_eigenvalue,
+    psd_margin,
     range_space,
 )
 from .model import (
@@ -232,11 +232,7 @@ def check_unilateral_weight_condition(
             minimal = minimal_scale_factor(lhs, rhs, pol)
             entry: dict = {"minimal_d": None if math.isinf(minimal) else minimal}
             if d_seq is not None and k <= len(d_seq):
-                gap = hermitian_part(d_seq[k - 1] * rhs - lhs)
-                lam = min_eigenvalue(gap)
-                scale = max(1.0, float(np.linalg.norm(gap, 2)))
-                entry["residual"] = lam
-                entry["holds"] = lam >= -pol.tau_psd * scale
+                entry["residual"], entry["holds"] = psd_margin(d_seq[k - 1] * rhs - lhs, pol)
             pairs[(k, n)] = entry
             worst = max(worst, minimal)
             seen = True
@@ -441,70 +437,15 @@ def _block_ranges_orthogonal(spec: BilateralSpec, rep: Representation, pol) -> b
     return True
 
 
-def shift_pipeline(
-    spec: UnilateralSpec | BilateralSpec,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> ShiftPipelineReport:
-    """Build the shift, run regularity/modulus/growth analysis and the
-    decomposition diagnostics, and evaluate the structural assertions away
-    from the truncation boundary.  Boundary-affected verdicts are labeled.
+def _structural_kernel_regular(
+    spec: BilateralSpec, rep: Representation, horizon: int, pol: TolerancePolicy
+) -> bool:
+    """Structural kernel inside E (x) R(V_m) for every m up to the horizon.
+
+    The structural kernel is spanned by the in-window columns killed by a
+    zero weight, as opposed to columns zeroed only because their target
+    falls outside the window.
     """
-    notes: list[str] = []
-    if isinstance(spec, UnilateralSpec):
-        rep, info = build_unilateral_shift(spec)
-        horizon = spec.L
-        weight_report: UnilateralConditionReport | BilateralConditionReport | None
-        weight_error = None
-        try:
-            weight_report = check_unilateral_weight_condition(
-                spec, None, k_max=min(3, spec.L), n_max=min(2, spec.L - 1), pol=pol
-            )
-        except NotInvertible as exc:
-            weight_report, weight_error = None, str(exc)
-        reg = is_regular(rep, pol, horizon)
-        growth = check_growth(rep, None, min(horizon, 4), pol=pol)
-        wold = wold_diagnostics(rep, horizon, pol, regularity=reg,
-                                growth_feasible=growth.all_feasible)
-        assertions: dict[str, bool] = {}
-        if weight_report is not None and weight_report.holds:
-            assertions["analytic_below_truncation [boundary]"] = (
-                wold.generalized_range.dim == 0
-            )
-            assertions["wandering_space_generates [boundary]"] = (
-                wold.generated.dim == rep.dim_h
-            )
-        notes.append(
-            "verdicts evaluated on depths within the truncation; the top level maps to zero"
-        )
-        return ShiftPipelineReport(
-            kind="unilateral",
-            build_info=info,
-            gamma=gamma(rep, pol),
-            regular_strict=reg.strict,
-            regular_boundary=reg.holds_at_horizon,
-            boundary_horizon=horizon,
-            growth=growth,
-            weight_report=weight_report,
-            weight_error=weight_error,
-            wold=wold,
-            assertions=assertions,
-            notes=notes,
-        )
-
-    if not isinstance(spec, BilateralSpec):
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-    rep, info = build_bilateral_shift(spec)
-    horizon = spec.M
-    weight_error = None
-    try:
-        weight_report = check_bilateral_weight_condition(spec, None, k_max=min(3, spec.M), pol=pol)
-    except ConditionIViolated as exc:
-        weight_report, weight_error = None, str(exc)
-
-    reg = is_regular(rep, pol, horizon)
-    # Structural kernel: in-window columns killed by a zero weight, as opposed
-    # to columns zeroed only because their target falls outside the window.
     dim_h = rep.dim_h
     structural_cols = []
     for i in range(1, spec.n + 1):
@@ -516,38 +457,89 @@ def shift_pipeline(
         basis[col, j] = 1.0
     structural_kernel = Subspace(rep.ambient_domain, basis)
     chain, stable = range_chain(rep, pol)
-    boundary_regular = True
     for m in range(1, horizon + 1):
         rm = chain[m - 1] if m <= len(chain) else chain[stable - 1]
         if not contains(structural_kernel, lift_subspace(1, rm, rep.dim_e), pol):
-            boundary_regular = False
-            break
+            return False
+    return True
+
+
+def shift_pipeline(
+    spec: UnilateralSpec | BilateralSpec,
+    pol: TolerancePolicy = DEFAULT_POLICY,
+) -> ShiftPipelineReport:
+    """Build the shift, run regularity/modulus/growth analysis and the
+    decomposition diagnostics, and evaluate the structural assertions away
+    from the truncation boundary.  Boundary-affected verdicts are labeled.
+    """
+    weight_report: UnilateralConditionReport | BilateralConditionReport | None
+    weight_error = None
+    if isinstance(spec, UnilateralSpec):
+        rep, info = build_unilateral_shift(spec)
+        horizon = spec.L
+        try:
+            weight_report = check_unilateral_weight_condition(
+                spec, None, k_max=min(3, spec.L), n_max=min(2, spec.L - 1), pol=pol
+            )
+        except NotInvertible as exc:
+            weight_report, weight_error = None, str(exc)
+    elif isinstance(spec, BilateralSpec):
+        rep, info = build_bilateral_shift(spec)
+        horizon = spec.M
+        try:
+            weight_report = check_bilateral_weight_condition(
+                spec, None, k_max=min(3, spec.M), pol=pol
+            )
+        except ConditionIViolated as exc:
+            weight_report, weight_error = None, str(exc)
+    else:
+        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+
+    reg = is_regular(rep, pol, horizon)
     growth = check_growth(rep, None, min(horizon, 4), pol=pol)
     wold = wold_diagnostics(rep, horizon, pol, regularity=reg,
                             growth_feasible=growth.all_feasible)
-    assertions = {
-        "structural_kernel_in_lifted_stable_ranges [boundary]": boundary_regular,
-        "component_ranges_orthogonal": _block_ranges_orthogonal(spec, rep, pol),
-    }
-    if weight_report is not None and weight_report.holds:
-        assertions["stable_range_reduces [boundary]"] = wold.reduces
-        assertions["unitary_restriction [boundary]"] = wold.unitary_restriction
-    notes.append(
-        "kernel columns split into weight-zero (structural) and out-of-window (boundary) parts"
-    )
+    weight_holds = weight_report is not None and weight_report.holds
+
+    if isinstance(spec, UnilateralSpec):
+        kind = "unilateral"
+        regular_boundary = reg.holds_at_horizon
+        assertions: dict[str, bool] = {}
+        if weight_holds:
+            assertions["analytic_below_truncation [boundary]"] = (
+                wold.generalized_range.dim == 0
+            )
+            assertions["wandering_space_generates [boundary]"] = (
+                wold.generated.dim == rep.dim_h
+            )
+        note = "verdicts evaluated on depths within the truncation; the top level maps to zero"
+    else:
+        kind = "bilateral"
+        regular_boundary = _structural_kernel_regular(spec, rep, horizon, pol)
+        assertions = {
+            "structural_kernel_in_lifted_stable_ranges [boundary]": regular_boundary,
+            "component_ranges_orthogonal": _block_ranges_orthogonal(spec, rep, pol),
+        }
+        if weight_holds:
+            assertions["stable_range_reduces [boundary]"] = wold.reduces
+            assertions["unitary_restriction [boundary]"] = wold.unitary_restriction
+        note = (
+            "kernel columns split into weight-zero (structural) and out-of-window "
+            "(boundary) parts"
+        )
     return ShiftPipelineReport(
-        kind="bilateral",
+        kind=kind,
         build_info=info,
         gamma=gamma(rep, pol),
         regular_strict=reg.strict,
-        regular_boundary=boundary_regular,
+        regular_boundary=regular_boundary,
         boundary_horizon=horizon,
         growth=growth,
         weight_report=weight_report,
         weight_error=weight_error,
         wold=wold,
         assertions=assertions,
-        notes=notes,
+        notes=[note],
     )
 
 

@@ -12,7 +12,7 @@ to the horizon.  Reports carry both verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,7 +290,6 @@ def iterate_inverse(gi: GenInverse, n: int) -> np.ndarray:
 class BiRegularityReport:
     horizon: int
     per_m: dict[int, bool]
-    residuals: dict[int, float] = field(repr=False, default_factory=dict)
 
     @property
     def holds(self) -> bool:
@@ -310,22 +309,20 @@ def is_biregular(
     it is not aggregated across different S.
     """
     require_regular(rep, pol, horizon)
-    d = rep.dim_e
+    levels = _biregular_levels(rep, gi, horizon, pol)
+    return BiRegularityReport(horizon=horizon, per_m=dict(zip(range(1, horizon + 1), levels)))
+
+
+def _biregular_levels(rep: Representation, gi: GenInverse, top: int, pol: TolerancePolicy):
+    """Yield, for m = 1..top, whether N(I_{E^(x)m} (x) S) lies in R(S^(m)).
+
+    No regularity gate; levels are computed only as they are consumed.
+    """
     ker_s = null_space(gi.matrix, pol)
     ns = spectral_norm(gi.matrix)
-    per_m: dict[int, bool] = {}
-    residuals: dict[int, float] = {}
-    for m in range(1, horizon + 1):
-        ker_lifted = lift_subspace(m, ker_s, d)
-        rng = range_space(iterate_inverse(gi, m), pol, scale=ns**m)
-        if ker_lifted.dim == 0:
-            per_m[m], residuals[m] = True, 0.0
-            continue
-        resid = ker_lifted.basis - rng.basis @ (rng.basis.conj().T @ ker_lifted.basis)
-        worst = float(np.max(np.linalg.norm(resid, axis=0)))
-        per_m[m] = worst <= pol.tau_sub
-        residuals[m] = worst
-    return BiRegularityReport(horizon=horizon, per_m=per_m, residuals=residuals)
+    for m in range(1, top + 1):
+        ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
+        yield contains(ker_lifted, range_space(iterate_inverse(gi, m), pol, scale=ns**m), pol)
 
 
 def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -45,12 +45,12 @@ from .model import Representation, _lift, budget_horizon, iterate_map
 from .structure import (
     GenInverse,
     RegularityReport,
+    _biregular_levels,
     _forward_translate,
     _stabilized_chain,
     default_horizon,
     is_hyper_dagger,
     is_regular,
-    iterate_inverse,
     iterated_pinv,
     lift_subspace,
     range_chain,
@@ -199,22 +199,6 @@ class WoldResult:
         }
 
 
-def _biregular_flag(rep: Representation, horizon: int, pol: TolerancePolicy) -> bool:
-    """Kernel-range condition for the Moore-Penrose generalized inverse,
-    checked raw (no regularity gate) so diagnostics stay computable."""
-    s = rep.pseudo_inverse(pol)
-    gi = GenInverse(rep=rep, matrix=s)
-    ker = null_space(s, pol)
-    ns = spectral_norm(s)
-    top = min(horizon, max(budget_horizon(rep) - 1, 1))
-    for m in range(1, top + 1):
-        lifted = lift_subspace(m, ker, rep.dim_e)
-        rng = range_space(iterate_inverse(gi, m), pol, scale=ns**m)
-        if not contains(lifted, rng, pol):
-            return False
-    return True
-
-
 def wold_diagnostics(
     rep: Representation,
     horizon: int,
@@ -287,7 +271,11 @@ def wold_diagnostics(
         dagger_equals_adjoint=dagger_adjoint,
         isometric_restriction=isometric,
         fully_coisometric_restriction=fully_coisometric,
-        biregular=_biregular_flag(rep, horizon, pol),
+        # Moore-Penrose S, no regularity gate, so the flag stays computable.
+        biregular=all(
+            _biregular_levels(rep, GenInverse(rep=rep, matrix=vd),
+                              min(horizon, max(budget_horizon(rep) - 1, 1)), pol)
+        ),
         hyper_dagger=is_hyper_dagger(rep, horizon, pol),
         proj_sum_residual=sum_res,
         proj_product_residual=prod_res,

@@ -13,6 +13,8 @@ from woldkit.generate import (
     weighted_truncated_shift,
 )
 from woldkit.growth import (
+    _growth_operators,
+    _level_operators,
     check_concave,
     check_expansive,
     check_growth,
@@ -27,7 +29,8 @@ from woldkit.growth import (
     norm_partition_residual,
     telescoping_residuals,
 )
-from woldkit.model import Representation
+from woldkit.linalg import DEFAULT_POLICY, complement
+from woldkit.model import Representation, iterate_map
 from woldkit.structure import iterated_pinv
 
 
@@ -54,6 +57,68 @@ def norm_partition_oracle(rep: Representation, n: int) -> float:
             total += float(np.linalg.norm(np.kron(np.eye(d ** (i - 1)), defect) @ vdi_h) ** 2)
         worst = max(worst, abs(total - 1.0))
     return worst
+
+
+def dense_psd(op) -> bool:
+    """The PSD rule with its tolerance scale taken from a full SVD."""
+    h = (op + op.conj().T) / 2.0
+    tol = DEFAULT_POLICY.tau_psd * max(1.0, np.linalg.norm(h, 2))
+    return bool(np.linalg.eigvalsh(h)[0] >= -tol)
+
+
+def dense_lifted_gram(rep: Representation, k: int) -> np.ndarray:
+    """(I (x) V)*(I (x) V) at level k, with the lift of V formed explicitly."""
+    a = np.kron(np.eye(rep.dim_e ** (k - 1)), rep.matrix)
+    return a.conj().T @ a
+
+
+def concave_chain_oracle(rep: Representation, k: int) -> bool:
+    vk = iterate_map(rep, k)
+    a = dense_lifted_gram(rep, k)
+    eye = np.eye(a.shape[0])
+    return dense_psd(eye + k * (a - eye) - vk.conj().T @ vk)
+
+
+def growth_forms_oracle(rep: Representation, k: int, d_k: float, d_const: float):
+    """Both forms of growth_forms_agree, with dense lifts and SVD-scaled rules."""
+    d, v = rep.dim_e, rep.matrix
+    vd = rep.pseudo_inverse()
+    lift = np.eye(d ** (k - 1))
+    vk = iterate_map(rep, k)
+    full = (
+        d_k * np.kron(lift, v.conj().T @ v - vd @ v)
+        + d_const * np.kron(lift, vd @ v)
+        - vk.conj().T @ vk
+    )
+    basis = np.kron(lift, complement(rep.kernel()).basis)  # E^(x)(k-1) (x) N(V)^perp
+    a = dense_lifted_gram(rep, k)
+    eye = np.eye(a.shape[0])
+    inner = d_k * (a - eye) + d_const * eye - vk.conj().T @ vk
+    return dense_psd(full), dense_psd(basis.conj().T @ inner @ basis)
+
+
+def minimal_scale_factor_oracle(q, g) -> float:
+    """minimal_scale_factor with both tolerance scales from full SVDs."""
+    tau = DEFAULT_POLICY.tau_psd
+    q = (q + q.conj().T) / 2.0
+    g = (g + g.conj().T) / 2.0
+    w, u = np.linalg.eigh(g)
+    keep = w > tau * max(1.0, np.linalg.norm(g, 2))
+    kernel = u[:, ~keep]
+    if kernel.shape[1]:
+        q_kernel = kernel.conj().T @ q @ kernel
+        q_kernel = (q_kernel + q_kernel.conj().T) / 2.0
+        if np.linalg.eigvalsh(q_kernel)[-1] > tau * max(1.0, np.linalg.norm(q, 2)):
+            return math.inf
+    if not np.any(keep):
+        return 0.0
+    r = u[:, keep] / np.sqrt(w[keep])
+    t = r.conj().T @ q @ r
+    return max(0.0, float(np.linalg.eigvalsh((t + t.conj().T) / 2.0)[-1]))
+
+
+def level_operator_reps(rng):
+    return [concave_rep(rng, 3), expansive_rep(rng, 3), coisometry_rep(rng, 2, 2)]
 
 
 class TestGamma:
@@ -159,6 +224,50 @@ class TestMinimalScaleFactor:
         q = np.diag([1.0, 0.0])
         g = np.diag([0.0, 1.0])
         assert math.isinf(minimal_scale_factor(q, g))
+
+    def test_matches_svd_scaled_oracle(self, rng):
+        reps = level_operator_reps(rng) + [
+            generic_rep(rng, 1, 3),  # infeasible from level 2 on
+            generic_rep(rng, 2, 3),
+            left_invertible_rep(rng, 4),
+        ]
+        results = []
+        for rep in reps:
+            for m in (1, 2, 3):
+                g, q = _growth_operators(rep, m, DEFAULT_POLICY)
+                got, want = minimal_scale_factor(q, g), minimal_scale_factor_oracle(q, g)
+                assert got == want or abs(got - want) <= 1e-9 * max(1.0, abs(want))
+                results.append(got)
+        assert math.inf in results and 0.0 in results
+
+
+class TestLevelOperators:
+    def test_gram_matches_dense_lift(self, rng):
+        for d in (1, 2, 3):
+            rep = generic_rep(rng, d, 2)
+            for k in (1, 2, 3):
+                a, p, vkvk = _level_operators(rep, k, DEFAULT_POLICY)
+                dense = dense_lifted_gram(rep, k)
+                assert a.shape == p.shape == vkvk.shape == dense.shape
+                assert np.linalg.norm(a - dense, 2) <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+
+    def test_concave_chain_matches_dense(self, rng):
+        verdicts = set()
+        for rep in level_operator_reps(rng):
+            for k in (1, 2, 3):
+                verdict = concave_chain_check(rep, k)
+                assert verdict == concave_chain_oracle(rep, k)
+                verdicts.add(verdict)
+            assert check_concave(rep) == concave_chain_check(rep, 2)
+        assert verdicts == {True, False}
+
+    def test_growth_forms_match_dense(self, rng):
+        for rep in level_operator_reps(rng):
+            for k in (1, 2, 3):
+                for d_k in (0.5, 1.0, 3.0):
+                    assert growth_forms_agree(rep, k, d_k, 1.0) == growth_forms_oracle(
+                        rep, k, d_k, 1.0
+                    )
 
 
 class TestConcavityExpansivity:

@@ -13,7 +13,9 @@ from woldkit.linalg import (
     intersect,
     null_space,
     pinv,
+    is_psd,
     project,
+    psd_margin,
     psd_sqrt,
     range_space,
     reduced_min_modulus,
@@ -74,6 +76,53 @@ class TestReducedMinModulus:
             assert abs(g * np.linalg.norm(pinv(a), 2) - 1.0) <= 1e-8
 
 
+def psd_oracle(a, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """The PSD rule with its tolerance scale taken from a full SVD of h."""
+    h = (a + a.conj().T) / 2.0
+    if h.shape[0] == 0:
+        return True
+    return bool(np.linalg.eigvalsh(h)[0] >= -pol.tau_psd * max(1.0, np.linalg.norm(h, 2)))
+
+
+class TestPsdMargin:
+    def cases(self, rng):
+        b = rand_c(rng, 5, 5)
+        thin = rand_c(rng, 5, 2)
+        u, _ = np.linalg.qr(rand_c(rng, 3, 3))
+        tol = DEFAULT_POLICY.tau_psd * 1e3
+        hermitian = b + b.conj().T
+        return [
+            hermitian,
+            1e8 * (thin @ thin.conj().T),  # rank-deficient PSD, round-off negatives
+            thin @ thin.conj().T,
+            -(b @ b.conj().T + np.eye(5)),  # negative definite
+            hermitian + 1e-14 * rand_c(rng, 5, 5),  # near-Hermitian
+            # least eigenvalue just inside and just outside the scaled tolerance
+            (u * [-0.5 * tol, 1.0, 1e3]) @ u.conj().T,
+            (u * [-2.0 * tol, 1.0, 1e3]) @ u.conj().T,
+            np.zeros((0, 0)),
+        ]
+
+    def test_matches_svd_scaled_rule(self, rng):
+        verdicts = set()
+        for a in self.cases(rng):
+            lam, holds = psd_margin(a)
+            h = (a + a.conj().T) / 2.0
+            assert lam == (float(np.linalg.eigvalsh(h)[0]) if h.size else 0.0)
+            assert holds is psd_oracle(a)
+            assert is_psd(a) is holds
+            verdicts.add(holds)
+        assert verdicts == {True, False}
+
+    def test_tight_policy(self, rng):
+        pol = TolerancePolicy(tau_psd=1e-15)
+        for a in self.cases(rng):
+            assert psd_margin(a, pol)[1] is psd_oracle(a, pol)
+
+    def test_empty(self):
+        assert psd_margin(np.zeros((0, 0))) == (0.0, True)
+
+
 class TestPsdSqrt:
     def test_identity(self):
         assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
@@ -95,6 +144,12 @@ class TestPsdSqrt:
         root = psd_sqrt(a)
         assert np.linalg.norm(root @ root - a, 2) <= 1e-9 * np.linalg.norm(a, 2)
         assert np.allclose(root, root.conj().T)
+
+    def test_tolerance_scales_with_norm(self):
+        tol = DEFAULT_POLICY.tau_psd * 1e3
+        assert psd_sqrt(np.diag([-0.5 * tol, 1.0, 1e3]))[0, 0] == 0.0
+        with pytest.raises(NotPSD):
+            psd_sqrt(np.diag([-2.0 * tol, 1.0, 1e3]))
 
     def test_small_negative_clamped(self):
         a = np.diag([1.0, -1e-12])

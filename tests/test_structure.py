@@ -8,6 +8,7 @@ from woldkit.generate import (
     generic_rep,
     left_invertible_rep,
     rand_complex,
+    rank_deficient_rep,
     truncated_shift_rep,
 )
 from woldkit.linalg import null_space, pinv, subspaces_equal
@@ -258,6 +259,17 @@ class TestHatMap:
         rep = truncated_shift_rep(3)
         results = hat_map_check(rep, 4)
         assert not all(results.values())
+
+    def test_pinned_verdicts(self):
+        regular = [
+            generic_rep(np.random.default_rng(0), 1, 3),
+            generic_rep(np.random.default_rng(0), 2, 3),
+            left_invertible_rep(np.random.default_rng(0), 4),
+        ]
+        for rep in regular:
+            assert hat_map_check(rep) == {1: True, 2: True, 3: True}
+        not_regular = rank_deficient_rep(np.random.default_rng(0), 2, 4, 2)
+        assert hat_map_check(not_regular) == {1: False, 2: False, 3: False}
 
     def test_dimension_identity_for_regular(self, rng):
         from woldkit.linalg import complement, intersect, range_space

@@ -20,6 +20,7 @@ from woldkit.generate import (
 )
 from woldkit.linalg import Subspace, subspaces_equal
 from woldkit.model import Representation
+from woldkit.structure import GenInverse, is_biregular
 from woldkit.wold import (
     cauchy_dual,
     check_intertwiner,
@@ -33,6 +34,7 @@ from woldkit.wold import (
     reflection_witness,
     wandering_space,
     wold_decompose,
+    wold_diagnostics,
 )
 
 
@@ -116,6 +118,15 @@ class TestWoldDecompose:
         assert res.proj_product_residual <= 1e-8
         assert res.reduces and res.unitary_restriction and res.dagger_equals_adjoint
         assert res.biregular
+
+    def test_biregular_flag_matches_is_biregular(self, rng):
+        reps = [generic_rep(rng, d, m) for d, m in ((1, 3), (2, 2), (2, 3), (3, 2))]
+        reps += [coisometry_rep(rng, 2, 2), left_invertible_rep(rng, 4)]
+        for rep in reps:
+            for horizon in (1, 3):
+                gi = GenInverse(rep, rep.pseudo_inverse())
+                flag = wold_diagnostics(rep, horizon).biregular
+                assert flag == is_biregular(rep, gi, horizon).holds
 
     def test_coisometry_everything_stable(self, rng):
         rep = coisometry_rep(rng, 2, 3)
