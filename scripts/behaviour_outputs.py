@@ -1,0 +1,94 @@
+"""Write the CLI outputs that a behaviour-preserving change must keep byte for byte.
+
+Usage: python scripts/behaviour_outputs.py OUT
+
+Runs the woldkit of this checkout (its src/ directory goes first on the
+path) in one process and writes 137 files under OUT:
+
+- for each analyzed instance, NAME.report.json (the `analyze --out` report)
+  and NAME.out (stdout, stderr and the exit code);
+- for each verify seed, verify-seedS.out (stdout and the exit code of
+  `verify all --count 25`).
+
+The analyzed instances are the generic-growth, bilateral-window and
+injective-wide pools of perfbench at seeds 1 and 3 (instance seeds 100*s+i,
+i = 0..4, at the benchmark sizes) and every `generate` kind at seeds 1-6
+with default parameters.  They are generated under OUT/instances and
+analyzed by that path relative to OUT, because reports embed the input path.
+
+Run it on two commits and compare with `diff -r OUT_A OUT_B`; empty output
+means the two commits behave the same on these inputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from woldkit import cli  # noqa: E402
+
+POOLS = {
+    "generic-growth": ("generic", ["d=2", "m=10"]),
+    "bilateral-window": ("bilateral", ["n=2", "M=8"]),
+    "injective-wide": ("left-invertible", ["m=120"]),
+}
+POOL_SEEDS = (1, 3)
+POOL_SIZE = 5
+KINDS = ("generic", "left-invertible", "expansive", "concave", "unilateral", "bilateral")
+KIND_SEEDS = range(1, 7)
+VERIFY_SEEDS = (0, 1, 2, 3, 2800)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _instances() -> list[tuple[str, str, int, list[str]]]:
+    """(name, kind, seed, params) of every analyzed instance."""
+    items = []
+    for pool, (kind, params) in POOLS.items():
+        for s in POOL_SEEDS:
+            for i in range(POOL_SIZE):
+                seed = 100 * s + i
+                items.append((f"{pool}-{seed}", kind, seed, params))
+    for kind in KINDS:
+        for seed in KIND_SEEDS:
+            items.append((f"{kind}-{seed}", kind, seed, []))
+    return items
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 1
+    out_dir = Path(args[0])
+    (out_dir / "instances").mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    written = 0
+    for name, kind, seed, params in _instances():
+        path = f"instances/{name}.json"
+        code, _, err = _run(["generate", kind, "--seed", str(seed), "--out", path, "--params", *params])
+        if code:
+            raise SystemExit(f"generate {name} failed: {err}")
+        code, out, err = _run(["analyze", path, "--out", f"{name}.report.json"])
+        Path(f"{name}.out").write_text(f"{out}--- stderr\n{err}--- exit {code}\n")
+        written += 2
+    for seed in VERIFY_SEEDS:
+        code, out, err = _run(["verify", "all", "--count", "25", "--seed", str(seed)])
+        Path(f"verify-seed{seed}.out").write_text(f"{out}--- stderr\n{err}--- exit {code}\n")
+        written += 1
+    print(f"wrote {written} outputs to {out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,6 +6,10 @@ inverse, the reduced minimum modulus, PSD decisions and Hermitian PSD
 square roots, and a small lattice of orthonormal-basis subspaces (range,
 kernel, complement, intersection, sum, containment, projection).
 
+Subspace(n, B) checks a caller's basis for orthonormality; the bases the
+package builds are orthonormal by construction, skip that check through
+_subspace, and are checked by the tests.
+
 A Hermitian matrix H counts as PSD iff its least eigenvalue is at least
 -tau_psd * max(1, ||H||_2), with ||H||_2 read off the same spectrum.
 psd_margin, psd_sqrt and _psd_tolerance are the only places that know
@@ -92,7 +96,7 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if arr.size and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -232,7 +236,8 @@ class Subspace:
     """Closed subspace of C^ambient_dim given by an orthonormal column basis.
 
     The empty subspace is a basis with zero columns; every lattice
-    operation accepts it.
+    operation accepts it.  Subspace(n, B) raises ValueError when
+    ||B*B - I||_2 > 1e-7; _subspace skips the checks.
     """
 
     ambient_dim: int
@@ -258,17 +263,24 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
+        return _subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
+        return _subspace(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
-    @staticmethod
-    def spanned_by(vectors, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-        """Orthonormalize arbitrary spanning columns into a Subspace."""
-        m = as_matrix(vectors, name="spanning vectors")
-        return range_space(m, pol) if m.shape[1] else Subspace.zero(m.shape[0])
+
+def _subspace(ambient_dim: int, basis: np.ndarray) -> Subspace:
+    """Unchecked Subspace for a complex128 basis orthonormal by construction."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", ambient_dim)
+    object.__setattr__(s, "basis", _frozen(basis))
+    return s
+
+
+def _coordinate_subspace(ambient_dim: int, cols: list[int]) -> Subspace:
+    """Span of the standard basis vectors e_c, c in cols, in that order."""
+    return _subspace(ambient_dim, np.eye(ambient_dim, dtype=np.complex128)[:, cols])
 
 
 def range_space(
@@ -286,7 +298,7 @@ def range_space(
         return Subspace.zero(a.shape[0])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = _rank(s, a.shape, pol, scale=scale)
-    return Subspace(a.shape[0], u[:, :r])
+    return _subspace(a.shape[0], u[:, :r])
 
 
 def null_space(
@@ -304,7 +316,7 @@ def null_space(
         return Subspace.full(n)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     r = _rank(s, a.shape, pol, scale=scale)
-    return Subspace(n, vh[r:].conj().T)
+    return _subspace(n, vh[r:].conj().T)
 
 
 def complement(s: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -349,6 +361,13 @@ def add(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Su
     return range_space(joined, pol)
 
 
+def _dims_exclude(dim1: int, dim2: int, pol: TolerancePolicy) -> bool:
+    """True when contains(s1, s2) must fail for dim s1 = dim1, dim s2 = dim2:
+    the dim1 squared column residuals sum to at least dim1 - dim2, so one is
+    at least 1/sqrt(dim1), above tau_sub when tau_sub*sqrt(dim1) < 1."""
+    return dim1 > dim2 and pol.tau_sub * math.sqrt(dim1) < 1.0
+
+
 def contains(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff s1 is contained in s2, columnwise at tau_sub.
 
@@ -357,6 +376,8 @@ def contains(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) 
     _check_ambient(s1, s2)
     if s1.dim == 0:
         return True
+    if _dims_exclude(s1.dim, s2.dim, pol):
+        return False
     residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
     return bool(np.all(np.linalg.norm(residual, axis=0) <= pol.tau_sub))
 

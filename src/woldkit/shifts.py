@@ -29,11 +29,10 @@ from .errors import (
 from .growth import GrowthReport, check_growth, gamma, minimal_scale_factor
 from .linalg import (
     DEFAULT_POLICY,
-    Subspace,
     TolerancePolicy,
+    _coordinate_subspace,
     _frozen,
     as_matrix,
-    contains,
     hermitian_part,
     psd_margin,
     range_space,
@@ -47,7 +46,7 @@ from .model import (
     parse_json_file,
     size_budget,
 )
-from .structure import is_regular, lift_subspace, range_chain
+from .structure import _in_lifted_ranges, is_regular
 from .wold import WoldResult, wold_diagnostics
 
 __all__ = [
@@ -452,16 +451,8 @@ def _structural_kernel_regular(
         for m in range(-spec.M, spec.M + 1):
             if abs(i + spec.n * m) <= spec.M and abs(spec.weight(i, m)) <= pol.tau_rank:
                 structural_cols.append((i - 1) * dim_h + (m + spec.M))
-    basis = np.zeros((rep.ambient_domain, len(structural_cols)), dtype=np.complex128)
-    for j, col in enumerate(structural_cols):
-        basis[col, j] = 1.0
-    structural_kernel = Subspace(rep.ambient_domain, basis)
-    chain, stable = range_chain(rep, pol)
-    for m in range(1, horizon + 1):
-        rm = chain[m - 1] if m <= len(chain) else chain[stable - 1]
-        if not contains(structural_kernel, lift_subspace(1, rm, rep.dim_e), pol):
-            return False
-    return True
+    structural_kernel = _coordinate_subspace(rep.ambient_domain, structural_cols)
+    return all(_in_lifted_ranges(rep, structural_kernel, horizon, pol))
 
 
 def shift_pipeline(

@@ -12,6 +12,7 @@ to the horizon.  Reports carry both verdicts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
+    _dims_exclude,
+    _subspace,
     complement,
     contains,
     intersect,
@@ -69,7 +72,7 @@ def lift_subspace(k: int, s: Subspace, d: int) -> Subspace:
     """E^(x)k (x) S as a subspace of E^(x)k (x) ambient."""
     if k == 0 or d == 1:
         return s
-    return Subspace(d**k * s.ambient_dim, _lift(k, s.basis, d))
+    return _subspace(d**k * s.ambient_dim, _lift(k, s.basis, d))
 
 
 def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -> Subspace:
@@ -152,16 +155,12 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Greatest subspace K with V(E (x) K) = K, by greatest-fixed-point iteration.
 
-    The iteration K_0 = H, K_{j+1} = V(E (x) K_j) has K_1 = R(V) and is the
-    range chain from there on, so its limit is read from range_chain; the
-    fixed-point identity is post-verified.  In finite dimensions the core
-    coincides with generalized_range; the range-structure suite checks it.
+    The iteration K_0 = H, K_{j+1} = V(E (x) K_j) is the range chain from
+    K_1 = R(V) on; range_chain stops only after V(E (x) K) tested equal to K.
+    The core equals generalized_range; the range-structure suite checks it.
     """
     chain, stable = range_chain(rep, pol)
-    core = chain[stable - 1]
-    if not subspaces_equal(_forward_translate(rep, core, pol), core, pol):
-        raise IdentityViolated("fixed-point identity V(E (x) K) = K failed at tolerance")
-    return core
+    return chain[stable - 1]
 
 
 def default_horizon(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
@@ -179,7 +178,6 @@ class RegularityReport:
                 reaches stabilization -- a tolerance problem, not math.
     """
 
-    gamma: float
     kernel_dim: int
     strict: bool
     per_m: dict[int, bool]
@@ -191,9 +189,19 @@ class RegularityReport:
     def holds_at_horizon(self) -> bool:
         return all(self.per_m.values())
 
-    @property
-    def is_regular(self) -> bool:
-        return self.strict
+
+def _in_lifted_ranges(rep: Representation, s: Subspace, horizon: int, pol: TolerancePolicy):
+    """Yield, for m = 1..horizon, whether S lies in E (x) R(V_m).
+
+    R(V_m) is the limit of range_chain for every m past the end of the
+    chain, so those levels share one verdict.
+    """
+    chain, stable = range_chain(rep, pol)
+    for rm in chain[:horizon]:
+        yield contains(s, lift_subspace(1, rm, rep.dim_e), pol)
+    if horizon > len(chain):
+        limit = contains(s, lift_subspace(1, chain[stable - 1], rep.dim_e), pol)
+        yield from itertools.repeat(limit, horizon - len(chain))
 
 
 def is_regular(
@@ -205,17 +213,12 @@ def is_regular(
     chain, stable = range_chain(rep, pol)
     if horizon is None:
         horizon = max(8, stable + 4)
-    rinf = chain[stable - 1]
     kernel = rep.kernel(pol)
-    strict = contains(kernel, lift_subspace(1, rinf, rep.dim_e), pol)
-    per_m: dict[int, bool] = {}
-    for m in range(1, horizon + 1):
-        rm = chain[m - 1] if m <= len(chain) else rinf
-        per_m[m] = contains(kernel, lift_subspace(1, rm, rep.dim_e), pol)
+    strict = contains(kernel, lift_subspace(1, chain[stable - 1], rep.dim_e), pol)
+    per_m = dict(zip(range(1, horizon + 1), _in_lifted_ranges(rep, kernel, horizon, pol)))
     all_m = all(per_m.values())
     anomaly = (strict != all_m) and horizon >= stable
     return RegularityReport(
-        gamma=rep.min_modulus(pol),
         kernel_dim=kernel.dim,
         strict=strict,
         per_m=per_m,
@@ -246,7 +249,7 @@ def require_regular(
 
 @dataclass(frozen=True)
 class GenInverse:
-    """A validated generalized inverse of a representation map."""
+    """A generalized inverse S of a representation map: V S V = V, S V S = S."""
 
     rep: Representation
     matrix: np.ndarray
@@ -256,13 +259,13 @@ def make_generalized_inverse(
     rep: Representation,
     y,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    tol: float = 1e-9,
 ) -> GenInverse:
-    """Build S = V+ + (I - V+V) Y V V+ and verify both defining identities.
+    """Build S = V+ + (I - V+V) Y V V+, a generalized inverse for every Y.
 
-    The parametric family provably satisfies them; IdentityViolated
-    signals numerical breakdown, not a modeling error.  Y = 0 gives the
-    Moore-Penrose inverse itself.
+    Both identities hold by construction (V S V = V up to what the rank
+    cutoff of V+ drops); the generalized-inverse suite and the tests check
+    them.  Y = 0 gives V+ itself; a Y of the wrong shape raises
+    IdentityViolated.
     """
     v = rep.matrix
     y = np.asarray(y, dtype=np.complex128)
@@ -272,12 +275,6 @@ def make_generalized_inverse(
         )
     vd = rep.pseudo_inverse(pol)
     s = vd + (np.eye(rep.ambient_domain, dtype=np.complex128) - vd @ v) @ y @ (v @ vd)
-    res1 = float(np.linalg.norm(v @ s @ v - v, 2))
-    res2 = float(np.linalg.norm(s @ v @ s - s, 2))
-    if res1 > tol * max(1.0, rep.norm()):
-        raise IdentityViolated(f"V S V = V failed: residual {res1:.3e}")
-    if res2 > tol * max(1.0, float(np.linalg.norm(s, 2))):
-        raise IdentityViolated(f"S V S = S failed: residual {res2:.3e}")
     return GenInverse(rep=rep, matrix=s)
 
 
@@ -317,12 +314,19 @@ def _biregular_levels(rep: Representation, gi: GenInverse, top: int, pol: Tolera
     """Yield, for m = 1..top, whether N(I_{E^(x)m} (x) S) lies in R(S^(m)).
 
     No regularity gate; levels are computed only as they are consumed.
+    The lifted kernel has dimension d^m * dim N(S) and R(S^(m)) at most
+    dim H, so a trivial kernel or the dimension rule of contains decides a
+    level without building S^(m).
     """
     ker_s = null_space(gi.matrix, pol)
-    ns = spectral_norm(gi.matrix)
+    ns = spectral_norm(gi.matrix) if ker_s.dim else 0.0
     for m in range(1, top + 1):
-        ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
-        yield contains(ker_lifted, range_space(iterate_inverse(gi, m), pol, scale=ns**m), pol)
+        lifted_dim = rep.dim_e**m * ker_s.dim
+        if lifted_dim == 0 or _dims_exclude(lifted_dim, rep.dim_h, pol):
+            yield lifted_dim == 0  # decided by the dimensions alone
+        else:
+            ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
+            yield contains(ker_lifted, range_space(iterate_inverse(gi, m), pol, scale=ns**m), pol)
 
 
 def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

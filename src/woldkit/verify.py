@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
+    _coordinate_subspace,
     pinv,
     reduced_min_modulus,
     subspaces_equal,
@@ -97,10 +98,6 @@ class SuiteResult:
         self.skipped += 1
 
 
-def _rep_doc(rep: Representation) -> dict:
-    return representation_to_dict(rep)
-
-
 def _penrose_residuals(a: np.ndarray, a_dag: np.ndarray) -> float:
     r1 = np.linalg.norm(a @ a_dag @ a - a, 2)
     r2 = np.linalg.norm(a_dag @ a @ a_dag - a_dag, 2)
@@ -151,7 +148,7 @@ def suite_kernel_lattice(count: int, seed: int, pol: TolerancePolicy) -> SuiteRe
     res = SuiteResult("kernel-lattice")
     for _ in range(count):
         rep = _mixed_rep(rng)
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         ok, msg = True, ""
         for m, n in ((1, 1), (1, 2), (2, 1)):
             if not kernel_intersection_identity(rep, m, n, pol):
@@ -174,7 +171,7 @@ def suite_generalized_inverse(count: int, seed: int, pol: TolerancePolicy) -> Su
             rep = gen.left_invertible_rep(rng, int(rng.integers(2, 4)))
         else:
             rep = gen.generic_rep(rng, int(rng.integers(1, 3)), int(rng.integers(2, 4)))
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         if not is_regular(rep, pol).strict:
             res.skip()
             continue
@@ -182,6 +179,11 @@ def suite_generalized_inverse(count: int, seed: int, pol: TolerancePolicy) -> Su
         for _ in range(5):
             y = gen.rand_complex(rng, rep.ambient_domain, rep.dim_h)
             gi = make_generalized_inverse(rep, y, pol)
+            s = gi.matrix
+            r = float(np.linalg.norm(s @ rep.matrix @ s - s, 2))
+            if r > 1e-9 * max(1.0, float(np.linalg.norm(s, 2))):
+                ok, msg = False, f"S V S = S identity failed: {r:.3e}"
+                break
             for n in range(1, 4):
                 vn = iterate_map(rep, n)
                 sn = iterate_inverse(gi, n)
@@ -210,7 +212,7 @@ def suite_telescoping(count: int, seed: int, pol: TolerancePolicy) -> SuiteResul
     res = SuiteResult("telescoping")
     for _ in range(count):
         rep = gen.left_invertible_rep(rng, int(rng.integers(3, 7)))
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         ok, msg = True, ""
         for n in range(1, 5):
             worst = norm_partition_residual(rep, n, pol)
@@ -232,12 +234,7 @@ def _expected_block_spans(layout: list[tuple[str, int]]) -> tuple[Subspace, Subs
     for kind, dim in layout:
         (shift_cols if kind == "shift" else unitary_cols).extend(range(at, at + dim))
         at += dim
-    def coords(cols):
-        basis = np.zeros((total, len(cols)), dtype=np.complex128)
-        for j, c in enumerate(cols):
-            basis[c, j] = 1.0
-        return Subspace(total, basis)
-    return coords(shift_cols), coords(unitary_cols)
+    return _coordinate_subspace(total, shift_cols), _coordinate_subspace(total, unitary_cols)
 
 
 def suite_wold(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
@@ -248,7 +245,7 @@ def suite_wold(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
         rep, layout = gen.block_wold_rep(
             rng, n_shift=1 + i % 2, n_unitary=1 + (i // 2) % 2
         )
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         try:
             result = wold_decompose(rep, horizon=3, pol=pol)
         except PreconditionFailed as exc:
@@ -283,7 +280,7 @@ def suite_concave(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
     res = SuiteResult("concave")
     for _ in range(count):
         rep = gen.concave_rep(rng, int(rng.integers(2, 6)))
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         checks = {
             "concave": check_concave(rep, pol),
             "expansive": check_expansive(rep, pol),
@@ -311,7 +308,7 @@ def suite_growth_forms(count: int, seed: int, pol: TolerancePolicy) -> SuiteResu
             rep = gen.expansive_rep(rng, int(rng.integers(2, 5)))
         else:
             rep = gen.coisometry_rep(rng, int(rng.integers(1, 3)), int(rng.integers(2, 4)))
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         ok, msg = True, ""
         for k in (1, 2, 3):
             d_k = float(rng.uniform(0.0, 6.0))
@@ -336,7 +333,7 @@ def suite_range_structure(count: int, seed: int, pol: TolerancePolicy) -> SuiteR
             rep = gen.truncated_shift_rep(int(rng.integers(3, 6)))
         else:
             rep = _mixed_rep(rng, d_max=2, m_max=4)
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         ok, msg = True, ""
         core = algebraic_core(rep, pol)
         rinf = generalized_range(rep, pol)
@@ -369,7 +366,7 @@ def suite_intertwiner_purity(count: int, seed: int, pol: TolerancePolicy) -> Sui
     decided = 0
     for _ in range(count):
         rep, a = gen.shift_polynomial_pair(rng)
-        doc = _rep_doc(rep)
+        doc = representation_to_dict(rep)
         try:
             report = check_purity_transfer(rep, a, pol=pol)
         except PreconditionFailed as exc:
@@ -408,7 +405,7 @@ def suite_shift_growth(count: int, seed: int, pol: TolerancePolicy) -> SuiteResu
     expected = [(4.0**m - 1.0) / 3.0 for m in (1, 2, 3)]
     gaps = [abs(a - b) for a, b in zip(seq, expected)]
     res.record(max(gaps) <= 1e-9, f"doubling-map minimal weights off by {max(gaps):.3e}",
-               _rep_doc(rep))
+               representation_to_dict(rep))
 
     cs = [1.1, 2.0] + [float(rng.uniform(1.05, 2.0)) for _ in range(max(0, count - 2))]
     for c in cs:

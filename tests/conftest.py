@@ -29,6 +29,15 @@ def gaussian_rank(mat, tol: float = 1e-9) -> int:
     return rank
 
 
+def contains_oracle(s1, s2, pol) -> bool:
+    """The residual rule of linalg.contains, without its dimension short-cut:
+    every basis column b of s1 has norm((I - P_s2) b) <= tau_sub."""
+    if s1.dim == 0:
+        return True
+    residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
+    return bool(np.all(np.linalg.norm(residual, axis=0) <= pol.tau_sub))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

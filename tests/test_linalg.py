@@ -8,6 +8,7 @@ from woldkit.linalg import (
     Subspace,
     TolerancePolicy,
     add,
+    as_matrix,
     complement,
     contains,
     intersect,
@@ -21,8 +22,9 @@ from woldkit.linalg import (
     reduced_min_modulus,
     subspaces_equal,
 )
+from woldkit.structure import lift_subspace
 
-from conftest import gaussian_rank
+from conftest import contains_oracle, gaussian_rank
 
 
 def rand_c(rng, r, c):
@@ -241,3 +243,101 @@ class TestTolerancePolicy:
     def test_subspace_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def assert_orthonormal(s: Subspace) -> None:
+    b = s.basis
+    assert b.dtype == np.complex128 and b.shape == (s.ambient_dim, s.dim)
+    assert b.flags.c_contiguous and not b.flags.writeable
+    if s.dim:
+        assert np.linalg.norm(b.conj().T @ b - np.eye(s.dim), 2) <= 1e-12
+
+
+class TestBuiltBases:
+    """The package's own bases skip the Subspace check; they must be orthonormal."""
+
+    def inputs(self, rng):
+        low_rank = rand_c(rng, 6, 2) @ rand_c(rng, 2, 4)
+        return {
+            "random": rand_c(rng, 6, 4),
+            "rank-deficient": low_rank,
+            "zero": np.zeros((6, 4), dtype=complex),
+            "scaled": 1e8 * rand_c(rng, 6, 4),
+            "scaled-rank-deficient": 1e8 * low_rank,
+        }
+
+    def test_builders_return_orthonormal_bases(self, rng):
+        other = range_space(rand_c(rng, 6, 3))
+        for a in self.inputs(rng).values():
+            r = range_space(a)
+            built = [
+                r,
+                null_space(a),
+                null_space(a.conj().T),
+                complement(r),
+                intersect(r, other),
+                add(r, other),
+                add(r, null_space(a.conj().T)),
+            ]
+            for s in built:
+                assert_orthonormal(s)
+
+    def test_zero_full_and_lifts(self, rng):
+        for n in (0, 1, 5):
+            assert_orthonormal(Subspace.zero(n))
+            assert_orthonormal(Subspace.full(n))
+        for a in self.inputs(rng).values():
+            for s in (range_space(a), null_space(a)):
+                for k, d in ((1, 2), (2, 2), (1, 3), (2, 1)):
+                    lifted = lift_subspace(k, s, d)
+                    assert lifted.ambient_dim == d**k * s.ambient_dim
+                    assert lifted.dim == d**k * s.dim
+                    assert_orthonormal(lifted)
+
+    def test_caller_basis_is_still_checked(self):
+        with pytest.raises(ValueError):
+            Subspace(3, np.array([[1.0], [1.0], [0.0]]))
+        with pytest.raises(ValueError):
+            Subspace(2, np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestContainsDimensionRule:
+    def test_matches_residual_rule(self, rng):
+        loose = TolerancePolicy(tau_sub=0.9)
+        verdicts = set()
+        for _ in range(40):
+            s2 = range_space(rand_c(rng, 6, int(rng.integers(0, 7))))
+            inner = s2.basis @ rand_c(rng, s2.dim, int(rng.integers(0, s2.dim + 1)))
+            candidates = [range_space(rand_c(rng, 6, int(rng.integers(0, 7)))), range_space(inner)]
+            for s1 in candidates:
+                for pol in (DEFAULT_POLICY, loose):
+                    got = contains(s1, s2, pol)
+                    assert got == contains_oracle(s1, s2, pol)
+                    verdicts.add((got, s1.dim > s2.dim))
+        assert verdicts >= {(True, False), (False, False), (False, True)}
+
+    def test_rule_does_not_apply_when_tau_sub_sqrt_dim_reaches_one(self):
+        # tau_sub * sqrt(2) > 1: a plane can pass the residual test against a line.
+        e = np.eye(3, dtype=complex)
+        plane = Subspace(3, e[:, :2])
+        line = Subspace(3, ((e[:, 0] + e[:, 1]) / np.sqrt(2)).reshape(3, 1))
+        loose = TolerancePolicy(tau_sub=0.9)
+        assert contains_oracle(plane, line, loose)
+        assert contains(plane, line, loose)
+        assert not contains(plane, line)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+         complex(0.0, -np.inf), np.nan, -np.inf],
+    )
+    def test_rejects_non_finite_in_either_part(self, bad):
+        with pytest.raises(ValueError, match="M has non-finite entries"):
+            as_matrix(np.array([[1.0, 2.0], [3.0, bad]]), name="M")
+
+    def test_accepts_finite_and_empty(self):
+        out = as_matrix([[1.0, 2j]])
+        assert out.dtype == np.complex128 and out.shape == (1, 2)
+        assert as_matrix(np.zeros((0, 3))).shape == (0, 3)

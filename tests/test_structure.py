@@ -11,10 +11,11 @@ from woldkit.generate import (
     rank_deficient_rep,
     truncated_shift_rep,
 )
-from woldkit.linalg import null_space, pinv, subspaces_equal
+from woldkit.linalg import DEFAULT_POLICY, null_space, pinv, range_space, subspaces_equal
 from woldkit.model import Representation, iterate_map, representation_from_dict
 from woldkit.structure import (
     GenInverse,
+    _biregular_levels,
     algebraic_core,
     fixed_point_range_check,
     generalized_range,
@@ -27,8 +28,12 @@ from woldkit.structure import (
     iterate_inverse,
     iterated_pinv,
     kernel_intersection_identity,
+    lift_subspace,
     make_generalized_inverse,
+    range_chain,
 )
+
+from conftest import contains_oracle
 
 
 # Instance 18 of `woldkit verify range-structure --count 25 --seed 2800`
@@ -83,6 +88,24 @@ class TestAlgebraicCore:
             rep = generic_rep(rng, 2, 3)
             assert subspaces_equal(algebraic_core(rep), generalized_range(rep))
 
+    def test_is_range_chain_limit_and_fixed_point(self, rng):
+        reps = [
+            generic_rep(rng, 2, 3),
+            generic_rep(rng, 1, 4),
+            rank_deficient_rep(rng, 2, 4, 2),
+            rank_deficient_rep(rng, 1, 4, 3),
+            truncated_shift_rep(4),
+            concave_rep(rng, 3),
+            representation_from_dict(ILL_CONDITIONED_DOC),
+        ]
+        for rep in reps:
+            core = algebraic_core(rep)
+            chain, stable = range_chain(rep)
+            assert core is chain[stable - 1]
+            translate = rep.matrix @ np.kron(np.eye(rep.dim_e), core.basis)
+            image = range_space(translate, scale=np.linalg.norm(rep.matrix, 2))
+            assert subspaces_equal(image, core)
+
 
 class TestRegularity:
     def test_injective_map_is_regular(self, rng):
@@ -103,6 +126,25 @@ class TestRegularity:
         assert not is_regular(rep).strict
         assert is_regular(rep, horizon=3).holds_at_horizon
         assert not is_regular(rep, horizon=4).holds_at_horizon
+
+    def test_per_level_verdicts_match_eager_loop(self, rng):
+        reps = [
+            generic_rep(rng, 2, 3),
+            rank_deficient_rep(rng, 2, 4, 2),
+            rank_deficient_rep(rng, 1, 4, 3),
+            truncated_shift_rep(4),
+            Representation(1, 2, np.array([[0.0, 1.0], [0.0, 0.0]])),
+        ]
+        for rep in reps:
+            chain, stable = range_chain(rep)
+            kernel = rep.kernel(DEFAULT_POLICY)
+            for horizon in range(1, len(chain) + 4):
+                expected = {}
+                for m in range(1, horizon + 1):
+                    rm = chain[m - 1] if m <= len(chain) else chain[stable - 1]
+                    lifted = lift_subspace(1, rm, rep.dim_e)
+                    expected[m] = contains_oracle(kernel, lifted, DEFAULT_POLICY)
+                assert is_regular(rep, horizon=horizon).per_m == expected
 
     def test_condition_verdicts_consistent(self, rng):
         for _ in range(10):
@@ -138,11 +180,20 @@ class TestGeneralizedInverse:
         assert np.allclose(gi.matrix, rep.matrix.conj().T, atol=1e-10)
 
     def test_both_identities_for_random_parameters(self, rng):
-        rep = generic_rep(rng, 2, 3)
-        v = rep.matrix
-        for _ in range(5):
-            gi = make_generalized_inverse(rep, rand_complex(rng, 6, 3))
-            assert np.linalg.norm(v @ gi.matrix @ v - v, 2) <= 1e-9 * np.linalg.norm(v, 2)
+        reps = [
+            generic_rep(rng, 2, 3),
+            rank_deficient_rep(rng, 2, 3, 2),
+            rank_deficient_rep(rng, 1, 4, 1),
+            left_invertible_rep(rng, 4),
+        ]
+        for rep in reps:
+            v = rep.matrix
+            for _ in range(5):
+                gi = make_generalized_inverse(rep, rand_complex(rng, rep.ambient_domain, rep.dim_h))
+                s = gi.matrix
+                bound_v = 1e-9 * max(1.0, np.linalg.norm(v, 2))
+                assert np.linalg.norm(v @ s @ v - v, 2) <= bound_v
+                assert np.linalg.norm(s @ v @ s - s, 2) <= 1e-9 * max(1.0, np.linalg.norm(s, 2))
 
     def test_iterate_base_case(self, rng):
         rep = generic_rep(rng, 2, 2)
@@ -181,6 +232,40 @@ class TestBiRegularity:
         gi = make_generalized_inverse(rep, np.zeros((2, 2)))
         with pytest.raises(NotRegular):
             is_biregular(rep, gi, 3)
+
+    def test_levels_match_eager_oracle(self, rng):
+        from woldkit.generate import bilateral_spec
+        from woldkit.shifts import build_bilateral_shift
+
+        reps = [
+            generic_rep(rng, 2, 3),
+            rank_deficient_rep(rng, 2, 3, 2),
+            rank_deficient_rep(rng, 1, 4, 2),
+            truncated_shift_rep(4),
+            build_bilateral_shift(bilateral_spec(rng, n=2, M=3))[0],
+            build_bilateral_shift(bilateral_spec(rng, n=1, M=3))[0],
+        ]
+        seen = set()
+        for rep in reps:
+            for y in (np.zeros((rep.ambient_domain, rep.dim_h)),
+                      rand_complex(rng, rep.ambient_domain, rep.dim_h)):
+                gi = make_generalized_inverse(rep, y)
+                got = list(_biregular_levels(rep, gi, 4, DEFAULT_POLICY))
+                assert got == biregular_levels_oracle(rep, gi, 4)
+                seen.update(got)
+        assert seen == {True, False}
+
+
+def biregular_levels_oracle(rep, gi, top, pol=DEFAULT_POLICY):
+    """Every level built and tested by residuals, as before the dimension rule."""
+    ker_s = null_space(gi.matrix, pol)
+    ns = np.linalg.norm(gi.matrix, 2)
+    out = []
+    for m in range(1, top + 1):
+        ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
+        rng_m = range_space(iterate_inverse(gi, m), pol, scale=ns**m)
+        out.append(contains_oracle(ker_lifted, rng_m, pol))
+    return out
 
 
 class TestDagger:

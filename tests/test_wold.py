@@ -188,8 +188,9 @@ class TestKernelSpanCheck:
 class TestInvariantToWandering:
     def test_full_space_gives_wandering_space(self):
         rep = truncated_shift_rep(4)
-        w = invariant_to_wandering(rep, Subspace.full(4), horizon=3)
+        w = invariant_to_wandering(rep, Subspace.full(4))
         assert subspaces_equal(w, wandering_space(rep))
+        assert subspaces_equal(generated_subspace(rep, w), Subspace.full(4))
 
     def test_zero_space(self, rng):
         rep = generic_rep(rng, 1, 3)
@@ -198,9 +199,9 @@ class TestInvariantToWandering:
     def test_tail_invariant_subspace(self):
         rep = truncated_shift_rep(4)
         k = coord_space(4, [2, 3])
-        w_k = invariant_to_wandering(rep, k, horizon=3)
+        w_k = invariant_to_wandering(rep, k)
         assert subspaces_equal(w_k, coord_space(4, [2]))
-        # regeneration was verified internally (analytic + gated preconditions)
+        assert subspaces_equal(generated_subspace(rep, w_k), k)
 
     def test_non_invariant_rejected(self):
         rep = truncated_shift_rep(4)
@@ -241,6 +242,28 @@ class TestIntertwiner:
         assert not check_intertwiner(rep, np.diag([1.0, 2.0, 3.0, 4.0]))
 
 
+def purity_oracle(a, horizon=50, tol=1e-8):
+    """is_pure_contraction with the norm of every product A^n A*^n taken."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape[0] == 0:
+        return "pure"
+    rho = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.any() else 0.0
+    if rho < 1.0 - tol:
+        return "pure"
+    current = np.eye(a.shape[0], dtype=np.complex128)
+    prev_norm = 1.0
+    cur_norm, last_drop = 1.0, 1.0
+    for _ in range(max(1, horizon)):
+        current = a @ current @ a.conj().T
+        cur_norm = float(np.linalg.norm(current, 2))
+        prev_norm, last_drop = cur_norm, prev_norm - cur_norm
+    if cur_norm <= tol:
+        return "pure"
+    if last_drop <= tol:
+        return "not_pure"
+    return "undecided"
+
+
 class TestPureContraction:
     def test_zero_is_pure(self):
         assert is_pure_contraction(np.zeros((3, 3))) == "pure"
@@ -258,6 +281,29 @@ class TestPureContraction:
 
     def test_phase_is_not_pure(self):
         assert is_pure_contraction(np.exp(0.7j) * np.eye(2)) == "not_pure"
+
+    def test_matches_loop_that_keeps_every_norm(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        ops = [
+            np.zeros((2, 2)),
+            np.eye(3),
+            np.exp(0.7j) * np.eye(2),
+            np.diag([1.0, 0.5, 0.0]),
+            q,
+            (1.0 - 5e-9) * q,
+            (1.0 - 5e-9) * np.eye(2),
+            (1.0 - 9e-9) * np.eye(2),  # each step drops the norm by about 1.8e-8 > tol
+            np.diag([1.0 - 5e-9, 0.3]),
+            np.block([[np.eye(1), np.zeros((1, 2))],
+                      [np.zeros((2, 1)), 0.9 * truncated_shift_rep(2).matrix]]),
+        ]
+        verdicts = set()
+        for a in ops:
+            for horizon in (0, 1, 2, 50):
+                got = is_pure_contraction(a, horizon)
+                assert got == purity_oracle(a, horizon)
+                verdicts.add(got)
+        assert verdicts == {"pure", "not_pure", "undecided"}
 
 
 class TestReflectionWitness:
