@@ -1,6 +1,7 @@
 """Write the CLI outputs that a behaviour-preserving change must keep byte for byte.
 
 Usage: python scripts/behaviour_outputs.py OUT
+       python scripts/behaviour_outputs.py --compare OLD NEW
 
 Runs the woldkit of this checkout (its src/ directory goes first on the
 path) in one process and writes 137 files under OUT:
@@ -18,18 +19,31 @@ analyzed by that path relative to OUT, because reports embed the input path.
 
 Run it on two commits and compare with `diff -r OUT_A OUT_B`; empty output
 means the two commits behave the same on these inputs.
+
+A change that alters arithmetic on purpose is compared with --compare
+instead.  It applies the rule of perfbench/checks.compare to every file
+under OLD and NEW: JSON files as parsed documents, other files token by
+token, each number token against its counterpart.  Keys, strings, bools,
+nulls, integers (exit codes, dimensions, counts) and the text between
+numbers must match exactly, and floats within 1e-9 * max(1, |a|, |b|).
+It prints every difference and exits 1 if there is one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
+import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
+from perfbench.checks import compare  # noqa: E402
 from woldkit import cli  # noqa: E402
 
 POOLS = {
@@ -65,10 +79,45 @@ def _instances() -> list[tuple[str, str, int, list[str]]]:
     return items
 
 
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _tokens(text: str) -> list:
+    """Split text at numbers: ints and floats for the number tokens, and
+    the exact text between them as strings."""
+    parts = NUMBER.split(text)
+    for i in range(1, len(parts), 2):
+        token = parts[i]
+        parts[i] = float(token) if any(c in token for c in ".eE") else int(token)
+    return parts
+
+
+def compare_outputs(old: Path, new: Path) -> list[str]:
+    """Differences between two output trees, by the rule of checks.compare."""
+    old_files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    new_files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    problems = [f"{f}: only in {old}" for f in sorted(old_files - new_files)]
+    problems += [f"{f}: only in {new}" for f in sorted(new_files - old_files)]
+    for f in sorted(old_files & new_files):
+        a, b = (old / f).read_text(), (new / f).read_text()
+        if f.suffix == ".json":
+            want, got = json.loads(a), json.loads(b)
+        else:
+            want, got = _tokens(a), _tokens(b)
+        problems += [f"{f}: {p}" for p in compare(got, want)]
+    return problems
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        problems = compare_outputs(Path(args[1]), Path(args[2]))
+        for p in problems:
+            print(p)
+        print(f"{len(problems)} difference(s) beyond the rule of perfbench/checks.compare")
+        return 1 if problems else 0
     if len(args) != 1:
-        print(__doc__.splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.splitlines()[2:4]), file=sys.stderr)
         return 1
     out_dir = Path(args[0])
     (out_dir / "instances").mkdir(parents=True, exist_ok=True)

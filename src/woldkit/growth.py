@@ -2,13 +2,28 @@
 
 Every "for all vectors" inequality here is decided as a Hermitian operator
 inequality through a minimum eigenvalue, never by sampling, at the PSD
-tolerance of linalg.psd_margin.  At level k every such operator is built
-from A = I (x) V*V, P = I (x) V+V and V_k*V_k, which _level_operators
-forms.  The per-level growth inequality compares the m-fold iterate
-against a weighted defect plus a projection term; minimal weights are
-extracted from the singular generalized eigenproblem (Rayleigh quotient on
-the complement of the pencil's kernel, with kernel directions deciding
-feasibility by sign).
+tolerance of linalg.psd_margin.  The per-level growth inequality compares
+the m-fold iterate against a weighted defect plus a projection term;
+minimal weights come from the singular generalized eigenproblem (Rayleigh
+quotient on the complement of the pencil's kernel, with kernel directions
+deciding feasibility by sign), solved by minimal_scale_factor.
+
+No level operator is formed.  At level k, with N = d^k m, the operators
+A = I (x) V*V, P = I (x) V+V and G = A - P are diagonal in the basis
+I (x) U, U the right singular vectors of V: their values s^2, p and
+s^2 - p repeat on the d^(k-1) coordinates of each column of U, and p takes
+the values 0 and 1 by the rank rule of pinv.  In that basis
+V_k*V_k = ZZ* with Z = (I (x) U)* V_k*, which vanishes on the columns of U
+past m and is built from V_(k-1) by one matrix product.  Every question is
+then about x A + y P + c I - ZZ*, and _level compresses it exactly: the
+rows of Z on a column of U taller than m are cut to the R of their QR,
+and the orthogonal complement of their span, like the columns past m,
+is kept as one coordinate.  A, P and ZZ* are multiples of the identity
+on each such space, so the compression loses only multiplicities, which
+neither the PSD rule nor minimal_scale_factor reads.  It has at most
+m min(d^(k-1), m) + m + 1 coordinates, so a level costs O(N m^2) time for
+its products and QRs, plus dense eigenproblems that no longer grow with N
+once d^(k-1) >= m, and O(N m) memory.
 """
 
 from __future__ import annotations
@@ -23,16 +38,16 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _psd_tolerance,
+    _rank,
     as_matrix,
-    complement,
     hermitian_part,
     is_psd,
     psd_margin,
     psd_sqrt,
     reduced_min_modulus,
 )
-from .model import Representation, _lift, iterate_map
-from .structure import is_regular, iterated_pinv, lift_subspace
+from .model import Representation, _lift, derived, iterate_map
+from .structure import is_regular, iterated_pinv
 
 __all__ = [
     "gamma",
@@ -145,20 +160,59 @@ def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     return max(0.0, top)
 
 
-def _level_operators(rep: Representation, k: int, pol: TolerancePolicy):
-    """A = I (x) V*V, P = I (x) V+V and V_k*V_k at level k, each of size d^k m."""
-    d, v = rep.dim_e, rep.matrix
-    vk = iterate_map(rep, k)
-    vkvk = vk.conj().T @ vk
-    a = _lift(k - 1, v.conj().T @ v, d)
-    p = _lift(k - 1, rep.pseudo_inverse(pol) @ v, d)
-    return a, p, vkvk
+@derived
+def _singular_factors(rep: Representation, pol: TolerancePolicy):
+    """(s, p, L) of V = L diag(s) Vh: the singular values, p = 1 on the
+    rank that the _rank rule of pinv keeps and 0 past it, and the left
+    singular vectors."""
+    v = rep.matrix
+    left, s, _ = np.linalg.svd(v, full_matrices=False)
+    p = np.zeros(s.shape)
+    p[: _rank(s, v.shape, pol)] = 1.0
+    return s, p, left
 
 
-def _growth_operators(rep: Representation, m: int, pol: TolerancePolicy):
-    """G = A - P and Q = V_m*V_m - P at level m."""
-    a, p, vmvm = _level_operators(rep, m, pol)
-    return a - p, vmvm - p
+@dataclass(frozen=True)
+class _Level:
+    """The level-k pencil, compressed exactly.
+
+    Coordinate j carries the values a[j] of A and p[j] of P, and z[j] is
+    its row of Z, so that V_k*V_k = zz* on the compression.
+    """
+
+    a: np.ndarray
+    p: np.ndarray
+    z: np.ndarray
+
+
+def _level(rep: Representation, k: int, pol: TolerancePolicy) -> _Level:
+    s, p, left = _singular_factors(rep, pol)
+    d, m = rep.dim_e, rep.dim_h
+    rows = d ** (k - 1)
+    # V_k* = (I (x) V*) V_(k-1)* and U*V* = [diag(s); 0] L*, so on column i
+    # of U the rows of Z are s_i (L* B_j)[i], B_j the j-th m x m row block
+    # of V_(k-1)*.  z holds their complex conjugates: conjugation changes
+    # no spectrum.  iterate_map checks V_(k-1) against the budget.
+    prev = iterate_map(rep, k - 1)
+    z = (prev.reshape(m * rows, m) @ left).reshape(m, rows, m).transpose(2, 1, 0)
+    if rows > m:
+        # Z_i = Q_i R_i: the complement of range(Q_i) in the rows of
+        # column i is an eigenspace of every question, kept as one
+        # coordinate with a zero row.
+        z = np.concatenate([np.linalg.qr(z, mode="r"), np.zeros((m, 1, m), z.dtype)], axis=1)
+    z = z * s[:, None, None]
+    height = z.shape[1]
+    a, p, z = np.repeat(s * s, height), np.repeat(p, height), z.reshape(-1, m)
+    if d > 1:
+        # The (d-1) m columns of U past m, where A, P and Z vanish.
+        a, p = np.append(a, 0.0), np.append(p, 0.0)
+        z = np.vstack([z, np.zeros((1, m), z.dtype)])
+    return _Level(a, p, z)
+
+
+def _affine(lv: _Level, x: float, y: float, c: float) -> np.ndarray:
+    """x A + y P + c I - V_k*V_k on the compression of the level."""
+    return np.diag(x * lv.a + y * lv.p + c) - lv.z @ lv.z.conj().T
 
 
 def check_growth(
@@ -176,10 +230,11 @@ def check_growth(
     """
     entries: list[GrowthEntry] = []
     for m in range(1, m_max + 1):
-        g, q = _growth_operators(rep, m, pol)
-        minimal = minimal_scale_factor(q, g, pol)
+        lv = _level(rep, m, pol)
+        minimal = minimal_scale_factor(-_affine(lv, 0.0, 1.0, 0.0), np.diag(lv.a - lv.p), pol)
         if d_seq is not None and m <= len(d_seq):
-            lam, feasible = psd_margin(d_seq[m - 1] * g - q, pol)
+            d_m = d_seq[m - 1]
+            lam, feasible = psd_margin(_affine(lv, d_m, 1.0 - d_m, 0.0), pol)
             entries.append(GrowthEntry(m, feasible, minimal, lam))
         else:
             entries.append(GrowthEntry(m, math.isfinite(minimal), minimal, 0.0))
@@ -268,13 +323,11 @@ def growth_forms_agree(
     lifted-map growth over E^(x)(k-1) (x) N(V)^perp.  For gamma >= 1 the
     two verdicts coincide for identical (d_k, d_const).
     """
-    a, p, vkvk = _level_operators(rep, k, pol)
-    verdict_full = is_psd(d_k * (a - p) + d_const * p - vkvk, pol)
-
-    basis = lift_subspace(k - 1, complement(rep.kernel(pol), pol), rep.dim_e).basis
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    inner = d_k * (a - eye) + d_const * eye - vkvk
-    return verdict_full, is_psd(basis.conj().T @ inner @ basis, pol)
+    lv = _level(rep, k, pol)
+    full = _affine(lv, d_k, d_const - d_k, 0.0)
+    on = lv.p == 1.0
+    restricted = _affine(lv, d_k, 0.0, d_const - d_k)[np.ix_(on, on)]
+    return is_psd(full, pol), is_psd(restricted, pol)
 
 
 def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -282,9 +335,7 @@ def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFA
 
     ||V_k xi||^2 <= ||xi||^2 + k (||(I (x) V) xi||^2 - ||xi||^2).
     """
-    a, _, vkvk = _level_operators(rep, k, pol)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    return is_psd(eye + k * (a - eye) - vkvk, pol)
+    return is_psd(_affine(_level(rep, k, pol), k, 0.0, 1.0 - k), pol)
 
 
 def norm_partition_residual(

@@ -91,10 +91,6 @@ class UnilateralSpec:
             raise ShapeError(f"need exactly L={self.L} weight matrices, got {len(mats)}")
         object.__setattr__(self, "Z", tuple(mats))
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.d**k * self.p for k in range(self.L + 1))
-
 
 @dataclass(frozen=True)
 class BilateralSpec:

@@ -61,7 +61,7 @@ from .wold import (
     wold_decompose,
 )
 
-__all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
+__all__ = ["SuiteResult", "SUITES", "run_suite"]
 
 
 @dataclass
@@ -482,9 +482,3 @@ def run_suite(
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
     return SUITES[name](count, seed, pol)
-
-
-def run_all(
-    count: int = 25, seed: int = 1, pol: TolerancePolicy = DEFAULT_POLICY
-) -> list[SuiteResult]:
-    return [fn(count, seed, pol) for fn in SUITES.values()]

@@ -1,20 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from woldkit.errors import NotPSD, NotRegular
 from woldkit.generate import (
+    block_wold_rep,
     coisometry_rep,
     concave_rep,
     expansive_rep,
     generic_rep,
     left_invertible_rep,
+    rank_deficient_rep,
     weighted_truncated_shift,
 )
 from woldkit.growth import (
-    _growth_operators,
-    _level_operators,
+    _affine,
+    _level,
     check_concave,
     check_expansive,
     check_growth,
@@ -29,7 +32,7 @@ from woldkit.growth import (
     norm_partition_residual,
     telescoping_residuals,
 )
-from woldkit.linalg import DEFAULT_POLICY, complement
+from woldkit.linalg import DEFAULT_POLICY, complement, psd_margin
 from woldkit.model import Representation, iterate_map
 from woldkit.structure import iterated_pinv
 
@@ -66,6 +69,17 @@ def dense_psd(op) -> bool:
     return bool(np.linalg.eigvalsh(h)[0] >= -tol)
 
 
+def level_operators_oracle(rep: Representation, k: int):
+    """A = I (x) V*V, P = I (x) V+V and V_k*V_k at level k, each of size
+    d^k m, with the lifts formed by np.kron: the dense growth operators."""
+    d, v = rep.dim_e, rep.matrix
+    lift = np.eye(d ** (k - 1))
+    vk = iterate_map(rep, k)
+    a = np.kron(lift, v.conj().T @ v)
+    p = np.kron(lift, rep.pseudo_inverse() @ v)
+    return a, p, vk.conj().T @ vk
+
+
 def dense_lifted_gram(rep: Representation, k: int) -> np.ndarray:
     """(I (x) V)*(I (x) V) at level k, with the lift of V formed explicitly."""
     a = np.kron(np.eye(rep.dim_e ** (k - 1)), rep.matrix)
@@ -73,27 +87,18 @@ def dense_lifted_gram(rep: Representation, k: int) -> np.ndarray:
 
 
 def concave_chain_oracle(rep: Representation, k: int) -> bool:
-    vk = iterate_map(rep, k)
-    a = dense_lifted_gram(rep, k)
+    a, _, vkvk = level_operators_oracle(rep, k)
     eye = np.eye(a.shape[0])
-    return dense_psd(eye + k * (a - eye) - vk.conj().T @ vk)
+    return dense_psd(eye + k * (a - eye) - vkvk)
 
 
 def growth_forms_oracle(rep: Representation, k: int, d_k: float, d_const: float):
     """Both forms of growth_forms_agree, with dense lifts and SVD-scaled rules."""
-    d, v = rep.dim_e, rep.matrix
-    vd = rep.pseudo_inverse()
-    lift = np.eye(d ** (k - 1))
-    vk = iterate_map(rep, k)
-    full = (
-        d_k * np.kron(lift, v.conj().T @ v - vd @ v)
-        + d_const * np.kron(lift, vd @ v)
-        - vk.conj().T @ vk
-    )
-    basis = np.kron(lift, complement(rep.kernel()).basis)  # E^(x)(k-1) (x) N(V)^perp
-    a = dense_lifted_gram(rep, k)
+    a, p, vkvk = level_operators_oracle(rep, k)
+    full = d_k * (a - p) + d_const * p - vkvk
+    basis = np.kron(np.eye(rep.dim_e ** (k - 1)), complement(rep.kernel()).basis)
     eye = np.eye(a.shape[0])
-    inner = d_k * (a - eye) + d_const * eye - vk.conj().T @ vk
+    inner = d_k * (a - eye) + d_const * eye - vkvk
     return dense_psd(full), dense_psd(basis.conj().T @ inner @ basis)
 
 
@@ -119,6 +124,68 @@ def minimal_scale_factor_oracle(q, g) -> float:
 
 def level_operator_reps(rng):
     return [concave_rep(rng, 3), expansive_rep(rng, 3), coisometry_rep(rng, 2, 2)]
+
+
+def agrees(got: float, want: float) -> bool:
+    """Infinite exactly where want is, and otherwise within 1e-9 relative."""
+    if math.isinf(got) or math.isinf(want):
+        return got == want
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def embedded(d: int, block: np.ndarray) -> Representation:
+    """The map [B, 0, ..., 0] on E (x) H with dim E = d: B on the first block."""
+    return Representation(d, block.shape[0], np.hstack([block] + [0 * block] * (d - 1)))
+
+
+SWEEP_KINDS = ("generic", "rank-deficient", "graded", "coisometry", "scaled", "block-wold", "shift")
+
+
+def sweep_rep(kind: str, d: int, m: int, seed: int) -> Representation:
+    """Generic and rank-deficient maps, a singular value of 1e-5 relative
+    (kept by the rank rule of pinv, but below the PSD tolerance of V*V),
+    s = 1 (coisometries and Wold blocks, where G has a kernel on which
+    P = I), scaled coisometries, and non-regular shifts, infeasible from
+    level 2 on."""
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        return generic_rep(rng, d, m)
+    if kind == "rank-deficient":
+        return rank_deficient_rep(rng, d, m, m - 1)
+    if kind == "graded":
+        left, s, vh = np.linalg.svd(generic_rep(rng, d, m).matrix, full_matrices=False)
+        s[-1] = 1e-5 * s[0]
+        return Representation(d, m, (left * s) @ vh)
+    if kind == "coisometry":
+        return coisometry_rep(rng, d, m)
+    if kind == "scaled":
+        return Representation(d, m, 1.3 * coisometry_rep(rng, d, m).matrix)
+    if kind == "block-wold":
+        rep, _ = block_wold_rep(rng, shift_len=(2, 3), unitary_dim=(1, 2))
+        return embedded(d, rep.matrix)
+    return embedded(d, weighted_truncated_shift([1.0] + [2.0] * (m - 1)).matrix)
+
+
+def assert_matches_dense(rep: Representation, k: int, weight: float, d_const: float):
+    """Structured level k against the dense operators; returns the outcomes."""
+    a, p, vkvk = level_operators_oracle(rep, k)
+    g, q = a - p, vkvk - p
+    want = minimal_scale_factor(q, g)
+    entry = check_growth(rep, [weight] * k, k).entries[-1]
+    assert agrees(entry.minimal_d, want)
+    h = weight * g - q
+    lam, feasible = psd_margin(h)
+    assert entry.feasible == feasible
+    # The tolerance scale max(1, ||h||) comes from both ends of the spectrum.
+    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    got = np.linalg.eigvalsh(_affine(_level(rep, k, DEFAULT_POLICY), weight, 1.0 - weight, 0.0))
+    scale = 1e-9 * max(1.0, -w[0], w[-1])
+    assert abs(entry.psd_residual - lam) <= scale and abs(got[-1] - w[-1]) <= scale
+    chain = concave_chain_check(rep, k)
+    assert chain == concave_chain_oracle(rep, k)
+    forms = growth_forms_agree(rep, k, weight, d_const)
+    assert forms == growth_forms_oracle(rep, k, weight, d_const)
+    return want, feasible, chain, forms
 
 
 class TestGamma:
@@ -233,10 +300,13 @@ class TestMinimalScaleFactor:
         ]
         results = []
         for rep in reps:
+            structured = minimal_growth_sequence(rep, 3)
             for m in (1, 2, 3):
-                g, q = _growth_operators(rep, m, DEFAULT_POLICY)
+                a, p, vmvm = level_operators_oracle(rep, m)
+                g, q = a - p, vmvm - p
                 got, want = minimal_scale_factor(q, g), minimal_scale_factor_oracle(q, g)
-                assert got == want or abs(got - want) <= 1e-9 * max(1.0, abs(want))
+                assert agrees(got, want)
+                assert agrees(structured[m - 1], want)
                 results.append(got)
         assert math.inf in results and 0.0 in results
 
@@ -246,10 +316,26 @@ class TestLevelOperators:
         for d in (1, 2, 3):
             rep = generic_rep(rng, d, 2)
             for k in (1, 2, 3):
-                a, p, vkvk = _level_operators(rep, k, DEFAULT_POLICY)
+                a, p, vkvk = level_operators_oracle(rep, k)
                 dense = dense_lifted_gram(rep, k)
                 assert a.shape == p.shape == vkvk.shape == dense.shape
                 assert np.linalg.norm(a - dense, 2) <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+
+    def test_structured_spectra_match_dense(self, rng):
+        # Every eigenvalue of x A + y P + z I - V_k*V_k lies within round-off
+        # of the structured spectrum, and every structured value is one of them.
+        reps = [generic_rep(rng, 3, 2), rank_deficient_rep(rng, 2, 3, 2)]
+        reps += level_operator_reps(rng)
+        for rep in reps:
+            for k in (1, 2, 3):
+                a, p, vkvk = level_operators_oracle(rep, k)
+                lv = _level(rep, k, DEFAULT_POLICY)
+                for x, y, z in ((0.0, 1.0, 0.0), (2.0, -1.0, 0.5), (1.5, 0.0, -1.0)):
+                    dense = np.linalg.eigvalsh(x * a + y * p + z * np.eye(a.shape[0]) - vkvk)
+                    got = np.linalg.eigvalsh(_affine(lv, x, y, z))
+                    tol = 1e-10 * max(1.0, np.abs(dense).max())
+                    assert np.abs(dense[:, None] - got[None, :]).min(axis=1).max() <= tol
+                    assert np.abs(got[:, None] - dense[None, :]).min(axis=1).max() <= tol
 
     def test_concave_chain_matches_dense(self, rng):
         verdicts = set()
@@ -268,6 +354,77 @@ class TestLevelOperators:
                     assert growth_forms_agree(rep, k, d_k, 1.0) == growth_forms_oracle(
                         rep, k, d_k, 1.0
                     )
+
+
+SWEEP = [(kind, d, k) for kind in SWEEP_KINDS for d in (1, 2, 3) for k in (1, 2, 3, 4)]
+
+
+class TestStructuredAgainstDense:
+    @pytest.mark.parametrize("kind, d, k", SWEEP)
+    def test_sweep(self, kind, d, k):
+        # One seeded draw per case: size, instance, and a weight around the
+        # minimal one, so that both supplied-weight verdicts occur.
+        case = np.random.default_rng([SWEEP.index((kind, d, k)), 20240811])
+        m, seed = int(case.integers(2, 4)), int(case.integers(2**32))
+        scale, d_const = float(case.uniform(0.0, 3.0)), float(case.choice([1.0, 2.0]))
+        rep = sweep_rep(kind, d, m, seed)
+        minimal = minimal_growth_sequence(rep, k)[-1]
+        weight = scale * (minimal if math.isfinite(minimal) and minimal > 0 else 1.0)
+        assert_matches_dense(rep, k, weight, d_const)
+
+    def test_sweep_families_reach_every_outcome(self):
+        minimal, verdicts = set(), set()
+        for kind in SWEEP_KINDS:
+            for d in (1, 2, 3):
+                for k in (1, 2, 3):
+                    for weight in (0.5, 3.0):
+                        want, *flags = assert_matches_dense(sweep_rep(kind, d, 3, 7), k, weight, 1.0)
+                        minimal.add(0.0 if want == 0.0 else math.inf if math.isinf(want) else 1.0)
+                        verdicts.update((i, bool(f)) for i, f in enumerate(flags[:2]))
+                        verdicts.update((2 + i, f) for i, f in enumerate(flags[2]))
+        assert minimal == {0.0, 1.0, math.inf}
+        assert verdicts == {(i, f) for i in range(4) for f in (True, False)}
+
+    def test_kernel_tolerance_scales_with_the_whole_level(self):
+        # e1 -> e2 -> (1 + 1e-7) e3 beside a weight 100: at level 2, Q is
+        # 2e-7 on the kernel direction e1, below tau_psd * ||Q|| = 0.1 but
+        # above tau_psd * max(1, ||Q restricted to ker G||) = 1e-9.
+        v = np.zeros((4, 4), dtype=complex)
+        v[:3, :3] = weighted_truncated_shift([1.0, 1.0 + 1e-7]).matrix
+        v[3, 3] = 100.0
+        want, *_ = assert_matches_dense(Representation(1, 4, v), 2, 1.0, 1.0)
+        assert want == pytest.approx(1e4 + 1.0)
+
+
+class TestClosedForm:
+    """V = cJ with JJ* = I: the minimal weight at level k is
+    (c^(2k) - 1)/(c^2 - 1), and 0 at c = 1."""
+
+    @staticmethod
+    def closed_form(c: float, k: int) -> float:
+        return 0.0 if c == 1.0 else (c ** (2 * k) - 1.0) / (c * c - 1.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("c", [1.0, 1.3, 2.0])
+    def test_scaled_coisometry(self, rng, d, c):
+        rep = Representation(d, 3, c * coisometry_rep(rng, d, 3).matrix)
+        for k, got in enumerate(minimal_growth_sequence(rep, 4), start=1):
+            assert agrees(got, self.closed_form(c, k))
+
+    @pytest.mark.parametrize("c", [1.0, 1.3, 2.0])
+    def test_level_seven_beyond_dense_reach(self, rng, c):
+        # N = 3^7 * 4 = 8748: one N x N complex array would take 1.2 GB.
+        d, m, k = 3, 4, 7
+        n = d**k * m
+        rep = Representation(d, m, c * coisometry_rep(rng, d, m).matrix)
+        tracemalloc.start()
+        try:
+            report = check_growth(rep, None, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert agrees(report.entries[-1].minimal_d, self.closed_form(c, k))
+        assert peak < 4 * n * m * 16
 
 
 class TestConcavityExpansivity:
