@@ -17,6 +17,11 @@ i = 0..4, at the benchmark sizes) and every `generate` kind at seeds 1-6
 with default parameters.  They are generated under OUT/instances and
 analyzed by that path relative to OUT, because reports embed the input path.
 
+BLAS is pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS are set to 1 before numpy is imported), as perfbench pins
+it: the bytes that `generate` writes depend on the BLAS thread count, so
+two trees are comparable only when both were written with one thread.
+
 Run it on two commits and compare with `diff -r OUT_A OUT_B`; empty output
 means the two commits behave the same on these inputs.
 
@@ -38,6 +43,10 @@ import os
 import re
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: pin BLAS before numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))

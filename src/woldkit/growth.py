@@ -38,7 +38,6 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _psd_tolerance,
-    _rank,
     as_matrix,
     hermitian_part,
     is_psd,
@@ -162,13 +161,12 @@ def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
 
 @derived
 def _singular_factors(rep: Representation, pol: TolerancePolicy):
-    """(s, p, L) of V = L diag(s) Vh: the singular values, p = 1 on the
-    rank that the _rank rule of pinv keeps and 0 past it, and the left
-    singular vectors."""
-    v = rep.matrix
-    left, s, _ = np.linalg.svd(v, full_matrices=False)
+    """(s, p, L) of V = L diag(s) Vh, read off rep.svd(): the singular
+    values, p = 1 on the rank that the pseudoinverse keeps and 0 past it,
+    and the left singular vectors."""
+    left, s, _ = rep.svd()
     p = np.zeros(s.shape)
-    p[: _rank(s, v.shape, pol)] = 1.0
+    p[: rep._svd_rank(pol)] = 1.0
     return s, p, left
 
 

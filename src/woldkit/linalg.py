@@ -137,6 +137,25 @@ def _rank(
     return rank
 
 
+def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
+    """Moore-Penrose inverse kept to the leading r singular triplets of
+    a = u diag(s) vh; r = 0 gives the zero matrix of transposed shape."""
+    return (vh[:r].conj().T * (1.0 / s[:r])) @ u[:, :r].conj().T
+
+
+def _pinv_and_norm(
+    a, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None
+) -> tuple[np.ndarray, float]:
+    """pinv(a, pol, scale) and its 2-norm 1 / sigma_r, read off the same SVD
+    (0.0 when the inverse is zero)."""
+    a = as_matrix(a)
+    if a.size == 0 or not a.any():
+        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128), 0.0
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = _rank(s, a.shape, pol, scale=scale)
+    return _pinv_from_svd(u, s, vh, r), (1.0 / float(s[r - 1]) if r else 0.0)
+
+
 def pinv(a, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse with the policy's relative rank cutoff.
 
@@ -144,14 +163,7 @@ def pinv(a, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None) -
     result satisfies the four defining identities to ~1e-9 * norm(a).
     `scale` anchors the rank cutoff as in range_space.
     """
-    a = as_matrix(a)
-    if a.size == 0 or not a.any():
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _rank(s, a.shape, pol, scale=scale)
-    if r == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    return (vh[:r].conj().T * (1.0 / s[:r])) @ u[:, :r].conj().T
+    return _pinv_and_norm(a, pol, scale)[0]
 
 
 def reduced_min_modulus(a, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -175,6 +187,22 @@ def spectral_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def _norm2_at_most(a: np.ndarray, tol: float) -> bool:
+    """spectral_norm(a) <= tol, deciding from the Frobenius norm when it can.
+
+    ||a||_2 <= ||a||_F <= sqrt(min(shape)) ||a||_2, so the Frobenius norm
+    settles every case but those between the two bounds, which take the
+    exact 2-norm.  Each bound is widened by a relative 1e-10, far above
+    the round-off of either norm, so a tie at tol takes the exact 2-norm.
+    """
+    frob = float(np.linalg.norm(a))
+    if frob <= tol * (1.0 - 1e-10):
+        return True
+    if frob > tol * math.sqrt(min(a.shape)) * (1.0 + 1e-10):
+        return False
+    return spectral_norm(a) <= tol
 
 
 def hermitian_part(a) -> np.ndarray:

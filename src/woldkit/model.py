@@ -5,15 +5,21 @@ of shape m x (d*m) with d = dim E and m = dim H.  Tensor indices follow a
 fixed left-to-right Kronecker ordering: index(xi (x) h) = index(xi) * m +
 index(h), so I_{E^(x)k} (x) A is realized exactly as kron(I_{d^k}, A).
 _lift is the one place that forms this ampliation; every module lifts
-through it.  iterate_lower never forms it: it applies I (x) S blockwise, as
-S times each of the d^k row blocks of the iterate.
+through it.  The iterates never form it: iterate_lower applies I (x) S
+blockwise, as S times each of the d^k row blocks of the iterate, and
+iterate_map applies I (x) V_{n-1} as each m x m column block of V times
+V_{n-1}.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
 
 A Representation is immutable, but it memoizes the small objects derived
-from its matrix V (pseudoinverse, reduced minimum modulus, 2-norm, kernels,
-range chain) once per TolerancePolicy.  Iterates and lifts are never
+from its matrix V.  One full SVD of V, made once and needing no policy,
+gives them all: the 2-norm s[0], and, with the rank r decided once per
+TolerancePolicy by the rank rule of linalg, the pseudoinverse, the reduced
+minimum modulus s[r-1], ker V (the trailing right singular vectors),
+ker V* (the trailing left ones), the first space R(V) of the range chain
+and the factors of the growth pencil.  Iterates and lifts are never
 memoized, since caching them would raise peak memory.  Concurrent first use
 may build a value twice, with the same result, and a RankWarning fires on
 the first build only.
@@ -35,11 +41,10 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _frozen,
+    _pinv_from_svd,
+    _rank,
+    _subspace,
     as_matrix,
-    null_space,
-    pinv,
-    reduced_min_modulus,
-    spectral_norm,
 )
 
 __all__ = [
@@ -127,29 +132,51 @@ class Representation:
         return self.dim_e * self.dim_h
 
     @derived
+    def svd(self, pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD (u, s, vh) of the matrix, read-only.  It needs no
+        tolerance: callers pass no policy.  The zero map gets identity
+        factors, so its kernel and cokernel are spanned by the standard basis."""
+        v = self.matrix
+        if not v.any():
+            factors = (
+                np.eye(self.dim_h, dtype=np.complex128),
+                np.zeros(self.dim_h),
+                np.eye(self.ambient_domain, dtype=np.complex128),
+            )
+        else:
+            factors = np.linalg.svd(v, full_matrices=True)
+        return tuple(_frozen(f) for f in factors)
+
+    @derived
+    def _svd_rank(self, pol: TolerancePolicy) -> int:
+        """Numerical rank of the matrix by the rank rule of linalg."""
+        return _rank(self.svd()[1], self.matrix.shape, pol)
+
+    @derived
     def pseudo_inverse(self, pol: TolerancePolicy) -> np.ndarray:
         """Moore-Penrose inverse of the matrix (read-only)."""
-        return _frozen(pinv(self.matrix, pol))
+        return _frozen(_pinv_from_svd(*self.svd(), self._svd_rank(pol)))
 
     @derived
     def min_modulus(self, pol: TolerancePolicy) -> float:
         """Reduced minimum modulus of the matrix; inf for the zero map."""
-        return reduced_min_modulus(self.matrix, pol)
+        r = self._svd_rank(pol)
+        return float(self.svd()[1][r - 1]) if r else math.inf
 
     @derived
     def norm(self, pol: TolerancePolicy) -> float:
         """2-norm of the matrix.  It needs no tolerance: callers pass no policy."""
-        return spectral_norm(self.matrix)
+        return float(self.svd()[1][0])
 
     @derived
     def kernel(self, pol: TolerancePolicy) -> Subspace:
         """ker V inside E (x) H."""
-        return null_space(self.matrix, pol)
+        return _subspace(self.ambient_domain, self.svd()[2][self._svd_rank(pol):].conj().T)
 
     @derived
     def cokernel(self, pol: TolerancePolicy) -> Subspace:
         """ker V* = R(V)^perp inside H."""
-        return null_space(self.matrix.conj().T, pol)
+        return _subspace(self.dim_h, self.svd()[0][:, self._svd_rank(pol):])
 
 
 def tensor_lift(k: int, a, d: int) -> np.ndarray:
@@ -196,7 +223,10 @@ def budget_horizon(rep: Representation, cap: int = 64) -> int:
 def iterate_map(rep: Representation, n: int) -> np.ndarray:
     """n-fold iterated map E^(x)n (x) H -> H, of shape m x (d^n * m).
 
-    Built by the recursion V_n = V (I_E (x) V_{n-1}).
+    Built by the recursion V_n = V (I_E (x) V_{n-1}) blockwise, as
+    V_n = [V_1 V_{n-1} | ... | V_d V_{n-1}] with V_j the j-th m x m column
+    block of V, so no lift is formed and each product is written straight
+    into its place in the output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -206,10 +236,12 @@ def iterate_map(rep: Representation, n: int) -> np.ndarray:
         raise BudgetExceeded(f"iterate_map needs {d**n * m} columns, budget is {budget}")
     if n == 0:
         return np.eye(m, dtype=np.complex128)
-    v = rep.matrix
-    vn = v
+    blocks = rep.matrix.reshape(m, d, m).transpose(1, 0, 2)
+    vn = rep.matrix
     for _ in range(n - 1):
-        vn = v @ _lift(1, vn, d)
+        out = np.empty((m, d, vn.shape[1]), dtype=np.complex128)
+        np.matmul(blocks, vn, out=out.transpose(1, 0, 2))
+        vn = out.reshape(m, d * vn.shape[1])
     return vn
 
 
@@ -262,9 +294,28 @@ def _encode_complex_list(a: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+_JSON_NUMBERS = (int, float)
+
+
 def _decode_complex_list(entries, rows: int, cols: int, *, name: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ShapeError(f"{name} must hold {rows * cols} [re, im] pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
+    if all(
+        type(pair) is list
+        and len(pair) == 2
+        and type(pair[0]) in _JSON_NUMBERS
+        and type(pair[1]) in _JSON_NUMBERS
+        for pair in entries
+    ):
+        # Plain JSON numbers: one array conversion gives the bits of
+        # complex(re, im).  Overflow and non-finite values take the loop,
+        # which names the offending entry.
+        try:
+            pairs = np.array(entries, dtype=np.float64)
+        except OverflowError:
+            pairs = None
+        if pairs is not None and np.isfinite(pairs).all():
+            return pairs.view(np.complex128).reshape(rows, cols)
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(entries):
         if (

@@ -13,13 +13,13 @@ the strict verdicts are always reported alongside.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    IdentityViolated,
     NotContraction,
     NotInvariant,
     NotLeftInvertible,
@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
+    _norm2_at_most,
     add,
     as_matrix,
     complement,
@@ -38,7 +39,6 @@ from .linalg import (
     null_space,
     project,
     range_space,
-    spectral_norm,
     subspaces_equal,
 )
 from .model import Representation, _lift, budget_horizon, iterate_map
@@ -244,20 +244,17 @@ def wold_diagnostics(
     dom = intersect(lifted_ri, complement(wd, pol), pol)
     b = rinf.basis.conj().T @ v @ dom.basis
     unitary_restriction = (
-        spectral_norm(b.conj().T @ b - np.eye(dom.dim)) <= _FLAG_TOL
-        and spectral_norm(b @ b.conj().T - np.eye(rinf.dim)) <= _FLAG_TOL
+        _norm2_at_most(b.conj().T @ b - np.eye(dom.dim), _FLAG_TOL)
+        and _norm2_at_most(b @ b.conj().T - np.eye(rinf.dim), _FLAG_TOL)
     )
 
     t = v @ lifted_ri.basis
-    leak = spectral_norm(t - p_ri @ t)
     isometric = (
-        leak <= _FLAG_TOL
-        and spectral_norm(t.conj().T @ t - np.eye(lifted_ri.dim)) <= _FLAG_TOL
+        _norm2_at_most(t - p_ri @ t, _FLAG_TOL)
+        and _norm2_at_most(t.conj().T @ t - np.eye(lifted_ri.dim), _FLAG_TOL)
     )
     b_full = rinf.basis.conj().T @ t
-    fully_coisometric = (
-        spectral_norm(b_full @ b_full.conj().T - np.eye(rinf.dim)) <= _FLAG_TOL
-    )
+    fully_coisometric = _norm2_at_most(b_full @ b_full.conj().T - np.eye(rinf.dim), _FLAG_TOL)
 
     return WoldResult(
         wandering=w,
@@ -343,7 +340,7 @@ def duality_check(
 
     # The kernels of the iterated pseudoinverse increase; join until the
     # chain ties (the gating horizon need not reach that depth).
-    nd = spectral_norm(rep.pseudo_inverse(pol))
+    nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
     joined = Subspace.zero(rep.dim_h)
     top = min(max(budget_horizon(rep), 1), rep.dim_h + 2)
     for n in range(1, top + 1):
@@ -368,7 +365,7 @@ def kernel_span_check(
     """
     d, m = rep.dim_e, rep.dim_h
     nv = rep.norm()
-    nd = spectral_norm(rep.pseudo_inverse(pol))
+    nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
     w = wandering_space(rep, pol)
     wd = co_wandering_space(rep, pol)
 
@@ -421,21 +418,12 @@ def invariant_to_wandering(
 def cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Representation:
     """V (V*V)^{-1}, defined for injective maps (NotLeftInvertible otherwise).
 
-    Postconditions verified: dual @ (V*V) = V and dual* dual = (V*V)^{-1}.
+    For injective V this is (V+)*, so it is mp_cauchy_dual behind the
+    injectivity gate; it keeps the generator images of rep.
     """
-    v = rep.matrix
     if rep.kernel(pol).dim:
         raise NotLeftInvertible("representation map has a nontrivial kernel")
-    gram = v.conj().T @ v
-    gram_inv = np.linalg.inv(gram)
-    dual = v @ gram_inv
-    res1 = float(np.linalg.norm(dual @ gram - v, 2))
-    if res1 > 1e-9 * max(1.0, rep.norm()):
-        raise IdentityViolated(f"dual reconstruction residual {res1:.3e}")
-    res2 = float(np.linalg.norm(dual.conj().T @ dual - gram_inv, 2))
-    if res2 > 1e-9 * max(1.0, float(np.linalg.norm(gram_inv, 2))):
-        raise IdentityViolated(f"dual Gram residual {res2:.3e}")
-    return Representation(rep.dim_e, rep.dim_h, dual, sigma=dict(rep.sigma), phi=dict(rep.phi))
+    return dataclasses.replace(mp_cauchy_dual(rep, pol), sigma=rep.sigma, phi=rep.phi)
 
 
 def mp_cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Representation:

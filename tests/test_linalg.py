@@ -7,6 +7,8 @@ from woldkit.linalg import (
     RankWarning,
     Subspace,
     TolerancePolicy,
+    _norm2_at_most,
+    _pinv_and_norm,
     add,
     as_matrix,
     complement,
@@ -20,6 +22,7 @@ from woldkit.linalg import (
     psd_sqrt,
     range_space,
     reduced_min_modulus,
+    spectral_norm,
     subspaces_equal,
 )
 from woldkit.structure import lift_subspace
@@ -76,6 +79,58 @@ class TestReducedMinModulus:
             a = rand_c(rng, 5, 7)
             g = reduced_min_modulus(a)
             assert abs(g * np.linalg.norm(pinv(a), 2) - 1.0) <= 1e-8
+
+
+class TestPinvAndNorm:
+    @pytest.mark.parametrize("rank", [0, 1, 3, 5])
+    def test_norm_is_that_of_the_inverse(self, rng, rank):
+        a = rand_c(rng, 5, rank) @ rand_c(rng, rank, 7)
+        inv, norm = _pinv_and_norm(a)
+        assert np.array_equal(inv, pinv(a))
+        assert norm == pytest.approx(spectral_norm(inv), rel=1e-12, abs=0.0)
+
+    def test_scale_anchors_the_cutoff(self):
+        a = np.diag([1.0, 1e-12])
+        inv, norm = _pinv_and_norm(a, scale=1e6)
+        assert np.array_equal(inv, np.diag([1.0, 0.0])) and norm == 1.0
+
+
+class TestNorm2AtMost:
+    """_norm2_at_most(a, tol) is the verdict spectral_norm(a) <= tol."""
+
+    @staticmethod
+    def check(a, tol):
+        assert _norm2_at_most(a, tol) == (spectral_norm(a) <= tol)
+
+    @pytest.mark.parametrize("rel", [1 - 1e-6, 1 + 1e-6, 0.5, 2.0])
+    def test_rank_one(self, rng, rel):
+        # Frobenius norm equals the 2-norm: the first test decides.
+        a = np.outer(rand_c(rng, 4, 1), rand_c(rng, 1, 6))
+        self.check(a, rel * spectral_norm(a))
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("rel", [1 - 1e-6, 1 + 1e-6])
+    def test_identity_like(self, rng, n, rel):
+        # Frobenius norm is sqrt(n) times the 2-norm: both ends of the
+        # undecided interval, and points inside it, take the exact norm.
+        a = 3e-9 * rand_c(rng, 1, 1)[0, 0] * np.eye(n)
+        two = spectral_norm(a)
+        for tol in (rel * two, rel * two * np.sqrt(n), two * (1 + np.sqrt(n)) / 2):
+            self.check(a, tol)
+
+    def test_generic_sweep(self, rng):
+        for _ in range(50):
+            a = rand_c(rng, 5, 3) * 10.0 ** rng.uniform(-10, 2)
+            two = spectral_norm(a)
+            for rel in (0.3, 1 - 1e-6, 1 + 1e-6, 1.2, 2.5):
+                self.check(a, rel * two)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty(self, shape):
+        a = np.zeros(shape, dtype=np.complex128)
+        for tol in (0.0, 1e-8):
+            self.check(a, tol)
+            assert _norm2_at_most(a, tol)
 
 
 def psd_oracle(a, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from woldkit.model import (
     check_covariance,
     iterate_lower,
     iterate_map,
+    _decode_complex_list,
     load_representation,
+    representation_from_dict,
     representation_to_dict,
     save_representation,
     tensor_lift,
@@ -87,6 +90,18 @@ class TestIterateMap:
         for k in range(1, n):
             alt = alt @ np.kron(np.eye(2**k), v)
         assert np.linalg.norm(out - alt, 2) <= 1e-10 * max(1.0, np.linalg.norm(v, 2) ** n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_kron_recursion(self, rng, d, n):
+        m = 3
+        rep = Representation(d, m, rand_c(rng, m, d * m))
+        dense = rep.matrix
+        for _ in range(n - 1):
+            dense = rep.matrix @ np.kron(np.eye(d), dense)
+        out = iterate_map(rep, n)
+        assert out.shape == (m, d**n * m)
+        assert np.linalg.norm(out - dense) <= 1e-13 * np.linalg.norm(dense)
 
     def test_semigroup_identity(self, rng):
         rep = generic_rep(rng, 2, 2)
@@ -194,3 +209,48 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_representation(path)
         assert "line" in str(err.value)
+
+
+def decode_loop_oracle(entries, rows, cols):
+    """The decoding by complex(re, im), entry by entry."""
+    return np.array([complex(float(re), float(im)) for re, im in entries]).reshape(rows, cols)
+
+
+class TestDecode:
+    def test_fast_path_is_bitwise_the_loop(self, rng):
+        values = list(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40))
+        values += [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 3, -7, 0, 2**70, -(2**60)]
+        values = [v if isinstance(v, int) else float(v) for v in values]
+        entries = [[values[i], values[-1 - i]] for i in range(len(values))]
+        got = _decode_complex_list(entries, 5, 10, name="V")
+        want = decode_loop_oracle(entries, 5, 10)
+        assert got.shape == (5, 10) and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got.real).tolist() == np.signbit(want.real).tolist()
+
+    def test_numpy_scalars_decode_as_before(self):
+        entries = [[np.float64(1.5), np.float64(-0.0)], [2, np.float64(3.25)]]
+        got = _decode_complex_list(entries, 1, 2, name="V")
+        assert got.tobytes() == decode_loop_oracle(entries, 1, 2).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([True, 0.0], "V[1] is not an [re, im] number pair"),
+            (["1", 0.0], "V[1] is not an [re, im] number pair"),
+            ([1.0], "V[1] is not an [re, im] number pair"),
+            ([1.0, 2.0, 3.0], "V[1] is not an [re, im] number pair"),
+            ((1.0, 2.0), "V[1] is not an [re, im] number pair"),
+            ([math.nan, 0.0], "V[1] has a non-finite entry"),
+            ([0.0, math.inf], "V[1] has a non-finite entry"),
+        ],
+    )
+    def test_bad_entry_names_its_index(self, bad, message):
+        entries = [[1.0, 0.0], bad, [0.0, 1.0], [2.0, 2.0]]
+        with pytest.raises(ParseError) as err:
+            _decode_complex_list(entries, 2, 2, name="V")
+        assert str(err.value) == message
+
+    def test_integer_too_large_for_a_float_overflows(self):
+        with pytest.raises(OverflowError):
+            representation_from_dict({"dim_E": 1, "dim_H": 1, "V": [[10**400, 0]]})

@@ -268,6 +268,16 @@ def biregular_levels_oracle(rep, gi, top, pol=DEFAULT_POLICY):
     return out
 
 
+def n_dagger_oracle(rep, n, pol=DEFAULT_POLICY):
+    """is_n_dagger by dense 2-norms of the gap and of (V_n)+."""
+    if n == 1:
+        return True
+    lowered = iterated_pinv(rep, n, pol)
+    direct = pinv(iterate_map(rep, n), pol, scale=rep.norm() ** n)
+    gap = float(np.linalg.norm(lowered - direct, 2))
+    return gap <= 1e-8 * max(1.0, float(np.linalg.norm(direct, 2)))
+
+
 class TestDagger:
     def test_first_level_always(self, rng):
         assert is_n_dagger(generic_rep(rng, 2, 2), 1)
@@ -285,6 +295,20 @@ class TestDagger:
         # to a quarter of the direct pseudoinverse of the iterate.
         rep = Representation(1, 2, np.array([[1.0, 1.0], [0.0, 0.0]]))
         assert not is_n_dagger(rep, 2)
+
+    def test_matches_dense_norm_formula(self, rng):
+        reps = [generic_rep(rng, 2, 2), generic_rep(rng, 1, 4), coisometry_rep(rng, 2, 3)]
+        reps += [rank_deficient_rep(rng, 2, 3, r) for r in (1, 2)]
+        reps += [left_invertible_rep(rng, 4), truncated_shift_rep(4), truncated_shift_rep(6)]
+        reps += [Representation(1, 2, np.array([[1.0, 1.0], [0.0, 0.0]]))]
+        # ||(V_n)+|| = 1e5^n scales the round-off of the gap and the threshold.
+        reps += [Representation(1, 3, 1e-5 * left_invertible_rep(rng, 3).matrix)]
+        verdicts = []
+        for rep in reps:
+            for n in range(1, 5):
+                verdicts.append(is_n_dagger(rep, n))
+                assert verdicts[-1] == n_dagger_oracle(rep, n)
+        assert True in verdicts[1::4] and False in verdicts[1::4]
 
     def test_randomized_search_finds_failure(self, rng):
         found = False

@@ -227,6 +227,22 @@ class TestCauchyDual:
         with pytest.raises(NotLeftInvertible):
             cauchy_dual(truncated_shift_rep(3))
 
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_matches_gram_inverse_formula(self, rng, m):
+        reps = [left_invertible_rep(rng, m), expansive_rep(rng, m), concave_rep(rng, m)]
+        g = rng.standard_normal((m, m))
+        reps.append(Representation(1, m, reps[0].matrix, sigma={"g": g}, phi={"g": np.eye(1)}))
+        for rep in reps:
+            v = rep.matrix
+            oracle = v @ np.linalg.inv(v.conj().T @ v)
+            dual = cauchy_dual(rep)
+            assert np.linalg.norm(dual.matrix - oracle, 2) <= 1e-12 * np.linalg.norm(oracle, 2)
+            assert (dual.dim_e, dual.dim_h) == (rep.dim_e, rep.dim_h)
+            assert dual.sigma.keys() == rep.sigma.keys() == dual.phi.keys()
+            for label in rep.sigma:
+                assert np.array_equal(dual.sigma[label], rep.sigma[label])
+                assert np.array_equal(dual.phi[label], rep.phi[label])
+
 
 class TestIntertwiner:
     def test_identity(self, rng):
