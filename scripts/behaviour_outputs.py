@@ -31,7 +31,13 @@ under OLD and NEW: JSON files as parsed documents, other files token by
 token, each number token against its counterpart.  Keys, strings, bools,
 nulls, integers (exit codes, dimensions, counts) and the text between
 numbers must match exactly, and floats within 1e-9 * max(1, |a|, |b|).
-It prints every difference and exits 1 if there is one.
+It prints every difference and exits 1 if there is one.  It then lists the
+floats that moved at all, one line per field: the count and the largest
+relative change |a - b| / max(|a|, |b|).  A JSON field is named by its
+path with list indices collapsed to [] and numeric keys (such as "2" or
+"1,0") to *, so growth.per_m[].minimal_d covers every level of every
+report; a number in another file is named by its suffix and the text of
+its line before it, with earlier numbers shown as #.
 """
 
 from __future__ import annotations
@@ -101,20 +107,76 @@ def _tokens(text: str) -> list:
     return parts
 
 
-def compare_outputs(old: Path, new: Path) -> list[str]:
-    """Differences between two output trees, by the rule of checks.compare."""
-    old_files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
-    new_files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
-    problems = [f"{f}: only in {old}" for f in sorted(old_files - new_files)]
-    problems += [f"{f}: only in {new}" for f in sorted(new_files - old_files)]
-    for f in sorted(old_files & new_files):
+def _files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def _parsed_pairs(old: Path, new: Path):
+    """(relative path, new content, old content) of every file in both
+    trees: JSON files parsed, other files split by _tokens."""
+    for f in sorted(_files(old) & _files(new)):
         a, b = (old / f).read_text(), (new / f).read_text()
         if f.suffix == ".json":
-            want, got = json.loads(a), json.loads(b)
+            yield f, json.loads(b), json.loads(a)
         else:
-            want, got = _tokens(a), _tokens(b)
+            yield f, _tokens(b), _tokens(a)
+
+
+def compare_outputs(old: Path, new: Path) -> list[str]:
+    """Differences between two output trees, by the rule of checks.compare."""
+    old_files, new_files = _files(old), _files(new)
+    problems = [f"{f}: only in {old}" for f in sorted(old_files - new_files)]
+    problems += [f"{f}: only in {new}" for f in sorted(new_files - old_files)]
+    for f, got, want in _parsed_pairs(old, new):
         problems += [f"{f}: {p}" for p in compare(got, want)]
     return problems
+
+
+NUMERIC_KEY = re.compile(r"-?\d+(?:,-?\d+)*")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _moved_in_json(got, want, field: str, moved: dict) -> None:
+    """Record in moved every float of want that differs in got, by field."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for k in sorted(set(got) & set(want)):
+            name = "*" if NUMERIC_KEY.fullmatch(k) else k
+            _moved_in_json(got[k], want[k], f"{field}.{name}" if field else name, moved)
+    elif isinstance(want, list) and isinstance(got, list):
+        for g, w in zip(got, want):
+            _moved_in_json(g, w, f"{field}[]", moved)
+    elif _is_number(got) and _is_number(want) and (isinstance(got, float) or isinstance(want, float)):
+        if got != want:
+            count, largest = moved.get(field, (0, 0.0))
+            change = abs(got - want) / max(abs(got), abs(want))
+            moved[field] = (count + 1, max(largest, change))
+
+
+def _moved_in_tokens(got: list, want: list, suffix: str, moved: dict) -> None:
+    """_moved_in_json for the token lists of a text file; a number is named
+    by its line up to it, with earlier numbers as #."""
+    line = ""
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            line = line + w if "\n" not in w else w.rsplit("\n", 1)[1]
+            continue
+        _moved_in_json(g, w, f"{suffix} {line.strip()!r}", moved)
+        line += "#"
+
+
+def moved_floats(old: Path, new: Path) -> dict[str, tuple[int, float]]:
+    """Per field, the number of floats that differ at all between the two
+    trees and their largest relative change."""
+    moved: dict[str, tuple[int, float]] = {}
+    for f, got, want in _parsed_pairs(old, new):
+        if f.suffix == ".json":
+            _moved_in_json(got, want, "", moved)
+        else:
+            _moved_in_tokens(got, want, f.suffix, moved)
+    return moved
 
 
 def main(argv=None) -> int:
@@ -124,6 +186,10 @@ def main(argv=None) -> int:
         for p in problems:
             print(p)
         print(f"{len(problems)} difference(s) beyond the rule of perfbench/checks.compare")
+        moved = moved_floats(Path(args[1]), Path(args[2]))
+        print(f"floats that moved in {len(moved)} field(s) (count, largest relative change):")
+        for field, (count, largest) in sorted(moved.items()):
+            print(f"  {field}: {count}, {largest:.2g}")
         return 1 if problems else 0
     if len(args) != 1:
         print("\n".join(__doc__.splitlines()[2:4]), file=sys.stderr)

@@ -3,10 +3,18 @@
 Every "for all vectors" inequality here is decided as a Hermitian operator
 inequality through a minimum eigenvalue, never by sampling, at the PSD
 tolerance of linalg.psd_margin.  The per-level growth inequality compares
-the m-fold iterate against a weighted defect plus a projection term;
-minimal weights come from the singular generalized eigenproblem (Rayleigh
-quotient on the complement of the pencil's kernel, with kernel directions
-deciding feasibility by sign), solved by minimal_scale_factor.
+the m-fold iterate against a weighted defect plus a projection term.
+
+This module owns that pencil.  A question about it is a _Level: diagonal
+A and P and the rows z of a factor of the iterate's Gram matrix zz*.
+_pencil gives both answers for a _Level: the minimal weight, from the
+singular generalized eigenproblem solved by minimal_scale_factor
+(Rayleigh quotient on the complement of the kernel of the diagonal G =
+A - P, with kernel directions deciding feasibility by sign), and the
+psd_margin pair for a supplied weight.  It has two readers:
+check_growth, on the compression _level of a representation, and the
+unilateral weight condition of shifts, whose weight inequality is the
+same pencil with P = I.
 
 No level operator is formed.  At level k, with N = d^k m, the operators
 A = I (x) V*V, P = I (x) V+V and G = A - P are diagonal in the basis
@@ -128,35 +136,34 @@ class GrowthReport:
 
 
 def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Smallest d >= 0 with d*G - Q >= 0, for Hermitian Q and PSD-ish G.
+    """Smallest d >= 0 with d*G - Q >= 0, for Hermitian Q and G = diag(g).
 
-    Directions in ker(G) where Q is strictly positive make the problem
-    infeasible (returns inf).  On the complement the answer is the largest
-    generalized Rayleigh quotient of Q against G.  Both kernel decisions
-    use the psd_margin tolerance, from the spectra of Q and of G.
+    g is the 1-D diagonal of G, so the pencil needs no eigenvectors.  Its
+    kernel is the set of coordinates where g is at most the psd_margin
+    tolerance of diag(g).  If Q is strictly positive on that kernel (its
+    principal submatrix there has an eigenvalue above the psd_margin
+    tolerance of Q), the problem is infeasible and the answer is inf.  On
+    the other coordinates the answer is the largest generalized Rayleigh
+    quotient of Q against G: the top eigenvalue of Q[keep, keep] scaled
+    by g^(-1/2) on both sides, or 0 if that is negative.
     """
     q = hermitian_part(as_matrix(q))
-    g = hermitian_part(as_matrix(g))
-    if q.shape != g.shape:
-        raise ValueError("Q and G must have identical shapes")
-    n = q.shape[0]
-    if n == 0:
+    g = np.asarray(g, dtype=np.float64)
+    if q.shape != (g.size, g.size):
+        raise ValueError("Q must be square with one row per entry of g")
+    if g.size == 0:
         return 0.0
-    tol_q = _psd_tolerance(np.linalg.eigvalsh(q), pol)
-    w, u = np.linalg.eigh(g)
-    keep = w > _psd_tolerance(w, pol)
-    kernel = u[:, ~keep]
-    if kernel.shape[1]:
-        q_kernel = hermitian_part(kernel.conj().T @ q @ kernel)
-        if q_kernel.shape[0] and float(np.linalg.eigvalsh(q_kernel)[-1]) > tol_q:
+    keep = g > _psd_tolerance(np.sort(g), pol)
+    if not keep.all():
+        kernel = ~keep
+        top = float(np.linalg.eigvalsh(q[np.ix_(kernel, kernel)])[-1])
+        if top > _psd_tolerance(np.linalg.eigvalsh(q), pol):
             return math.inf
-    if not np.any(keep):
+    if not keep.any():
         return 0.0
-    r = u[:, keep]
-    inv_sqrt = 1.0 / np.sqrt(w[keep])
-    t = hermitian_part((r * inv_sqrt).conj().T @ q @ (r * inv_sqrt))
-    top = float(np.linalg.eigvalsh(t)[-1])
-    return max(0.0, top)
+    inv_sqrt = 1.0 / np.sqrt(g[keep])
+    t = q[np.ix_(keep, keep)] * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return max(0.0, float(np.linalg.eigvalsh(t)[-1]))
 
 
 @derived
@@ -172,10 +179,12 @@ def _singular_factors(rep: Representation, pol: TolerancePolicy):
 
 @dataclass(frozen=True)
 class _Level:
-    """The level-k pencil, compressed exactly.
+    """One question about the pencil, in a basis where A and P are diagonal.
 
     Coordinate j carries the values a[j] of A and p[j] of P, and z[j] is
-    its row of Z, so that V_k*V_k = zz* on the compression.
+    its row of Z, so that zz* is the Gram matrix of the question: V_k*V_k
+    on the exact compression of a growth level, Y*Y for a pair of the
+    unilateral weight condition.
     """
 
     a: np.ndarray
@@ -213,6 +222,19 @@ def _affine(lv: _Level, x: float, y: float, c: float) -> np.ndarray:
     return np.diag(x * lv.a + y * lv.p + c) - lv.z @ lv.z.conj().T
 
 
+def _pencil(
+    lv: _Level, d: float | None, pol: TolerancePolicy
+) -> tuple[float, tuple[float, bool] | None]:
+    """Both answers of the growth inequality d (A - P) + P - zz* >= 0.
+
+    The minimal weight d (inf if none is feasible), and for a supplied d
+    the psd_margin pair (least eigenvalue, PSD verdict) of the operator;
+    None when d is None.
+    """
+    minimal = minimal_scale_factor(-_affine(lv, 0.0, 1.0, 0.0), lv.a - lv.p, pol)
+    return minimal, None if d is None else psd_margin(_affine(lv, d, 1.0 - d, 0.0), pol)
+
+
 def check_growth(
     rep: Representation,
     d_seq: list[float] | None,
@@ -228,14 +250,12 @@ def check_growth(
     """
     entries: list[GrowthEntry] = []
     for m in range(1, m_max + 1):
-        lv = _level(rep, m, pol)
-        minimal = minimal_scale_factor(-_affine(lv, 0.0, 1.0, 0.0), np.diag(lv.a - lv.p), pol)
-        if d_seq is not None and m <= len(d_seq):
-            d_m = d_seq[m - 1]
-            lam, feasible = psd_margin(_affine(lv, d_m, 1.0 - d_m, 0.0), pol)
-            entries.append(GrowthEntry(m, feasible, minimal, lam))
-        else:
+        d_m = d_seq[m - 1] if d_seq is not None and m <= len(d_seq) else None
+        minimal, margin = _pencil(_level(rep, m, pol), d_m, pol)
+        if margin is None:
             entries.append(GrowthEntry(m, math.isfinite(minimal), minimal, 0.0))
+        else:
+            entries.append(GrowthEntry(m, margin[1], minimal, margin[0]))
     note = _divergence_note([e.minimal_d for e in entries], d_seq)
     return GrowthReport(
         horizon=m_max,

@@ -4,11 +4,13 @@ A representation is stored as the single matrix of the map E (x) H -> H,
 of shape m x (d*m) with d = dim E and m = dim H.  Tensor indices follow a
 fixed left-to-right Kronecker ordering: index(xi (x) h) = index(xi) * m +
 index(h), so I_{E^(x)k} (x) A is realized exactly as kron(I_{d^k}, A).
-_lift is the one place that forms this ampliation; every module lifts
-through it.  The iterates never form it: iterate_lower applies I (x) S
-blockwise, as S times each of the d^k row blocks of the iterate, and
-iterate_map applies I (x) V_{n-1} as each m x m column block of V times
-V_{n-1}.
+Products never form that lift.  _times_ampliation is the one step
+a (I_D (x) x): each column block of a times x.  iterate_map, z_product, the
+weight products of the unilateral weight condition, the forward translate
+V(E (x) S) and check_intertwiner take it, and iterate_lower applies I (x) S
+blockwise the other way, as S times each of the d^k row blocks of the
+iterate.  _lift, the one place that forms the ampliation, is left for
+subspace bases (lift_subspace) and for check functions.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -236,13 +238,24 @@ def iterate_map(rep: Representation, n: int) -> np.ndarray:
         raise BudgetExceeded(f"iterate_map needs {d**n * m} columns, budget is {budget}")
     if n == 0:
         return np.eye(m, dtype=np.complex128)
-    blocks = rep.matrix.reshape(m, d, m).transpose(1, 0, 2)
     vn = rep.matrix
     for _ in range(n - 1):
-        out = np.empty((m, d, vn.shape[1]), dtype=np.complex128)
-        np.matmul(blocks, vn, out=out.transpose(1, 0, 2))
-        vn = out.reshape(m, d * vn.shape[1])
+        vn = _times_ampliation(rep.matrix, vn)
     return vn
+
+
+def _times_ampliation(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a (I_D (x) x) with D = a.shape[1] / x.shape[0], without the lift.
+
+    The product is [a_1 x | ... | a_D x], a_j the j-th column block of a of
+    width x.shape[0]; the D products are written straight into their place
+    in the output.  A zero-width x gives a zero-width product.
+    """
+    rows, (inner, width) = a.shape[0], x.shape
+    blocks = a.shape[1] // inner
+    out = np.empty((rows, blocks, width), dtype=np.result_type(a, x))
+    np.matmul(a.reshape(rows, blocks, inner).transpose(1, 0, 2), x, out=out.transpose(1, 0, 2))
+    return out.reshape(rows, blocks * width)
 
 
 def iterate_lower(s, d: int, n: int) -> np.ndarray:

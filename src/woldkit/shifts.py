@@ -26,22 +26,20 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .growth import GrowthReport, check_growth, gamma, minimal_scale_factor
+from .growth import GrowthReport, _Level, _pencil, check_growth, gamma
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _coordinate_subspace,
     _frozen,
     as_matrix,
-    hermitian_part,
-    psd_margin,
     range_space,
 )
 from .model import (
     Representation,
     _decode_complex_list,
     _encode_complex_list,
-    _lift,
+    _times_ampliation,
     canonical_json,
     parse_json_file,
     size_budget,
@@ -142,10 +140,9 @@ def z_product(spec: UnilateralSpec, n: int) -> np.ndarray:
         raise ShapeError(f"product depth must lie in 0..L={spec.L}")
     if n == 0:
         return np.eye(1, dtype=np.complex128)
-    d = spec.d
     out = np.array(spec.Z[n - 1])
     for j in range(1, n):
-        out = out @ _lift(j, spec.Z[n - j - 1], d)
+        out = _times_ampliation(out, spec.Z[n - j - 1])
     return out
 
 
@@ -192,42 +189,55 @@ def check_unilateral_weight_condition(
 ) -> UnilateralConditionReport:
     """Operator inequality on weight products, per pair (k, n).
 
-    With Y = Z^(k+n) (I (x) Z^(n))^{-1}, the checked inequality is
-    Y*Y - I <= d_k (I^(k-1) (x) (Y_1*Y_1) - I) where Y_1 is the k = 1
-    product.  All weights must be invertible; the per-level modulus
-    hypothesis gamma(Z_k) >= 1 is recorded, not enforced.  Pairs with
-    k + n beyond the truncation are skipped and reported as coverage.
+    With Z^(m) = z_product(spec, m), the weight product of the pair is
+    Y = Z^(k+n) (I (x) Z^(n))^{-1}, and the checked inequality is
+    Y*Y - I <= d_k (I^(k-1) (x) (Y_1*Y_1) - I), Y_1 the k = 1 product.
+
+    Y needs no inverse: Z^(k+n) = Y_{k,n} (I_{d^k} (x) Z^(n)) with
+    Y_{k,n} = Z_{n+k} (I (x) Z_{n+k-1}) ... (I^(k-1) (x) Z_{n+1}), so
+    Y = Y_{k,n} and Y_1 = Z_{n+1}.  With Z_{n+1} = U diag(s) W*, the
+    inequality is the growth pencil (see growth) in the basis I (x) W,
+    with A = I (x) diag(s^2), P = I and the Gram matrix Y*Y, which is
+    Y~*Y~ in that basis for Y~ = Y (I (x) W).  Y~ is built one blockwise
+    step per k:
+    Y~_{1,n} = U diag(s) and Y~_{k,n} = Z_{n+k} (I (x) Y~_{k-1,n}).
+
+    All weights must still be invertible; the per-level modulus hypothesis
+    gamma(Z_k) >= 1 is recorded, not enforced.  Pairs with k + n beyond
+    the truncation or d^(k+n) beyond the size budget are skipped and
+    reported as coverage.
     """
     d = spec.d
     gammas: dict[int, float] = {}
+    factors: list[tuple[np.ndarray, np.ndarray]] = []  # (U diag(s), s^2) per weight
     for k, z in enumerate(spec.Z, start=1):
-        s = np.linalg.svd(z, compute_uv=False)
+        u, s, _ = np.linalg.svd(z)
         if s[-1] <= pol.tau_rank * s[0] * z.shape[0]:
             raise NotInvertible(f"weight Z_{k} is not invertible")
         gammas[k] = float(s[-1])
+        factors.append((u * s, s * s))
     gamma_ok = all(g >= 1.0 - 1e-10 for g in gammas.values())
 
     budget = size_budget()
     pairs: dict[tuple[int, int], dict] = {}
     skipped: list[tuple[int, int]] = []
     minimal_per_k: dict[int, float] = {}
+    y: dict[int, np.ndarray] = {}  # Y~_{k,n} per n, one step deeper per k
     for k in range(1, k_max + 1):
+        d_k = d_seq[k - 1] if d_seq is not None and k <= len(d_seq) else None
         worst = 0.0
         seen = False
         for n in range(0, n_max + 1):
             if k + n > spec.L or d ** (k + n) > budget:
                 skipped.append((k, n))
                 continue
-            zn = z_product(spec, n)
-            y = z_product(spec, k + n) @ np.linalg.inv(_lift(k, zn, d))
-            lhs = hermitian_part(y.conj().T @ y - np.eye(y.shape[0], dtype=np.complex128))
-            y1 = z_product(spec, 1 + n) @ np.linalg.inv(_lift(1, zn, d))
-            inner = hermitian_part(y1.conj().T @ y1)
-            rhs = _lift(k - 1, inner, d) - np.eye(lhs.shape[0], dtype=np.complex128)
-            minimal = minimal_scale_factor(lhs, rhs, pol)
+            us, s2 = factors[n]
+            y[n] = us if k == 1 else _times_ampliation(spec.Z[n + k - 1], y[n])
+            level = _Level(np.tile(s2, d ** (k - 1)), np.ones(d ** (k + n)), y[n].conj().T)
+            minimal, margin = _pencil(level, d_k, pol)
             entry: dict = {"minimal_d": None if math.isinf(minimal) else minimal}
-            if d_seq is not None and k <= len(d_seq):
-                entry["residual"], entry["holds"] = psd_margin(d_seq[k - 1] * rhs - lhs, pol)
+            if margin is not None:
+                entry["residual"], entry["holds"] = margin
             pairs[(k, n)] = entry
             worst = max(worst, minimal)
             seen = True

@@ -38,6 +38,7 @@ from .linalg import (
 from .model import (
     Representation,
     _lift,
+    _times_ampliation,
     budget_horizon,
     derived,
     iterate_lower,
@@ -79,7 +80,7 @@ def lift_subspace(k: int, s: Subspace, d: int) -> Subspace:
 
 def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -> Subspace:
     """V(E (x) S) as a subspace of H."""
-    return range_space(rep.matrix @ lift_subspace(1, s, rep.dim_e).basis, pol, scale=rep.norm())
+    return range_space(_times_ampliation(rep.matrix, s.basis), pol, scale=rep.norm())
 
 
 def _stabilized_chain(
@@ -314,20 +315,24 @@ def is_biregular(
     it is not aggregated across different S.
     """
     require_regular(rep, pol, horizon)
-    levels = _biregular_levels(rep, gi, horizon, pol)
+    ker_s = null_space(gi.matrix, pol)
+    ns = spectral_norm(gi.matrix) if ker_s.dim else 0.0
+    levels = _biregular_levels(rep, gi, ker_s, ns, horizon, pol)
     return BiRegularityReport(horizon=horizon, per_m=dict(zip(range(1, horizon + 1), levels)))
 
 
-def _biregular_levels(rep: Representation, gi: GenInverse, top: int, pol: TolerancePolicy):
+def _biregular_levels(
+    rep: Representation, gi: GenInverse, ker_s: Subspace, ns: float, top: int, pol: TolerancePolicy
+):
     """Yield, for m = 1..top, whether N(I_{E^(x)m} (x) S) lies in R(S^(m)).
 
-    No regularity gate; levels are computed only as they are consumed.
-    The lifted kernel has dimension d^m * dim N(S) and R(S^(m)) at most
-    dim H, so a trivial kernel or the dimension rule of contains decides a
-    level without building S^(m).
+    ker_s is N(S) and ns is ||S||_2, the scale of the rank rule on the
+    iterates; the caller knows them (ker V* and 1/gamma for the
+    Moore-Penrose S).  No regularity gate; levels are computed only as
+    they are consumed.  The lifted kernel has dimension d^m * dim N(S) and
+    R(S^(m)) at most dim H, so a trivial kernel or the dimension rule of
+    contains decides a level without building S^(m).
     """
-    ker_s = null_space(gi.matrix, pol)
-    ns = spectral_norm(gi.matrix) if ker_s.dim else 0.0
     for m in range(1, top + 1):
         lifted_dim = rep.dim_e**m * ker_s.dim
         if lifted_dim == 0 or _dims_exclude(lifted_dim, rep.dim_h, pol):

@@ -41,7 +41,7 @@ from .linalg import (
     range_space,
     subspaces_equal,
 )
-from .model import Representation, _lift, budget_horizon, iterate_map
+from .model import Representation, _lift, _times_ampliation, budget_horizon, iterate_map
 from .structure import (
     GenInverse,
     RegularityReport,
@@ -268,10 +268,13 @@ def wold_diagnostics(
         dagger_equals_adjoint=dagger_adjoint,
         isometric_restriction=isometric,
         fully_coisometric_restriction=fully_coisometric,
-        # Moore-Penrose S, no regularity gate, so the flag stays computable.
+        # Moore-Penrose S, no regularity gate, so the flag stays computable;
+        # N(V+) = ker V* and ||V+|| = 1/gamma come from the SVD of V.
         biregular=all(
-            _biregular_levels(rep, GenInverse(rep=rep, matrix=vd),
-                              min(horizon, max(budget_horizon(rep) - 1, 1)), pol)
+            _biregular_levels(
+                rep, GenInverse(rep=rep, matrix=vd), rep.cokernel(pol), 1.0 / gamma(rep, pol),
+                min(horizon, max(budget_horizon(rep) - 1, 1)), pol,
+            )
         ),
         hyper_dagger=is_hyper_dagger(rep, horizon, pol),
         proj_sum_residual=sum_res,
@@ -441,7 +444,7 @@ def check_intertwiner(rep: Representation, a, tol: float = 1e-9) -> bool:
     if a.shape != (rep.dim_h, rep.dim_h):
         raise PreconditionFailed("intertwiner must act on H")
     v = rep.matrix
-    residual = float(np.linalg.norm(a @ v - v @ _lift(1, a, rep.dim_e), 2))
+    residual = float(np.linalg.norm(a @ v - _times_ampliation(v, a), 2))
     return residual <= tol * float(np.linalg.norm(a, 2)) * rep.norm()
 
 

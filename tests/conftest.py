@@ -1,7 +1,11 @@
 """Shared helpers for the test suite, including independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
+
+from woldkit.linalg import DEFAULT_POLICY
 
 
 def gaussian_rank(mat, tol: float = 1e-9) -> int:
@@ -36,6 +40,28 @@ def contains_oracle(s1, s2, pol) -> bool:
         return True
     residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
     return bool(np.all(np.linalg.norm(residual, axis=0) <= pol.tau_sub))
+
+
+def minimal_scale_factor_oracle(q, g) -> float:
+    """Smallest d >= 0 with d G - Q >= 0 for a dense Hermitian G, through
+    the eigenvectors of G, with both tolerance scales from full SVDs: the
+    dense form of growth.minimal_scale_factor."""
+    tau = DEFAULT_POLICY.tau_psd
+    q = (q + q.conj().T) / 2.0
+    g = (g + g.conj().T) / 2.0
+    w, u = np.linalg.eigh(g)
+    keep = w > tau * max(1.0, np.linalg.norm(g, 2))
+    kernel = u[:, ~keep]
+    if kernel.shape[1]:
+        q_kernel = kernel.conj().T @ q @ kernel
+        q_kernel = (q_kernel + q_kernel.conj().T) / 2.0
+        if np.linalg.eigvalsh(q_kernel)[-1] > tau * max(1.0, np.linalg.norm(q, 2)):
+            return math.inf
+    if not np.any(keep):
+        return 0.0
+    r = u[:, keep] / np.sqrt(w[keep])
+    t = r.conj().T @ q @ r
+    return max(0.0, float(np.linalg.eigvalsh((t + t.conj().T) / 2.0)[-1]))
 
 
 @pytest.fixture

@@ -75,3 +75,40 @@ def test_missing_file_fails(script, tmp_path):
     new = write_tree(tmp_path / "new", REPORT, OUT)
     (new / "a.out").unlink()
     assert script.main(["--compare", str(old), str(new)]) == 1
+
+
+def test_moved_floats_are_listed_per_field(script, tmp_path, capsys):
+    report = {
+        "growth": {"per_m": [{"m": 1, "minimal_d": 2.0}, {"m": 2, "minimal_d": 4.0}]},
+        "pairs": {"1,0": {"minimal_d": 3.0}, "2,1": {"minimal_d": 5.0}},
+        "gamma_by_level": {"1": 1.5, "2": 1.25},
+        "holds": True,
+    }
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "a.report.json").write_text(json.dumps(report))
+    (old / "a.out").write_text("  gamma: 1.5\n  d_1=2.0, d_2=4.0\n")
+    new = tmp_path / "new"
+    new.mkdir()
+    report["growth"]["per_m"][0]["minimal_d"] = 2.0 * (1 + 1e-12)
+    report["growth"]["per_m"][1]["minimal_d"] = 4.0 * (1 + 3e-12)
+    report["pairs"]["2,1"]["minimal_d"] = 5.0 * (1 - 1e-13)
+    report["gamma_by_level"]["1"] = 1.5 * (1 + 1e-15)
+    (new / "a.report.json").write_text(json.dumps(report))
+    (new / "a.out").write_text(f"  gamma: 1.5\n  d_1=2.0, d_2={4.0 * (1 + 2e-12)!r}\n")
+    assert script.main(["--compare", str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = {line.split(":")[0].strip(): line for line in lines[2:]}
+    assert lines[1].startswith("floats that moved in 4 field(s)")
+    assert set(listed) == {"growth.per_m[].minimal_d", "pairs.*.minimal_d", "gamma_by_level.*", ".out 'd_#=#, d_#='"}
+    count, largest = listed["growth.per_m[].minimal_d"].rsplit(":", 1)[1].split(",")
+    assert int(count) == 2 and float(largest) == pytest.approx(3e-12, rel=1e-3)
+    assert listed["pairs.*.minimal_d"].endswith(": 1, 1e-13")
+    assert listed[".out 'd_#=#, d_#='"].startswith("  .out 'd_#=#, d_#=': 1, 2e-12")
+
+
+def test_nothing_moved_lists_no_field(script, tmp_path, capsys):
+    assert compare(script, tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "floats that moved in 0 field(s) (count, largest relative change):"
+    ]

@@ -12,6 +12,7 @@ from woldkit.generate import (
     expansive_rep,
     generic_rep,
     left_invertible_rep,
+    rand_unitary,
     rank_deficient_rep,
     weighted_truncated_shift,
 )
@@ -35,6 +36,8 @@ from woldkit.growth import (
 from woldkit.linalg import DEFAULT_POLICY, complement, psd_margin
 from woldkit.model import Representation, iterate_map
 from woldkit.structure import iterated_pinv
+
+from conftest import minimal_scale_factor_oracle
 
 
 def scalar_rep(value: float) -> Representation:
@@ -102,26 +105,6 @@ def growth_forms_oracle(rep: Representation, k: int, d_k: float, d_const: float)
     return dense_psd(full), dense_psd(basis.conj().T @ inner @ basis)
 
 
-def minimal_scale_factor_oracle(q, g) -> float:
-    """minimal_scale_factor with both tolerance scales from full SVDs."""
-    tau = DEFAULT_POLICY.tau_psd
-    q = (q + q.conj().T) / 2.0
-    g = (g + g.conj().T) / 2.0
-    w, u = np.linalg.eigh(g)
-    keep = w > tau * max(1.0, np.linalg.norm(g, 2))
-    kernel = u[:, ~keep]
-    if kernel.shape[1]:
-        q_kernel = kernel.conj().T @ q @ kernel
-        q_kernel = (q_kernel + q_kernel.conj().T) / 2.0
-        if np.linalg.eigvalsh(q_kernel)[-1] > tau * max(1.0, np.linalg.norm(q, 2)):
-            return math.inf
-    if not np.any(keep):
-        return 0.0
-    r = u[:, keep] / np.sqrt(w[keep])
-    t = r.conj().T @ q @ r
-    return max(0.0, float(np.linalg.eigvalsh((t + t.conj().T) / 2.0)[-1]))
-
-
 def level_operator_reps(rng):
     return [concave_rep(rng, 3), expansive_rep(rng, 3), coisometry_rep(rng, 2, 2)]
 
@@ -170,7 +153,7 @@ def assert_matches_dense(rep: Representation, k: int, weight: float, d_const: fl
     """Structured level k against the dense operators; returns the outcomes."""
     a, p, vkvk = level_operators_oracle(rep, k)
     g, q = a - p, vkvk - p
-    want = minimal_scale_factor(q, g)
+    want = minimal_scale_factor_oracle(q, g)
     entry = check_growth(rep, [weight] * k, k).entries[-1]
     assert agrees(entry.minimal_d, want)
     h = weight * g - q
@@ -282,15 +265,51 @@ class TestMinimalGrowthSequence:
 
 class TestMinimalScaleFactor:
     def test_scalar_pencil(self):
-        assert minimal_scale_factor(np.array([[6.0]]), np.array([[3.0]])) == pytest.approx(2.0)
+        assert minimal_scale_factor(np.array([[6.0]]), np.array([3.0])) == pytest.approx(2.0)
 
     def test_zero_pencil(self):
-        assert minimal_scale_factor(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+        assert minimal_scale_factor(np.zeros((2, 2)), np.zeros(2)) == 0.0
 
     def test_infeasible_kernel(self):
         q = np.diag([1.0, 0.0])
-        g = np.diag([0.0, 1.0])
+        g = np.array([0.0, 1.0])
         assert math.isinf(minimal_scale_factor(q, g))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            minimal_scale_factor(np.eye(2), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "case", ["definite", "feasible-kernel", "infeasible-kernel", "all-kernel", "zero"]
+    )
+    def test_invariant_under_change_of_basis(self, rng, case):
+        """minimal_scale_factor(q, g) is the dense oracle on U q U* and
+        U diag(g) U*, for a random unitary U."""
+        n = 6
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = (x + x.conj().T) / 2.0
+        shift = (np.linalg.norm(q, 2) + 1.0) * np.eye(2)
+        g = rng.uniform(0.5, 2.0, n)
+        if case in ("feasible-kernel", "infeasible-kernel"):
+            g[:2] = 0.0
+            q[:2, :2] += shift if case == "infeasible-kernel" else -shift
+        elif case == "all-kernel":
+            g[:] = 0.0
+            q -= (np.linalg.norm(q, 2) + 1.0) * np.eye(n)
+        elif case == "zero":
+            q, g = np.zeros((n, n)), np.zeros(n)
+        order = rng.permutation(n)  # kernel coordinates anywhere, g unsorted
+        q, g = q[np.ix_(order, order)], g[order]
+        u = rand_unitary(rng, n)
+        got = minimal_scale_factor(q, g)
+        want = minimal_scale_factor_oracle(u @ q @ u.conj().T, (u * g) @ u.conj().T)
+        assert agrees(got, want)
+        if case == "infeasible-kernel":
+            assert math.isinf(got)
+        elif case in ("all-kernel", "zero"):
+            assert got == 0.0
+        else:
+            assert 0.0 < got < math.inf
 
     def test_matches_svd_scaled_oracle(self, rng):
         reps = level_operator_reps(rng) + [
@@ -303,11 +322,9 @@ class TestMinimalScaleFactor:
             structured = minimal_growth_sequence(rep, 3)
             for m in (1, 2, 3):
                 a, p, vmvm = level_operators_oracle(rep, m)
-                g, q = a - p, vmvm - p
-                got, want = minimal_scale_factor(q, g), minimal_scale_factor_oracle(q, g)
-                assert agrees(got, want)
+                want = minimal_scale_factor_oracle(vmvm - p, a - p)
                 assert agrees(structured[m - 1], want)
-                results.append(got)
+                results.append(want)
         assert math.inf in results and 0.0 in results
 
 

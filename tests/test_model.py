@@ -8,6 +8,7 @@ from woldkit.errors import BudgetExceeded, ParseError, ShapeError
 from woldkit.generate import generic_rep, truncated_shift_rep
 from woldkit.model import (
     Representation,
+    _times_ampliation,
     check_covariance,
     iterate_lower,
     iterate_map,
@@ -114,6 +115,19 @@ class TestIterateMap:
         monkeypatch.setenv("WOLDKIT_BUDGET", "8")
         with pytest.raises(BudgetExceeded):
             iterate_map(rep, 3)
+
+
+class TestTimesAmpliation:
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("inner, width", [(2, 2), (3, 2), (2, 4), (3, 0)])
+    def test_matches_kron(self, rng, blocks, inner, width):
+        # Square, tall, wide and zero-width x (the empty basis of a subspace).
+        a = rand_c(rng, 4, blocks * inner)
+        x = rand_c(rng, inner, width)
+        out = _times_ampliation(a, x)
+        dense = a @ np.kron(np.eye(blocks), x)
+        assert out.shape == dense.shape == (4, blocks * width)
+        assert np.linalg.norm(out - dense) <= 1e-14 * max(1.0, np.linalg.norm(dense))
 
 
 class TestIterateLower:

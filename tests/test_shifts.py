@@ -5,7 +5,7 @@ import pytest
 
 from woldkit.errors import ConditionIViolated, NotInvertible, ParseError, ShapeError
 from woldkit.generate import bilateral_spec, rand_unitary, unilateral_spec
-from woldkit.linalg import null_space, range_space, subspaces_equal
+from woldkit.linalg import null_space, psd_margin, range_space, subspaces_equal
 from woldkit.shifts import (
     BilateralSpec,
     UnilateralSpec,
@@ -19,6 +19,8 @@ from woldkit.shifts import (
     z_product,
 )
 from woldkit.structure import generalized_range
+
+from conftest import minimal_scale_factor_oracle
 
 
 def scalar_weights(c, L):
@@ -93,6 +95,112 @@ class TestZProduct:
         z1, z2 = rand_unitary(rng, 2), rand_unitary(rng, 4)
         spec = UnilateralSpec(d=2, L=2, p=1, Z=(z1, z2))
         assert np.allclose(z_product(spec, 2), z2 @ np.kron(np.eye(2), z1))
+
+    def test_matches_kron_at_d3(self, rng):
+        spec = unilateral_spec(rng, d=3, L=3, p=1)
+        for n in range(4):
+            want = kron_z_product(spec, n)
+            got = z_product(spec, n)
+            assert got.shape == want.shape == (3**n, 3**n)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def kron_z_product(spec, n):
+    """z_product with every lift formed by np.kron."""
+    out = np.eye(1, dtype=complex) if n == 0 else spec.Z[n - 1]
+    for j in range(1, n):
+        out = out @ np.kron(np.eye(spec.d**j), spec.Z[n - j - 1])
+    return out
+
+
+def weight_condition_oracle(spec, d_seq, k_max, n_max, budget):
+    """The weight condition by the dense formula: Y = Z^(k+n) inv(I (x) Z^(n)),
+    Q = Y*Y - I and G = I (x) (Y_1*Y_1) - I, the minimal weight from the
+    dense pencil oracle.  Returns (pairs, minimal_per_k, skipped_pairs)."""
+    d = spec.d
+    pairs, per_k, skipped = {}, {}, []
+    for k in range(1, k_max + 1):
+        for n in range(0, n_max + 1):
+            if k + n > spec.L or d ** (k + n) > budget:
+                skipped.append((k, n))
+                continue
+            zn = kron_z_product(spec, n)
+            y = kron_z_product(spec, k + n) @ np.linalg.inv(np.kron(np.eye(d**k), zn))
+            y1 = kron_z_product(spec, 1 + n) @ np.linalg.inv(np.kron(np.eye(d), zn))
+            q = y.conj().T @ y - np.eye(d ** (k + n))
+            g = np.kron(np.eye(d ** (k - 1)), y1.conj().T @ y1) - np.eye(d ** (k + n))
+            entry = {"minimal_d": minimal_scale_factor_oracle(q, g)}
+            if d_seq is not None and k <= len(d_seq):
+                entry["residual"], entry["holds"] = psd_margin(d_seq[k - 1] * g - q)
+            pairs[(k, n)] = entry
+            per_k[k] = max(per_k.get(k, 0.0), entry["minimal_d"])
+    return pairs, per_k, skipped
+
+
+def sweep_weights(kind, d, big_l, seed):
+    """Weights U diag(s) W* with expansive s, s = 1 on every other direction
+    (G has a kernel), s = 1 throughout (unitary, G = 0) or s around 1
+    (gamma < 1)."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for k in range(1, big_l + 1):
+        n = d**k
+        u, w = rand_unitary(rng, n), rand_unitary(rng, n)
+        if kind == "expansive":
+            s = rng.uniform(1.0, 1.5, n)
+        elif kind == "unit-directions":
+            s = rng.uniform(1.1, 1.5, n)
+            s[::2] = 1.0
+        elif kind == "unitary":
+            s = np.ones(n)
+        else:
+            s = rng.uniform(0.6, 1.4, n)
+        mats.append((u * s) @ w.conj().T)
+    return UnilateralSpec(d=d, L=big_l, p=1, Z=tuple(mats))
+
+
+def close(got, want) -> bool:
+    return abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want))
+
+
+class TestUnilateralConditionOracle:
+    @pytest.mark.parametrize("d, big_l", [(1, 5), (2, 4), (3, 3)])
+    def test_matches_dense_formula(self, monkeypatch, d, big_l):
+        seen = {"holds": set(), "inf": set()}
+        for kind in ("expansive", "unit-directions", "unitary", "contractive"):
+            for seed in range(3):
+                spec = sweep_weights(kind, d, big_l, 100 * d + seed)
+                budget = 10**6 if seed < 2 else d ** (big_l - 1)  # seed 2 skips by budget
+                monkeypatch.setenv("WOLDKIT_BUDGET", str(budget))
+                for d_seq in (None, [1.5, 3.0, 6.0], [0.5, 20.0]):
+                    report = check_unilateral_weight_condition(spec, d_seq, 3, 2)
+                    pairs, per_k, skipped = weight_condition_oracle(spec, d_seq, 3, 2, budget)
+                    assert report.skipped_pairs == skipped
+                    assert set(report.pairs) == set(pairs) and set(report.minimal_per_k) == set(per_k)
+                    for key, want in pairs.items():
+                        got = report.pairs[key]
+                        assert set(got) == set(want)
+                        if math.isinf(want["minimal_d"]):
+                            assert got["minimal_d"] is None
+                        else:
+                            assert close(got["minimal_d"], want["minimal_d"])
+                        if "residual" in want:
+                            assert close(got["residual"], want["residual"])
+                            assert got["holds"] == want["holds"]
+                            seen["holds"].add(got["holds"])
+                    for k, want in per_k.items():
+                        got = report.minimal_per_k[k]
+                        assert math.isinf(got) == math.isinf(want)
+                        assert math.isinf(want) or close(got, want)
+                        seen["inf"].add(math.isinf(got))
+                    want_holds = (
+                        all(math.isfinite(v) for v in per_k.values())
+                        if d_seq is None
+                        else all(e.get("holds", True) for e in pairs.values())
+                    )
+                    assert report.holds == want_holds
+        assert seen["holds"] == {True, False}
+        assert d == 1 or seen["inf"] == {True, False}
 
 
 class TestUnilateralCondition:

@@ -250,10 +250,30 @@ class TestBiRegularity:
             for y in (np.zeros((rep.ambient_domain, rep.dim_h)),
                       rand_complex(rng, rep.ambient_domain, rep.dim_h)):
                 gi = make_generalized_inverse(rep, y)
-                got = list(_biregular_levels(rep, gi, 4, DEFAULT_POLICY))
+                ker_s = null_space(gi.matrix)
+                ns = float(np.linalg.norm(gi.matrix, 2)) if ker_s.dim else 0.0
+                got = list(_biregular_levels(rep, gi, ker_s, ns, 4, DEFAULT_POLICY))
                 assert got == biregular_levels_oracle(rep, gi, 4)
                 seen.update(got)
         assert seen == {True, False}
+
+    def test_moore_penrose_kernel_and_norm_from_the_svd_of_v(self, rng):
+        # For S = V+, N(S) = ker V* and ||S|| = 1/gamma: the objects that
+        # wold_diagnostics passes instead of decomposing V+ again.
+        reps = [
+            generic_rep(rng, 2, 3),
+            rank_deficient_rep(rng, 2, 4, 2),
+            truncated_shift_rep(4),
+            left_invertible_rep(rng, 3),
+            Representation(2, 2, np.zeros((2, 4))),
+        ]
+        for rep in reps:
+            gi = GenInverse(rep, rep.pseudo_inverse())
+            assert subspaces_equal(rep.cokernel(), null_space(gi.matrix))
+            ns = 1.0 / rep.min_modulus()
+            assert ns == pytest.approx(float(np.linalg.norm(gi.matrix, 2)), rel=1e-12)
+            got = list(_biregular_levels(rep, gi, rep.cokernel(), ns, 3, DEFAULT_POLICY))
+            assert got == biregular_levels_oracle(rep, gi, 3)
 
 
 def biregular_levels_oracle(rep, gi, top, pol=DEFAULT_POLICY):
