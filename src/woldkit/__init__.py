@@ -53,7 +53,6 @@ from .model import (
     iterate_map,
     load_representation,
     save_representation,
-    tensor_lift,
 )
 from .shifts import (
     BilateralSpec,

@@ -36,6 +36,7 @@ once d^(k-1) >= m, and O(N m) memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +54,8 @@ from .linalg import (
     psd_sqrt,
     reduced_min_modulus,
 )
-from .model import Representation, _lift, derived, iterate_map
-from .structure import is_regular, iterated_pinv
+from .model import Representation, _lift, _lower_levels, _map_levels, derived, iterate_map
+from .structure import is_regular
 
 __all__ = [
     "gamma",
@@ -192,15 +193,15 @@ class _Level:
     z: np.ndarray
 
 
-def _level(rep: Representation, k: int, pol: TolerancePolicy) -> _Level:
+def _level(rep: Representation, prev: np.ndarray, pol: TolerancePolicy) -> _Level:
+    """The _Level of growth level k, from prev = V_(k-1)."""
     s, p, left = _singular_factors(rep, pol)
     d, m = rep.dim_e, rep.dim_h
-    rows = d ** (k - 1)
+    rows = prev.shape[1] // m  # d^(k-1)
     # V_k* = (I (x) V*) V_(k-1)* and U*V* = [diag(s); 0] L*, so on column i
     # of U the rows of Z are s_i (L* B_j)[i], B_j the j-th m x m row block
     # of V_(k-1)*.  z holds their complex conjugates: conjugation changes
-    # no spectrum.  iterate_map checks V_(k-1) against the budget.
-    prev = iterate_map(rep, k - 1)
+    # no spectrum.
     z = (prev.reshape(m * rows, m) @ left).reshape(m, rows, m).transpose(2, 1, 0)
     if rows > m:
         # Z_i = Q_i R_i: the complement of range(Q_i) in the rows of
@@ -249,9 +250,11 @@ def check_growth(
     None, feasibility means the minimal d at that level is finite.
     """
     entries: list[GrowthEntry] = []
-    for m in range(1, m_max + 1):
+    # Level m reads V_(m-1): the identity, then the walk of the iterates.
+    prevs = itertools.chain([iterate_map(rep, 0)], _map_levels(rep))
+    for m, prev in zip(range(1, m_max + 1), prevs):
         d_m = d_seq[m - 1] if d_seq is not None and m <= len(d_seq) else None
-        minimal, margin = _pencil(_level(rep, m, pol), d_m, pol)
+        minimal, margin = _pencil(_level(rep, prev, pol), d_m, pol)
         if margin is None:
             entries.append(GrowthEntry(m, math.isfinite(minimal), minimal, 0.0))
         else:
@@ -320,8 +323,8 @@ def gamma_power_bound_check(
     if not is_regular(rep, pol).strict:
         raise NotRegular("gamma power bound is stated for regular representations")
     g1 = gamma(rep, pol)
-    for n in range(1, n_max + 1):
-        gn = reduced_min_modulus(iterate_map(rep, n), pol)
+    for n, vn in zip(range(1, n_max + 1), _map_levels(rep)):
+        gn = reduced_min_modulus(vn, pol)
         if gn < g1**n - 1e-8:
             return False
     return True
@@ -341,7 +344,7 @@ def growth_forms_agree(
     lifted-map growth over E^(x)(k-1) (x) N(V)^perp.  For gamma >= 1 the
     two verdicts coincide for identical (d_k, d_const).
     """
-    lv = _level(rep, k, pol)
+    lv = _level(rep, iterate_map(rep, k - 1), pol)
     full = _affine(lv, d_k, d_const - d_k, 0.0)
     on = lv.p == 1.0
     restricted = _affine(lv, d_k, 0.0, d_const - d_k)[np.ix_(on, on)]
@@ -353,7 +356,7 @@ def concave_chain_check(rep: Representation, k: int, pol: TolerancePolicy = DEFA
 
     ||V_k xi||^2 <= ||xi||^2 + k (||(I (x) V) xi||^2 - ||xi||^2).
     """
-    return is_psd(_affine(_level(rep, k, pol), k, 0.0, 1.0 - k), pol)
+    return is_psd(_affine(_level(rep, iterate_map(rep, k - 1), pol), k, 0.0, 1.0 - k), pol)
 
 
 def norm_partition_residual(
@@ -367,6 +370,8 @@ def norm_partition_residual(
     with P_W = I - V V+ and D the defect operator.  Needs gamma >= 1 so
     the defect square root exists.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     d, m = rep.dim_e, rep.dim_h
     v = rep.matrix
     vd = rep.pseudo_inverse(pol)
@@ -374,12 +379,11 @@ def norm_partition_residual(
     defect = defect_operator(rep, pol).matrix
     # One column per basis vector h; V+^(0) = I, so the i = 0 term is P_W.
     total = np.linalg.norm(p_w, axis=0) ** 2
-    for i in range(1, n + 1):
-        vdi = iterated_pinv(rep, i, pol)
+    for i, vdi in zip(range(1, n + 1), _lower_levels(vd, d)):
         if i < n:
             total += np.linalg.norm(_lift(i, p_w, d) @ vdi, axis=0) ** 2
         total += np.linalg.norm(_lift(i - 1, defect, d) @ vdi, axis=0) ** 2
-    total += np.linalg.norm(iterated_pinv(rep, n, pol), axis=0) ** 2
+    total += np.linalg.norm(vdi, axis=0) ** 2  # V+^(n)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -398,21 +402,21 @@ def telescoping_residuals(
     vd = rep.pseudo_inverse(pol)
     p_w = np.eye(m, dtype=np.complex128) - v @ vd
     p_wd = np.eye(d * m, dtype=np.complex128) - vd @ v
+    eye = np.eye(m, dtype=np.complex128)
+    # (V_i, V+^(i)) for i = 0..n; level 0 is the identity pair.
+    levels = [(eye, eye), *itertools.islice(zip(_map_levels(rep), _lower_levels(vd, d)), n)]
+    vn, vdn = levels[n]
 
-    lhs1 = np.eye(m, dtype=np.complex128) - iterate_map(rep, n) @ iterated_pinv(rep, n, pol)
+    lhs1 = np.eye(m, dtype=np.complex128) - vn @ vdn
     rhs1 = np.zeros_like(lhs1)
-    for i in range(0, n):
-        vi = iterate_map(rep, i)
-        vdi = np.eye(m, dtype=np.complex128) if i == 0 else iterated_pinv(rep, i, pol)
+    for i, (vi, vdi) in enumerate(levels[:n]):
         rhs1 = rhs1 + vi @ _lift(i, p_w, d) @ vdi
     res1 = float(np.linalg.norm(lhs1 - rhs1, 2)) / max(1.0, float(np.linalg.norm(lhs1, 2)))
 
     dim_n = d**n * m
-    lhs2 = np.eye(dim_n, dtype=np.complex128) - iterated_pinv(rep, n, pol) @ iterate_map(rep, n)
+    lhs2 = np.eye(dim_n, dtype=np.complex128) - vdn @ vn
     rhs2 = np.zeros_like(lhs2)
-    for i in range(0, n):
-        vi = iterate_map(rep, i)
-        vdi = np.eye(m, dtype=np.complex128) if i == 0 else iterated_pinv(rep, i, pol)
+    for i, (vi, vdi) in enumerate(levels[:n]):
         left = _lift(n - i, vdi, d)
         mid = _lift(n - i - 1, p_wd, d)
         right = _lift(n - i, vi, d)

@@ -370,14 +370,18 @@ def _check_ambient(s1: Subspace, s2: Subspace) -> None:
 
 
 def intersect(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
-    """Intersection, via the kernel of the stacked complementary projectors."""
+    """Intersection, via the kernel of the stacked complementary projectors.
+
+    The cutoff is anchored at scale 1, the norm of the stack unless both
+    spaces are whole, when the stack is round-off and not rank.
+    """
     _check_ambient(s1, s2)
     n = s1.ambient_dim
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(n)
     eye = np.eye(n, dtype=np.complex128)
     stacked = np.vstack([eye - project(s1), eye - project(s2)])
-    return null_space(stacked, pol)
+    return null_space(stacked, pol, scale=1.0)
 
 
 def add(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:

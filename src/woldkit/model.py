@@ -5,12 +5,18 @@ of shape m x (d*m) with d = dim E and m = dim H.  Tensor indices follow a
 fixed left-to-right Kronecker ordering: index(xi (x) h) = index(xi) * m +
 index(h), so I_{E^(x)k} (x) A is realized exactly as kron(I_{d^k}, A).
 Products never form that lift.  _times_ampliation is the one step
-a (I_D (x) x): each column block of a times x.  iterate_map, z_product, the
-weight products of the unilateral weight condition, the forward translate
-V(E (x) S) and check_intertwiner take it, and iterate_lower applies I (x) S
-blockwise the other way, as S times each of the d^k row blocks of the
-iterate.  _lift, the one place that forms the ampliation, is left for
-subspace bases (lift_subspace) and for check functions.
+a (I_D (x) x): each column block of a times x.  The level walks, z_product,
+the weight products of the unilateral weight condition, the forward
+translate V(E (x) S) and check_intertwiner take it.  _lift, the one place
+that forms the ampliation, is left for subspace bases (lift_subspace) and
+for check functions.
+
+This module is the one place a level is built and budgeted.  The walks
+_map_levels (V_1, V_2, ...) and _lower_levels (S^(1), S^(2), ...) build
+each level one step from the one before; every loop over levels consumes
+one, and iterate_map and iterate_lower are the n-th level of one.
+_fits_budget is the one budget rule, asked before a level (its d^n m
+columns, or rows of S^(n)) or a shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -30,6 +36,7 @@ the first build only.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -54,7 +61,6 @@ __all__ = [
     "size_budget",
     "budget_horizon",
     "Representation",
-    "tensor_lift",
     "iterate_map",
     "iterate_lower",
     "check_covariance",
@@ -67,7 +73,7 @@ DEFAULT_SIZE_BUDGET = 20_000
 
 
 def size_budget() -> int:
-    """Column budget for ampliations; WOLDKIT_BUDGET overrides the default."""
+    """Column budget of a level; WOLDKIT_BUDGET overrides the default."""
     raw = os.environ.get("WOLDKIT_BUDGET")
     if raw is None:
         return DEFAULT_SIZE_BUDGET
@@ -181,27 +187,6 @@ class Representation:
         return _subspace(self.dim_h, self.svd()[0][:, self._svd_rank(pol):])
 
 
-def tensor_lift(k: int, a, d: int) -> np.ndarray:
-    """kron(I_{d^k}, A): the ampliation of A by k tensor factors of E.
-
-    k = 0 returns A unchanged.  Raises BudgetExceeded when the lifted
-    size d^k * max(rows, cols) passes the configured budget.
-    """
-    if k < 0:
-        raise ValueError("tensor exponent k must be nonnegative")
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    a = as_matrix(a)
-    if k == 0 or d == 1:
-        return a
-    budget = size_budget()
-    if d**k * max(a.shape) > budget:
-        raise BudgetExceeded(
-            f"tensor_lift size d^k*max(shape) = {d**k * max(a.shape)} exceeds budget {budget}"
-        )
-    return _lift(k, a, d)
-
-
 def _lift(k: int, a: np.ndarray, d: int) -> np.ndarray:
     """kron(I_{d^k}, A) without validation or budget check; A itself if k = 0 or d = 1."""
     if k == 0 or d == 1:
@@ -209,39 +194,64 @@ def _lift(k: int, a: np.ndarray, d: int) -> np.ndarray:
     return np.kron(np.eye(d**k, dtype=np.complex128), a)
 
 
-def budget_horizon(rep: Representation, cap: int = 64) -> int:
-    """Largest n with d^n * m within the size budget (capped)."""
-    budget = size_budget()
-    if rep.dim_e == 1:
-        return cap
+def _fits_budget(size: int) -> bool:
+    """Whether a level (or a shift's matrix) of this many columns fits the
+    size budget; for a lowering iterate the count is its rows."""
+    return size <= size_budget()
+
+
+def _require_budget(size: int, what: str) -> None:
+    """Raise BudgetExceeded unless _fits_budget(size)."""
+    if not _fits_budget(size):
+        raise BudgetExceeded(f"{what}: {size} exceeds the size budget {size_budget()}")
+
+
+def budget_horizon(rep: Representation) -> int:
+    """Largest n <= 64 whose level V_n fits the size budget."""
+    if rep.dim_e == 1:  # every level has dim_h columns
+        return 64 if _fits_budget(rep.dim_h) else 0
     n = 0
-    size = rep.dim_h
-    while n < cap and size * rep.dim_e <= budget:
-        size *= rep.dim_e
+    while n < 64 and _fits_budget(rep.dim_e ** (n + 1) * rep.dim_h):
         n += 1
     return n
+
+
+def _map_levels(rep: Representation):
+    """Yield V_1, V_2, ...: V_n = V (I_E (x) V_{n-1}) by one _times_ampliation
+    step; the budget is checked before each level is built."""
+    d, m = rep.dim_e, rep.dim_h
+    vn = rep.matrix
+    for n in itertools.count(1):
+        _require_budget(d**n * m, f"columns of V_{n}")
+        if n > 1:
+            vn = _times_ampliation(rep.matrix, vn)
+        yield vn
+
+
+def _lower_levels(s, d: int):
+    """Yield S^(1), S^(2), ... of S: H -> E (x) H: S^(n) = (I (x) S) S^(n-1)
+    is S times each of the d^(n-1) row blocks of S^(n-1), with no lift; the
+    budget is checked before each level is built."""
+    s = as_matrix(s)
+    m = s.shape[1]
+    out = s
+    for n in itertools.count(1):
+        _require_budget(d**n * m, f"rows of S^({n})")
+        if n > 1:
+            out = (s @ out.reshape(d ** (n - 1), m, m)).reshape(d**n * m, m)
+        yield out
 
 
 def iterate_map(rep: Representation, n: int) -> np.ndarray:
     """n-fold iterated map E^(x)n (x) H -> H, of shape m x (d^n * m).
 
-    Built by the recursion V_n = V (I_E (x) V_{n-1}) blockwise, as
-    V_n = [V_1 V_{n-1} | ... | V_d V_{n-1}] with V_j the j-th m x m column
-    block of V, so no lift is formed and each product is written straight
-    into its place in the output.
+    The n-th level of _map_levels; V_0 is the identity of H.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d, m = rep.dim_e, rep.dim_h
-    budget = size_budget()
-    if d**n * m > budget:
-        raise BudgetExceeded(f"iterate_map needs {d**n * m} columns, budget is {budget}")
     if n == 0:
-        return np.eye(m, dtype=np.complex128)
-    vn = rep.matrix
-    for _ in range(n - 1):
-        vn = _times_ampliation(rep.matrix, vn)
-    return vn
+        return np.eye(rep.dim_h, dtype=np.complex128)
+    return next(itertools.islice(_map_levels(rep), n - 1, None))
 
 
 def _times_ampliation(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -261,22 +271,12 @@ def _times_ampliation(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def iterate_lower(s, d: int, n: int) -> np.ndarray:
     """n-fold lowering iterate of a map S: H -> E (x) H.
 
-    S^(n) = (I_{E^(x)n-1} (x) S) ... (I_E (x) S) S, of shape (d^n * m) x m.
-    Each factor I_{E^(x)k} (x) S is applied blockwise, as S times each of
-    the d^k row blocks of height m, so no lift is formed and the largest
-    array is the output itself.
+    S^(n) = (I_{E^(x)n-1} (x) S) ... (I_E (x) S) S, of shape (d^n * m) x m:
+    the n-th level of _lower_levels.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    s = as_matrix(s)
-    m = s.shape[1]
-    budget = size_budget()
-    if d**n * m > budget:
-        raise BudgetExceeded(f"iterate_lower needs {d**n * m} rows, budget is {budget}")
-    out = s
-    for k in range(1, n):
-        out = (s @ out.reshape(d**k, m, m)).reshape(d ** (k + 1) * m, m)
-    return out
+    return next(itertools.islice(_lower_levels(s, d), n - 1, None))
 
 
 def check_covariance(rep: Representation, tol: float = 1e-9) -> tuple[bool, dict[str, float]]:
@@ -310,38 +310,38 @@ def _encode_complex_list(a: np.ndarray) -> list[list[float]]:
 _JSON_NUMBERS = (int, float)
 
 
+def _is_pair(pair) -> bool:
+    """An [re, im] list of two numbers; a bool is not a number."""
+    return isinstance(pair, list) and len(pair) == 2 and all(
+        isinstance(x, _JSON_NUMBERS) and not isinstance(x, bool) for x in pair
+    )
+
+
 def _decode_complex_list(entries, rows: int, cols: int, *, name: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ShapeError(f"{name} must hold {rows * cols} [re, im] pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    if all(
-        type(pair) is list
-        and len(pair) == 2
-        and type(pair[0]) in _JSON_NUMBERS
-        and type(pair[1]) in _JSON_NUMBERS
-        for pair in entries
-    ):
-        # Plain JSON numbers: one array conversion gives the bits of
-        # complex(re, im).  Overflow and non-finite values take the loop,
-        # which names the offending entry.
-        try:
-            pairs = np.array(entries, dtype=np.float64)
-        except OverflowError:
-            pairs = None
-        if pairs is not None and np.isfinite(pairs).all():
-            return pairs.view(np.complex128).reshape(rows, cols)
-    out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        # Plain JSON pairs pass on their exact types; the others take _is_pair.
+        if not (
+            type(pair) is list and len(pair) == 2
+            and type(pair[0]) in _JSON_NUMBERS and type(pair[1]) in _JSON_NUMBERS
+            or _is_pair(pair)
         ):
             raise ParseError(f"{name}[{i}] is not an [re, im] number pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError(f"{name}[{i}] has a non-finite entry")
-        out[i] = complex(re, im)
-    return out.reshape(rows, cols)
+    # One array conversion gives the bits of complex(float(re), float(im)).
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except OverflowError:
+        pairs = None
+    if pairs is None or not np.isfinite(pairs).all():
+        for i, pair in enumerate(entries):  # name the first pair that is not finite
+            try:
+                finite = all(math.isfinite(float(x)) for x in pair)
+            except OverflowError:
+                raise ParseError(f"{name}[{i}] has an integer too large for a double") from None
+            if not finite:
+                raise ParseError(f"{name}[{i}] has a non-finite entry")
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def canonical_json(obj) -> str:

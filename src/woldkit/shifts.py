@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     ConditionIViolated,
     NotInvertible,
     ParseError,
@@ -32,6 +31,7 @@ from .linalg import (
     TolerancePolicy,
     _coordinate_subspace,
     _frozen,
+    _rank,
     as_matrix,
     range_space,
 )
@@ -39,10 +39,11 @@ from .model import (
     Representation,
     _decode_complex_list,
     _encode_complex_list,
+    _fits_budget,
+    _require_budget,
     _times_ampliation,
     canonical_json,
     parse_json_file,
-    size_budget,
 )
 from .structure import _in_lifted_ranges, is_regular
 from .wold import WoldResult, wold_diagnostics
@@ -120,8 +121,7 @@ def build_unilateral_shift(spec: UnilateralSpec) -> tuple[Representation, dict]:
     dims = [d**k * p for k in range(L + 1)]
     offsets = [sum(dims[:k]) for k in range(L + 1)]
     total = sum(dims)
-    if d * total > size_budget():
-        raise BudgetExceeded(f"shift needs {d * total} columns, budget {size_budget()}")
+    _require_budget(d * total, "columns of the unilateral shift")
     v = np.zeros((total, d * total), dtype=np.complex128)
     eye_p = np.eye(p, dtype=np.complex128)
     for k in range(L):
@@ -212,13 +212,12 @@ def check_unilateral_weight_condition(
     factors: list[tuple[np.ndarray, np.ndarray]] = []  # (U diag(s), s^2) per weight
     for k, z in enumerate(spec.Z, start=1):
         u, s, _ = np.linalg.svd(z)
-        if s[-1] <= pol.tau_rank * s[0] * z.shape[0]:
+        if _rank(s, z.shape, pol, warn=False) < s.size:
             raise NotInvertible(f"weight Z_{k} is not invertible")
         gammas[k] = float(s[-1])
         factors.append((u * s, s * s))
     gamma_ok = all(g >= 1.0 - 1e-10 for g in gammas.values())
 
-    budget = size_budget()
     pairs: dict[tuple[int, int], dict] = {}
     skipped: list[tuple[int, int]] = []
     minimal_per_k: dict[int, float] = {}
@@ -228,7 +227,7 @@ def check_unilateral_weight_condition(
         worst = 0.0
         seen = False
         for n in range(0, n_max + 1):
-            if k + n > spec.L or d ** (k + n) > budget:
+            if k + n > spec.L or not _fits_budget(d ** (k + n)):
                 skipped.append((k, n))
                 continue
             us, s2 = factors[n]
@@ -263,8 +262,7 @@ def build_bilateral_shift(spec: BilateralSpec) -> tuple[Representation, dict]:
     """
     n, M = spec.n, spec.M
     dim_h = 2 * M + 1
-    if n * dim_h > size_budget():
-        raise BudgetExceeded("bilateral window exceeds the size budget")
+    _require_budget(n * dim_h, "columns of the bilateral shift")
     v = np.zeros((dim_h, n * dim_h), dtype=np.complex128)
     index_map: dict[str, int | None] = {}
     for i in range(1, n + 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, IdentityViolated, NotRegular
+from .errors import IdentityViolated, NotRegular
 from .linalg import (
     DEFAULT_POLICY,
     Subspace,
@@ -38,12 +38,13 @@ from .linalg import (
 from .model import (
     Representation,
     _lift,
+    _lower_levels,
+    _map_levels,
     _times_ampliation,
     budget_horizon,
     derived,
     iterate_lower,
     iterate_map,
-    size_budget,
 )
 
 __all__ = [
@@ -83,16 +84,16 @@ def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -
     return range_space(_times_ampliation(rep.matrix, s.basis), pol, scale=rep.norm())
 
 
-def _stabilized_chain(
-    spaces_iter, pol: TolerancePolicy, max_steps: int
-) -> tuple[list[Subspace], int]:
+def _stabilized_chain(spaces_iter, pol: TolerancePolicy) -> tuple[list[Subspace], int]:
     """Consume a chain until two consecutive mutual containments confirm.
 
     Returns (all computed subspaces, 1-based index of the stabilized one).
+    A monotone chain in C^n ties within n steps, so a chain of subspaces of
+    C^n that has not stabilized after n + 8 raises IdentityViolated.
     """
     chain: list[Subspace] = []
     stable_from: int | None = None
-    for step, space in enumerate(spaces_iter, start=1):
+    for space in spaces_iter:
         chain.append(space)
         if len(chain) >= 2 and subspaces_equal(chain[-2], chain[-1], pol):
             if stable_from is None:
@@ -102,7 +103,7 @@ def _stabilized_chain(
                 return chain, stable_from
         else:
             stable_from = None
-        if step >= max_steps:
+        if len(chain) >= space.ambient_dim + 8:
             break
     raise IdentityViolated("subspace chain failed to stabilize; numerical pathology")
 
@@ -129,8 +130,7 @@ def range_chain(
             yield current
             current = _forward_translate(rep, current, pol)
 
-    # A strictly decreasing chain in C^m ties within dim_h steps.
-    chain, stable = _stabilized_chain(spaces(), pol, max_steps=rep.dim_h + 8)
+    chain, stable = _stabilized_chain(spaces(), pol)
     return tuple(chain), stable
 
 
@@ -141,23 +141,13 @@ def stabilization_index(rep: Representation, pol: TolerancePolicy = DEFAULT_POLI
 def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Intersection of all iterated ranges, computed from explicit iterates.
 
-    Forms V_n matrices for n = 1, 2, ... and stops once two consecutive
-    ranges are mutually contained (plus one confirming step); raises
-    BudgetExceeded if the chain does not stabilize within the size budget.
+    Takes the ranges of V_1, V_2, ... and stops once two consecutive ranges
+    are mutually contained (plus one confirming step); raises BudgetExceeded
+    if the chain reaches a level past the size budget first.
     """
-    budget = size_budget()
     nv = rep.norm()
-
-    def spaces():
-        n = 1
-        while rep.dim_e**n * rep.dim_h <= budget:
-            yield range_space(iterate_map(rep, n), pol, scale=nv**n)
-            n += 1
-        raise BudgetExceeded(
-            f"range chain not stabilized before budget {budget} (reached n={n})"
-        )
-
-    chain, stable = _stabilized_chain(spaces(), pol, max_steps=rep.dim_h + 8)
+    spaces = (range_space(vn, pol, scale=nv**n) for n, vn in enumerate(_map_levels(rep), start=1))
+    chain, stable = _stabilized_chain(spaces, pol)
     return chain[stable - 1]
 
 
@@ -221,7 +211,7 @@ def is_regular(
     """Kernel-inclusion regularity check with per-horizon witnesses."""
     chain, stable = range_chain(rep, pol)
     if horizon is None:
-        horizon = max(8, stable + 4)
+        horizon = default_horizon(rep, pol)
     kernel = rep.kernel(pol)
     strict = contains(kernel, lift_subspace(1, chain[stable - 1], rep.dim_e), pol)
     per_m = dict(zip(range(1, horizon + 1), _in_lifted_ranges(rep, kernel, horizon, pol)))
@@ -331,15 +321,18 @@ def _biregular_levels(
     Moore-Penrose S).  No regularity gate; levels are computed only as
     they are consumed.  The lifted kernel has dimension d^m * dim N(S) and
     R(S^(m)) at most dim H, so a trivial kernel or the dimension rule of
-    contains decides a level without building S^(m).
+    contains decides a level without reading S^(m); the walk of S^(m) goes
+    only as deep as the deepest level read.
     """
+    lowered = enumerate(_lower_levels(gi.matrix, rep.dim_e), start=1)
     for m in range(1, top + 1):
         lifted_dim = rep.dim_e**m * ker_s.dim
         if lifted_dim == 0 or _dims_exclude(lifted_dim, rep.dim_h, pol):
             yield lifted_dim == 0  # decided by the dimensions alone
         else:
+            sm = next(s for level, s in lowered if level == m)
             ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
-            yield contains(ker_lifted, range_space(iterate_inverse(gi, m), pol, scale=ns**m), pol)
+            yield contains(ker_lifted, range_space(sm, pol, scale=ns**m), pol)
 
 
 def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -347,14 +340,18 @@ def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_PO
     return iterate_lower(rep.pseudo_inverse(pol), rep.dim_e, n)
 
 
+def _dagger_at(
+    rep: Representation, n: int, vn: np.ndarray, lowered: np.ndarray, pol: TolerancePolicy
+) -> bool:
+    """The n-dagger verdict from V_n and V+^(n)."""
+    direct, direct_norm = _pinv_and_norm(vn, pol, scale=rep.norm() ** n)
+    return _norm2_at_most(lowered - direct, 1e-8 * max(1.0, direct_norm))
+
+
 def is_n_dagger(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff the iterated pseudoinverse equals the pseudoinverse of the
     iterate: ||V+^(n) - (V_n)+||_2 <= 1e-8 max(1, ||(V_n)+||_2)."""
-    if n == 1:
-        return True
-    lowered = iterated_pinv(rep, n, pol)
-    direct, direct_norm = _pinv_and_norm(iterate_map(rep, n), pol, scale=rep.norm() ** n)
-    return _norm2_at_most(lowered - direct, 1e-8 * max(1.0, direct_norm))
+    return n == 1 or _dagger_at(rep, n, iterate_map(rep, n), iterated_pinv(rep, n, pol), pol)
 
 
 def is_hyper_dagger(
@@ -362,7 +359,10 @@ def is_hyper_dagger(
 ) -> bool:
     """n-dagger for every n up to the horizon (clamped to the size budget)."""
     top = min(horizon, budget_horizon(rep))
-    return all(is_n_dagger(rep, n, pol) for n in range(2, top + 1))
+    levels = zip(
+        range(1, top + 1), _map_levels(rep), _lower_levels(rep.pseudo_inverse(pol), rep.dim_e)
+    )
+    return all(n == 1 or _dagger_at(rep, n, vn, sn, pol) for n, vn, sn in levels)
 
 
 def fixed_point_range_check(
@@ -387,9 +387,8 @@ def fixed_point_range_check(
     stacked = []
     noise_scale = 1.0
     depth = min(budget_horizon(rep), max(horizon, stable + 1, 1))
-    for n in range(1, depth + 1):
-        vn = iterate_map(rep, n)
-        sn = iterate_inverse(gi, n)
+    levels = zip(range(1, depth + 1), _map_levels(rep), _lower_levels(gi.matrix, rep.dim_e))
+    for n, vn, sn in levels:
         vn_sn = vn @ sn
         scale = max(1.0, spectral_norm(vn) * spectral_norm(sn))
         noise_scale = max(noise_scale, scale)
@@ -428,10 +427,8 @@ def hat_map_check(
     nv = rep.norm()
     w = rep.cokernel(pol)  # R(V)^perp
     results: dict[int, bool] = {}
-    for n in range(1, n_max + 1):
-        vn = iterate_map(rep, n)
-        rn = range_space(vn, pol, scale=nv**n)
-        rn1 = range_space(iterate_map(rep, n + 1), pol, scale=nv ** (n + 1))
+    ranged = ((vn, range_space(vn, pol, scale=nv**n)) for n, vn in enumerate(_map_levels(rep), 1))
+    for n, ((vn, rn), (_, rn1)) in zip(range(1, n_max + 1), itertools.pairwise(ranged)):
         target = intersect(rn, complement(rn1, pol), pol)
         domain = lift_subspace(n, w, d)
         if target.dim != domain.dim:
@@ -460,9 +457,7 @@ def kernel_intersection_identity(
     vm = iterate_map(rep, m)
     lifted_vm = _lift(n, vm, d)
     ker_mn = null_space(iterate_map(rep, m + n), pol, scale=nv ** (m + n))
-    lhs = range_space(lifted_vm @ ker_mn.basis, pol, scale=nv**m) if ker_mn.dim else Subspace.zero(
-        d**n * rep.dim_h
-    )
+    lhs = range_space(lifted_vm @ ker_mn.basis, pol, scale=nv**m)
     ker_n = null_space(iterate_map(rep, n), pol, scale=nv**n)
     rhs = intersect(ker_n, range_space(lifted_vm, pol, scale=nv**m), pol)
     return subspaces_equal(lhs, rhs, pol)

@@ -14,6 +14,7 @@ the strict verdicts are always reported alongside.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,14 @@ from .linalg import (
     range_space,
     subspaces_equal,
 )
-from .model import Representation, _lift, _times_ampliation, budget_horizon, iterate_map
+from .model import (
+    Representation,
+    _lift,
+    _lower_levels,
+    _map_levels,
+    _times_ampliation,
+    budget_horizon,
+)
 from .structure import (
     GenInverse,
     RegularityReport,
@@ -51,7 +59,6 @@ from .structure import (
     default_horizon,
     is_hyper_dagger,
     is_regular,
-    iterated_pinv,
     lift_subspace,
     range_chain,
 )
@@ -126,7 +133,7 @@ def generated_subspace(
             translate = _forward_translate(rep, translate, pol)
             joined = add(joined, translate, pol)
 
-    chain, stable = _stabilized_chain(joins(), pol, max_steps=rep.dim_h + 8)
+    chain, stable = _stabilized_chain(joins(), pol)
     return chain[stable - 1]
 
 
@@ -227,13 +234,10 @@ def wold_diagnostics(
     spans_h = add(bracket, rinf, pol).dim == m
 
     lifted_ri = lift_subspace(1, rinf, d)
-    forward = chain[stable]  # V(E (x) R_infinity), one step past the limit
-    backward = (
-        range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
-        if rinf.dim
-        else Subspace.zero(d * m)
-    )
-    reduces = contains(forward, rinf, pol) and contains(backward, lifted_ri, pol)
+    # V(E (x) R_infinity) lies in R_infinity: range_chain stopped on that
+    # containment, so reduction needs only the adjoint direction.
+    backward = range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
+    reduces = contains(backward, lifted_ri, pol)
 
     if rinf.dim:
         gap = (vd - v.conj().T) @ rinf.basis
@@ -346,8 +350,9 @@ def duality_check(
     nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
     joined = Subspace.zero(rep.dim_h)
     top = min(max(budget_horizon(rep), 1), rep.dim_h + 2)
-    for n in range(1, top + 1):
-        kernel_n = null_space(iterated_pinv(rep, n, pol), pol, scale=nd**n)
+    lowered = _lower_levels(rep.pseudo_inverse(pol), rep.dim_e)
+    for n, vdn in zip(range(1, top + 1), lowered):
+        kernel_n = null_space(vdn, pol, scale=nd**n)
         joined = add(joined, kernel_n, pol)
     if not subspaces_equal(bracket, joined, pol):
         return False
@@ -371,29 +376,24 @@ def kernel_span_check(
     nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
     w = wandering_space(rep, pol)
     wd = co_wandering_space(rep, pol)
+    eye = np.eye(m, dtype=np.complex128)
+    maps = itertools.chain([eye], _map_levels(rep))  # V_0 = I, V_1, ...
+    lowered = [eye, *itertools.islice(_lower_levels(rep.pseudo_inverse(pol), d), n)]
 
-    ker1 = null_space(iterated_pinv(rep, n, pol), pol, scale=nd**n)
+    ker1 = null_space(lowered[n], pol, scale=nd**n)
     join1 = Subspace.zero(m)
-    for i in range(n):
-        vi = iterate_map(rep, i)
-        translated = (
-            range_space(vi @ lift_subspace(i, w, d).basis, pol, scale=nv**i)
-            if w.dim
-            else Subspace.zero(m)
-        )
+    for i, vi in zip(range(n), maps):
+        translated = range_space(vi @ lift_subspace(i, w, d).basis, pol, scale=nv**i)
         join1 = add(join1, translated, pol)
     first = contains(ker1, join1, pol)
 
     if not is_regular(rep, pol).strict:
         return first, None
-    ker_n = null_space(iterate_map(rep, n), pol, scale=nv**n)
+    ker_n = null_space(next(maps), pol, scale=nv**n)  # the zip stopped before V_n
     join2 = Subspace.zero(d**n * m)
-    for i in range(n):
-        vdi = np.eye(m, dtype=np.complex128) if i == 0 else iterated_pinv(rep, i, pol)
+    for i, vdi in enumerate(lowered[:n]):
         left = _lift(n - i, vdi, d)
         arg = _lift(n - i - 1, wd.basis, d)
-        if arg.shape[1] == 0:
-            continue
         join2 = add(join2, range_space(left @ arg, pol, scale=nd**i), pol)
     second = subspaces_equal(ker_n, join2, pol)
     return first, second

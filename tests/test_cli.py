@@ -36,6 +36,12 @@ class TestAnalyze:
         assert run_cli("analyze", str(bad)) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_double_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"dim_E": 1, "dim_H": 1, "V": [[1' + "0" * 400 + ', 0]]}')
+        assert run_cli("analyze", str(bad)) == 1
+        assert capsys.readouterr().err == "error: V[0] has an integer too large for a double\n"
+
     def test_small_modulus_exits_two_with_skips(self, tmp_path):
         fixture = tmp_path / "small.json"
         save_representation(

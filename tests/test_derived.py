@@ -48,7 +48,7 @@ def _chain_oracle(rep, pol):
             yield current
             current = _forward_translate(rep, current, pol)
 
-    return _stabilized_chain(spaces(), pol, max_steps=rep.dim_h + 8)
+    return _stabilized_chain(spaces(), pol)
 
 
 @pytest.mark.parametrize("kind", ["generic", "rank-deficient", "left-invertible", "zero"])

@@ -161,7 +161,8 @@ def assert_matches_dense(rep: Representation, k: int, weight: float, d_const: fl
     assert entry.feasible == feasible
     # The tolerance scale max(1, ||h||) comes from both ends of the spectrum.
     w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    got = np.linalg.eigvalsh(_affine(_level(rep, k, DEFAULT_POLICY), weight, 1.0 - weight, 0.0))
+    lv = _level(rep, iterate_map(rep, k - 1), DEFAULT_POLICY)
+    got = np.linalg.eigvalsh(_affine(lv, weight, 1.0 - weight, 0.0))
     scale = 1e-9 * max(1.0, -w[0], w[-1])
     assert abs(entry.psd_residual - lam) <= scale and abs(got[-1] - w[-1]) <= scale
     chain = concave_chain_check(rep, k)
@@ -346,7 +347,7 @@ class TestLevelOperators:
         for rep in reps:
             for k in (1, 2, 3):
                 a, p, vkvk = level_operators_oracle(rep, k)
-                lv = _level(rep, k, DEFAULT_POLICY)
+                lv = _level(rep, iterate_map(rep, k - 1), DEFAULT_POLICY)
                 for x, y, z in ((0.0, 1.0, 0.0), (2.0, -1.0, 0.5), (1.5, 0.0, -1.0)):
                     dense = np.linalg.eigvalsh(x * a + y * p + z * np.eye(a.shape[0]) - vkvk)
                     got = np.linalg.eigvalsh(_affine(lv, x, y, z))

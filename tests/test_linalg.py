@@ -271,6 +271,16 @@ class TestSubspaceOps:
         assert complement(zero).dim == 4
         assert project(zero).shape == (4, 4) and not project(zero).any()
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_intersection_of_two_whole_spaces(self, rng, n):
+        # Both I - P blocks are round-off when neither basis is the identity;
+        # that round-off is not rank.
+        u = np.linalg.qr(rand_c(rng, n, n))[0]
+        whole = Subspace(n, u)
+        assert intersect(whole, Subspace.full(n)).dim == n
+        assert intersect(Subspace.full(n), whole).dim == n
+        assert intersect(whole, Subspace(n, np.linalg.qr(rand_c(rng, n, n))[0])).dim == n
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             intersect(Subspace.zero(3), Subspace.zero(4))

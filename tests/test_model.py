@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from woldkit.errors import BudgetExceeded, ParseError, ShapeError
 from woldkit.generate import generic_rep, truncated_shift_rep
 from woldkit.model import (
     Representation,
+    _lower_levels,
+    _map_levels,
     _times_ampliation,
+    budget_horizon,
     check_covariance,
     iterate_lower,
     iterate_map,
@@ -17,7 +22,6 @@ from woldkit.model import (
     representation_from_dict,
     representation_to_dict,
     save_representation,
-    tensor_lift,
 )
 
 
@@ -38,38 +42,6 @@ class TestRepresentation:
     def test_generator_labels_must_match(self):
         with pytest.raises(ShapeError):
             Representation(1, 1, np.eye(1), sigma={"a": np.eye(1)}, phi={})
-
-
-class TestTensorLift:
-    def test_k_zero_is_identity_on_input(self, rng):
-        a = rand_c(rng, 2, 3)
-        assert tensor_lift(0, a, 2) is not None
-        assert np.array_equal(tensor_lift(0, a, 2), a)
-
-    def test_one_by_one(self):
-        out = tensor_lift(1, np.array([[3.0]]), 2)
-        assert np.allclose(out, np.diag([3.0, 3.0]))
-
-    def test_block_diagonal_copies(self, rng):
-        a = rand_c(rng, 2, 3)
-        out = tensor_lift(2, a, 2)
-        assert out.shape == (8, 12)
-        assert np.allclose(out, np.kron(np.eye(4), a))
-
-    def test_composition(self, rng):
-        a = rand_c(rng, 2, 2)
-        assert np.allclose(tensor_lift(1, tensor_lift(2, a, 2), 2), tensor_lift(3, a, 2))
-
-    def test_singular_values_with_multiplicity(self, rng):
-        a = rand_c(rng, 2, 3)
-        s = np.linalg.svd(a, compute_uv=False)
-        lifted = np.linalg.svd(tensor_lift(2, a, 2), compute_uv=False)
-        assert np.allclose(np.sort(lifted), np.sort(np.tile(s, 4)))
-
-    def test_budget(self, monkeypatch, rng):
-        monkeypatch.setenv("WOLDKIT_BUDGET", "10")
-        with pytest.raises(BudgetExceeded):
-            tensor_lift(3, rand_c(rng, 2, 2), 3)
 
 
 class TestIterateMap:
@@ -107,7 +79,7 @@ class TestIterateMap:
     def test_semigroup_identity(self, rng):
         rep = generic_rep(rng, 2, 2)
         lhs = iterate_map(rep, 3)
-        rhs = iterate_map(rep, 1) @ tensor_lift(1, iterate_map(rep, 2), 2)
+        rhs = iterate_map(rep, 1) @ np.kron(np.eye(2), iterate_map(rep, 2))
         assert np.allclose(lhs, rhs)
 
     def test_budget(self, monkeypatch, rng):
@@ -151,6 +123,60 @@ class TestIterateLower:
         assert iterate_lower(s, d, 3).shape == (d**3 * m, m)
         with pytest.raises(BudgetExceeded):
             iterate_lower(s, d, 4)
+
+
+class TestWalks:
+    """_map_levels and _lower_levels build each level from the one before."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_levels_match_rebuild_and_kron(self, rng, d):
+        m = 3
+        rep = Representation(d, m, rand_c(rng, m, d * m))
+        s = rand_c(rng, d * m, m)
+        maps = list(itertools.islice(_map_levels(rep), 5))
+        lowered = list(itertools.islice(_lower_levels(s, d), 5))
+        dense_v, dense_s = rep.matrix, s
+        for n in range(1, 6):
+            # Level n rebuilt from scratch by the same steps: bit for bit.
+            vn, sn = rep.matrix, s
+            for k in range(1, n):
+                vn = _times_ampliation(rep.matrix, vn)
+                sn = (s @ sn.reshape(d**k, m, m)).reshape(d ** (k + 1) * m, m)
+            assert np.array_equal(maps[n - 1], vn) and np.array_equal(lowered[n - 1], sn)
+            # The dense Kronecker recursion rounds differently.
+            if n > 1:
+                dense_v = rep.matrix @ np.kron(np.eye(d), dense_v)
+                dense_s = np.kron(np.eye(d ** (n - 1)), s) @ dense_s
+            assert np.linalg.norm(maps[n - 1] - dense_v) <= 1e-13 * np.linalg.norm(dense_v)
+            assert np.linalg.norm(lowered[n - 1] - dense_s) <= 1e-13 * np.linalg.norm(dense_s)
+            assert np.array_equal(iterate_map(rep, n), maps[n - 1])
+            assert np.array_equal(iterate_lower(s, d, n), lowered[n - 1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_budget_stops_a_walk_before_the_level(self, monkeypatch, rng, d):
+        m = 30
+        rep = Representation(d, m, rand_c(rng, m, d * m))
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(d**3 * m))
+        assert budget_horizon(rep) == 3
+        for walk in (_map_levels(rep), _lower_levels(rand_c(rng, d * m, m), d)):
+            levels = list(itertools.islice(walk, budget_horizon(rep)))  # never raises
+            assert [max(level.shape) for level in levels] == [d * m, d**2 * m, d**3 * m]
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded):
+                    next(walk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < d**4 * m * m * 16 / 8  # level 4 holds d^4 m^2 complex entries
+
+    def test_budget_horizon_of_a_one_dimensional_map(self, monkeypatch):
+        rep = truncated_shift_rep(5)
+        assert budget_horizon(rep) == 64
+        monkeypatch.setenv("WOLDKIT_BUDGET", "4")
+        assert budget_horizon(rep) == 0
+        with pytest.raises(BudgetExceeded):
+            next(_map_levels(rep))
 
 
 class TestCovariance:
@@ -266,5 +292,22 @@ class TestDecode:
         assert str(err.value) == message
 
     def test_integer_too_large_for_a_float_overflows(self):
-        with pytest.raises(OverflowError):
-            representation_from_dict({"dim_E": 1, "dim_H": 1, "V": [[10**400, 0]]})
+        # The overflow is a parse error that names the entry, not an OverflowError.
+        with pytest.raises(ParseError) as err:
+            representation_from_dict({"dim_E": 2, "dim_H": 1, "V": [[0, 1], [10**400, 0]]})
+        assert str(err.value) == "V[1] has an integer too large for a double"
+
+    def test_integer_too_large_for_a_float_in_a_shift_spec(self):
+        from woldkit.shifts import shift_spec_from_dict
+
+        doc = {"kind": "unilateral", "d": 1, "L": 1, "p": 1, "Z": [[[-(10**400), 0]]]}
+        with pytest.raises(ParseError) as err:
+            shift_spec_from_dict(doc)
+        assert str(err.value) == "Z_1[0] has an integer too large for a double"
+
+    def test_first_bad_entry_is_named(self):
+        # A non-finite value before an overflowing integer is the one named.
+        entries = [[1.0, 0.0], [0.0, math.inf], [-(10**400), 0], [2.0, 2.0]]
+        with pytest.raises(ParseError) as err:
+            _decode_complex_list(entries, 2, 2, name="V")
+        assert str(err.value) == "V[1] has a non-finite entry"

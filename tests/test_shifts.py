@@ -18,6 +18,7 @@ from woldkit.shifts import (
     shift_pipeline,
     z_product,
 )
+from woldkit.growth import check_growth
 from woldkit.structure import generalized_range
 
 from conftest import minimal_scale_factor_oracle
@@ -201,6 +202,32 @@ class TestUnilateralConditionOracle:
                     assert report.holds == want_holds
         assert seen["holds"] == {True, False}
         assert d == 1 or seen["inf"] == {True, False}
+
+
+class TestWeightConditionIsTheShiftPencil:
+    """The unilateral weight condition is the growth pencil of the shift it
+    weights: the level-k minimal weight of check_growth on the built shift
+    is the largest pair (k, n) minimal weight over n <= L - k."""
+
+    def test_sweep(self):
+        seen_inf = set()
+        for d, big_l in ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3)):
+            for p in (1, 2):
+                rng = np.random.default_rng(100 * d + 10 * big_l + p)
+                spec = UnilateralSpec(d=d, L=big_l, p=p, Z=tuple(
+                    (rand_unitary(rng, d**k) * rng.uniform(0.3, 3.0, d**k)) @ rand_unitary(rng, d**k)
+                    for k in range(1, big_l + 1)
+                ))
+                growth = check_growth(build_unilateral_shift(spec)[0], None, big_l)
+                report = check_unilateral_weight_condition(spec, None, big_l, big_l - 1)
+                for k in range(1, big_l + 1):
+                    pairs = [report.pairs[(k, n)]["minimal_d"] for n in range(big_l - k + 1)]
+                    want = math.inf if None in pairs else max(pairs)
+                    got = growth.entries[k - 1].minimal_d
+                    assert math.isinf(got) == math.isinf(want)
+                    assert math.isinf(want) or close(got, want)
+                    seen_inf.add(math.isinf(want))
+        assert seen_inf == {True, False}
 
 
 class TestUnilateralCondition:

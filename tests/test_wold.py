@@ -128,6 +128,12 @@ class TestWoldDecompose:
                 flag = wold_diagnostics(rep, horizon).biregular
                 assert flag == is_biregular(rep, gi, horizon).holds
 
+    def test_unitary_map_restricts_to_a_unitary(self, rng):
+        u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        res = wold_diagnostics(Representation(1, 5, u), 4)
+        assert res.generalized_range.dim == 5
+        assert res.unitary_restriction and res.fully_coisometric_restriction
+
     def test_coisometry_everything_stable(self, rng):
         rep = coisometry_rep(rng, 2, 3)
         res = wold_decompose(rep)
