@@ -52,9 +52,17 @@ from .linalg import (
     is_psd,
     psd_margin,
     psd_sqrt,
-    reduced_min_modulus,
 )
-from .model import Representation, _lift, _lower_levels, _map_levels, derived, iterate_map
+from .model import (
+    Representation,
+    _level_rank,
+    _lift,
+    _lower_levels,
+    _map_levels,
+    _svd_levels,
+    derived,
+    iterate_map,
+)
 from .structure import is_regular
 
 __all__ = [
@@ -323,8 +331,9 @@ def gamma_power_bound_check(
     if not is_regular(rep, pol).strict:
         raise NotRegular("gamma power bound is stated for regular representations")
     g1 = gamma(rep, pol)
-    for n, vn in zip(range(1, n_max + 1), _map_levels(rep)):
-        gn = reduced_min_modulus(vn, pol)
+    for n, (_, s, _) in zip(range(1, n_max + 1), _svd_levels(rep)):
+        r = _level_rank(rep, n, s, pol, warn=False)
+        gn = float(s[r - 1]) if r else math.inf  # gamma(V_n)
         if gn < g1**n - 1e-8:
             return False
     return True

@@ -143,19 +143,6 @@ def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.n
     return (vh[:r].conj().T * (1.0 / s[:r])) @ u[:, :r].conj().T
 
 
-def _pinv_and_norm(
-    a, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None
-) -> tuple[np.ndarray, float]:
-    """pinv(a, pol, scale) and its 2-norm 1 / sigma_r, read off the same SVD
-    (0.0 when the inverse is zero)."""
-    a = as_matrix(a)
-    if a.size == 0 or not a.any():
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128), 0.0
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _rank(s, a.shape, pol, scale=scale)
-    return _pinv_from_svd(u, s, vh, r), (1.0 / float(s[r - 1]) if r else 0.0)
-
-
 def pinv(a, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse with the policy's relative rank cutoff.
 
@@ -163,7 +150,11 @@ def pinv(a, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None) -
     result satisfies the four defining identities to ~1e-9 * norm(a).
     `scale` anchors the rank cutoff as in range_space.
     """
-    return _pinv_and_norm(a, pol, scale)[0]
+    a = as_matrix(a)
+    if a.size == 0 or not a.any():
+        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return _pinv_from_svd(u, s, vh, _rank(s, a.shape, pol, scale=scale))
 
 
 def reduced_min_modulus(a, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -372,25 +363,34 @@ def _check_ambient(s1: Subspace, s2: Subspace) -> None:
 def intersect(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Intersection, via the kernel of the stacked complementary projectors.
 
-    The cutoff is anchored at scale 1, the norm of the stack unless both
-    spaces are whole, when the stack is round-off and not rank.
+    A zero operand gives {0} and a whole operand gives the other operand
+    itself, with no SVD.  Otherwise the cutoff is anchored at scale 1, the
+    norm of the stack.
     """
     _check_ambient(s1, s2)
     n = s1.ambient_dim
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(n)
+    if s1.dim == n:
+        return s2
+    if s2.dim == n:
+        return s1
     eye = np.eye(n, dtype=np.complex128)
     stacked = np.vstack([eye - project(s1), eye - project(s2)])
     return null_space(stacked, pol, scale=1.0)
 
 
 def add(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
-    """Closed span of the union, by re-orthonormalizing concatenated bases."""
+    """Closed span of the union, by re-orthonormalizing concatenated bases.
+
+    A zero operand gives the other operand itself, with no SVD.
+    """
     _check_ambient(s1, s2)
-    joined = np.hstack([s1.basis, s2.basis])
-    if joined.shape[1] == 0:
-        return Subspace.zero(s1.ambient_dim)
-    return range_space(joined, pol)
+    if s1.dim == 0:
+        return s2
+    if s2.dim == 0:
+        return s1
+    return range_space(np.hstack([s1.basis, s2.basis]), pol)
 
 
 def _dims_exclude(dim1: int, dim2: int, pol: TolerancePolicy) -> bool:

@@ -11,12 +11,15 @@ translate V(E (x) S) and check_intertwiner take it.  _lift, the one place
 that forms the ampliation, is left for subspace bases (lift_subspace) and
 for check functions.
 
-This module is the one place a level is built and budgeted.  The walks
-_map_levels (V_1, V_2, ...) and _lower_levels (S^(1), S^(2), ...) build
-each level one step from the one before; every loop over levels consumes
-one, and iterate_map and iterate_lower are the n-th level of one.
-_fits_budget is the one budget rule, asked before a level (its d^n m
-columns, or rows of S^(n)) or a shift's matrix is built.
+This module is the one place a level is built and budgeted.  Three walks
+build each level one step from the one before: _map_levels (V_1, V_2,
+...), _lower_levels (S^(1), S^(2), ...) and _svd_levels, the SVD
+u diag(s) w* of V_1, V_2, ..., each read off the thin SVD of an m x dm
+core, so that no level is decomposed whole; _level_rank is the rank rule
+of a level.  Every loop over levels consumes a walk, and iterate_map and
+iterate_lower are the n-th level of one.  _fits_budget is the one budget
+rule, asked before a level (its d^n m columns, or rows of S^(n)) or a
+shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -26,11 +29,11 @@ from its matrix V.  One full SVD of V, made once and needing no policy,
 gives them all: the 2-norm s[0], and, with the rank r decided once per
 TolerancePolicy by the rank rule of linalg, the pseudoinverse, the reduced
 minimum modulus s[r-1], ker V (the trailing right singular vectors),
-ker V* (the trailing left ones), the first space R(V) of the range chain
-and the factors of the growth pencil.  Iterates and lifts are never
-memoized, since caching them would raise peak memory.  Concurrent first use
-may build a value twice, with the same result, and a RankWarning fires on
-the first build only.
+ker V* (the trailing left ones), the first space R(V) of the range chain,
+the factors of the growth pencil and the first level of _svd_levels.
+Iterates and lifts are never memoized, since caching them would raise peak
+memory.  Concurrent first use may build a value twice, with the same
+result, and a RankWarning fires on the first build only.
 """
 
 from __future__ import annotations
@@ -226,6 +229,37 @@ def _map_levels(rep: Representation):
         if n > 1:
             vn = _times_ampliation(rep.matrix, vn)
         yield vn
+
+
+def _svd_levels(rep: Representation):
+    """Yield (u, s, w) with V_n = u diag(s) w* for n = 1, 2, ...: u is m x m
+    unitary, s the m singular values in descending order, and w is
+    d^n m x m with orthonormal columns.
+
+    Level 1 is read off rep.svd().  Since V_n = C (I_E (x) w_{n-1})* with
+    the m x dm core C = V (I_E (x) u_{n-1} diag(s_{n-1})), one thin SVD
+    C = u diag(s) x* gives u and s of level n, and w = (I_E (x) w_{n-1}) x,
+    whose j-th row block is w_{n-1} times the j-th m x m row block of x.
+    The budget is checked before each level is built.
+    """
+    d, m = rep.dim_e, rep.dim_h
+    u, s, vh = rep.svd()
+    s, w = s[:m], vh[:m].conj().T
+    for n in itertools.count(1):
+        _require_budget(d**n * m, f"columns of V_{n}")
+        if n > 1:
+            u, s, xh = np.linalg.svd(_times_ampliation(rep.matrix, u * s), full_matrices=False)
+            w = (w @ xh.conj().T.reshape(d, m, m)).reshape(d * w.shape[0], m)
+        yield u, s, w
+
+
+def _level_rank(
+    rep: Representation, n: int, s: np.ndarray, pol: TolerancePolicy, *, warn: bool = True
+) -> int:
+    """Rank of V_n from its singular values s: the rank rule of linalg on
+    the m x d^n m iterate, with the cutoff anchored at ||V||^n, the scale
+    of the round-off of a product of n factors V."""
+    return _rank(s, (rep.dim_h, rep.dim_e**n * rep.dim_h), pol, warn=warn, scale=rep.norm() ** n)
 
 
 def _lower_levels(s, d: int):

@@ -24,7 +24,6 @@ from .linalg import (
     TolerancePolicy,
     _dims_exclude,
     _norm2_at_most,
-    _pinv_and_norm,
     _subspace,
     complement,
     contains,
@@ -37,14 +36,15 @@ from .linalg import (
 )
 from .model import (
     Representation,
+    _level_rank,
     _lift,
     _lower_levels,
     _map_levels,
+    _svd_levels,
     _times_ampliation,
     budget_horizon,
     derived,
     iterate_lower,
-    iterate_map,
 )
 
 __all__ = [
@@ -141,14 +141,20 @@ def stabilization_index(rep: Representation, pol: TolerancePolicy = DEFAULT_POLI
 def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Intersection of all iterated ranges, computed from explicit iterates.
 
-    Takes the ranges of V_1, V_2, ... and stops once two consecutive ranges
-    are mutually contained (plus one confirming step); raises BudgetExceeded
-    if the chain reaches a level past the size budget first.
+    Reads R(V_n) off the SVD of each level, which _svd_levels builds from
+    an m x dm core, and stops once two consecutive ranges are mutually
+    contained (plus one confirming step); raises BudgetExceeded if the
+    chain reaches a level past the size budget first.
     """
-    nv = rep.norm()
-    spaces = (range_space(vn, pol, scale=nv**n) for n, vn in enumerate(_map_levels(rep), start=1))
-    chain, stable = _stabilized_chain(spaces, pol)
+    chain, stable = _stabilized_chain((rn for *_, rn in _ranged_levels(rep, pol)), pol)
     return chain[stable - 1]
+
+
+def _ranged_levels(rep: Representation, pol: TolerancePolicy):
+    """Yield (u, s, w, R(V_n)) for n = 1, 2, ...: the SVD V_n = u diag(s) w*
+    of _svd_levels and the range u[:, :r], r the rank of V_n."""
+    for n, (u, s, w) in enumerate(_svd_levels(rep), start=1):
+        yield u, s, w, _subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)])
 
 
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -340,29 +346,49 @@ def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_PO
     return iterate_lower(rep.pseudo_inverse(pol), rep.dim_e, n)
 
 
+def _level_pinv(
+    rep: Representation, n: int, level: tuple, pol: TolerancePolicy
+) -> tuple[np.ndarray, float]:
+    """(V_n)+ and its 2-norm from the SVD (u, s, w) of V_n.
+
+    (V_n)+ = (w[:, :r] / s[:r]) u[:, :r]* with r the rank of V_n, and its
+    norm is 1 / s[r-1] (0.0 when r = 0).
+    """
+    u, s, w = level
+    r = _level_rank(rep, n, s, pol)
+    return (w[:, :r] / s[:r]) @ u[:, :r].conj().T, (1.0 / float(s[r - 1]) if r else 0.0)
+
+
 def _dagger_at(
-    rep: Representation, n: int, vn: np.ndarray, lowered: np.ndarray, pol: TolerancePolicy
+    rep: Representation, n: int, level: tuple, lowered: np.ndarray, pol: TolerancePolicy
 ) -> bool:
-    """The n-dagger verdict from V_n and V+^(n)."""
-    direct, direct_norm = _pinv_and_norm(vn, pol, scale=rep.norm() ** n)
+    """The n-dagger verdict from the SVD of V_n and V+^(n)."""
+    direct, direct_norm = _level_pinv(rep, n, level, pol)
     return _norm2_at_most(lowered - direct, 1e-8 * max(1.0, direct_norm))
 
 
 def is_n_dagger(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff the iterated pseudoinverse equals the pseudoinverse of the
     iterate: ||V+^(n) - (V_n)+||_2 <= 1e-8 max(1, ||(V_n)+||_2)."""
-    return n == 1 or _dagger_at(rep, n, iterate_map(rep, n), iterated_pinv(rep, n, pol), pol)
+    if n == 1:
+        return True
+    lowered = iterated_pinv(rep, n, pol)  # ValueError for n < 1
+    return _dagger_at(rep, n, next(itertools.islice(_svd_levels(rep), n - 1, None)), lowered, pol)
 
 
 def is_hyper_dagger(
     rep: Representation, horizon: int, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
-    """n-dagger for every n up to the horizon (clamped to the size budget)."""
+    """n-dagger for every n up to the horizon (clamped to the size budget).
+
+    (V_n)+ is read off the SVD of V_n that _svd_levels builds from an
+    m x dm core, so no level is decomposed whole.
+    """
     top = min(horizon, budget_horizon(rep))
     levels = zip(
-        range(1, top + 1), _map_levels(rep), _lower_levels(rep.pseudo_inverse(pol), rep.dim_e)
+        range(1, top + 1), _svd_levels(rep), _lower_levels(rep.pseudo_inverse(pol), rep.dim_e)
     )
-    return all(n == 1 or _dagger_at(rep, n, vn, sn, pol) for n, vn, sn in levels)
+    return all(n == 1 or _dagger_at(rep, n, level, sn, pol) for n, level, sn in levels)
 
 
 def fixed_point_range_check(
@@ -423,21 +449,19 @@ def hat_map_check(
     per-n dict records where invertibility (including the dimension
     match) holds.
     """
-    d = rep.dim_e
-    nv = rep.norm()
-    w = rep.cokernel(pol)  # R(V)^perp
+    cok = rep.cokernel(pol)  # R(V)^perp
     results: dict[int, bool] = {}
-    ranged = ((vn, range_space(vn, pol, scale=nv**n)) for n, vn in enumerate(_map_levels(rep), 1))
-    for n, ((vn, rn), (_, rn1)) in zip(range(1, n_max + 1), itertools.pairwise(ranged)):
+    ranged = itertools.pairwise(_ranged_levels(rep, pol))
+    for n, ((u, s, w, rn), (*_, rn1)) in zip(range(1, n_max + 1), ranged):
         target = intersect(rn, complement(rn1, pol), pol)
-        domain = lift_subspace(n, w, d)
-        if target.dim != domain.dim:
+        if target.dim != rep.dim_e**n * cok.dim:  # the dimension of the domain
             results[n] = False
             continue
         if target.dim == 0:
             results[n] = True
             continue
-        compressed = target.basis.conj().T @ vn @ domain.basis
+        # V_n = (u s) w* on the domain E^(x)n (x) R(V)-perp, with no lift formed.
+        compressed = (target.basis.conj().T @ (u * s)) @ _times_ampliation(w.conj().T, cok.basis)
         smin = float(np.linalg.svd(compressed, compute_uv=False)[-1])
         results[n] = smin > pol.tau_sub
     return results
@@ -454,10 +478,10 @@ def kernel_intersection_identity(
     """
     d = rep.dim_e
     nv = rep.norm()
-    vm = iterate_map(rep, m)
-    lifted_vm = _lift(n, vm, d)
-    ker_mn = null_space(iterate_map(rep, m + n), pol, scale=nv ** (m + n))
+    levels = {k: vk for k, vk in zip(range(1, m + n + 1), _map_levels(rep)) if k in (m, n, m + n)}
+    lifted_vm = _lift(n, levels[m], d)
+    ker_mn = null_space(levels[m + n], pol, scale=nv ** (m + n))
     lhs = range_space(lifted_vm @ ker_mn.basis, pol, scale=nv**m)
-    ker_n = null_space(iterate_map(rep, n), pol, scale=nv**n)
+    ker_n = null_space(levels[n], pol, scale=nv**n)
     rhs = intersect(ker_n, range_space(lifted_vm, pol, scale=nv**m), pol)
     return subspaces_equal(lhs, rhs, pol)

@@ -8,7 +8,6 @@ from woldkit.linalg import (
     Subspace,
     TolerancePolicy,
     _norm2_at_most,
-    _pinv_and_norm,
     add,
     as_matrix,
     complement,
@@ -81,18 +80,18 @@ class TestReducedMinModulus:
             assert abs(g * np.linalg.norm(pinv(a), 2) - 1.0) <= 1e-8
 
 
-class TestPinvAndNorm:
+class TestPinvCutoff:
     @pytest.mark.parametrize("rank", [0, 1, 3, 5])
-    def test_norm_is_that_of_the_inverse(self, rng, rank):
+    def test_norm_is_one_over_sigma_r(self, rng, rank):
         a = rand_c(rng, 5, rank) @ rand_c(rng, rank, 7)
-        inv, norm = _pinv_and_norm(a)
-        assert np.array_equal(inv, pinv(a))
-        assert norm == pytest.approx(spectral_norm(inv), rel=1e-12, abs=0.0)
+        s = np.linalg.svd(a, compute_uv=False)
+        want = 1.0 / s[rank - 1] if rank else 0.0
+        assert spectral_norm(pinv(a)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_scale_anchors_the_cutoff(self):
-        a = np.diag([1.0, 1e-12])
-        inv, norm = _pinv_and_norm(a, scale=1e6)
-        assert np.array_equal(inv, np.diag([1.0, 0.0])) and norm == 1.0
+        a = np.diag([1.0, 1e-7])
+        assert np.allclose(pinv(a), np.diag([1.0, 1e7]), rtol=1e-15, atol=0.0)
+        assert np.array_equal(pinv(a, scale=1e6), np.diag([1.0, 0.0]))
 
 
 class TestNorm2AtMost:
@@ -284,6 +283,25 @@ class TestSubspaceOps:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             intersect(Subspace.zero(3), Subspace.zero(4))
+        with pytest.raises(DimensionMismatch):
+            add(Subspace.zero(3), Subspace.full(4))
+
+    def test_whole_and_zero_operands_are_returned_themselves(self, rng):
+        s = range_space(rand_c(rng, 5, 2))
+        whole = Subspace(5, np.linalg.qr(rand_c(rng, 5, 5))[0])
+        assert intersect(whole, s) is s and intersect(s, whole) is s
+        assert add(Subspace.zero(5), s) is s and add(s, Subspace.zero(5)) is s
+
+    def test_whole_and_zero_operands_match_the_svd_path(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            s = range_space(rand_c(rng, n, int(rng.integers(1, n + 1))))
+            whole = Subspace(n, np.linalg.qr(rand_c(rng, n, n))[0])
+            eye = np.eye(n)
+            stacked = np.vstack([eye - project(whole), eye - project(s)])
+            assert subspaces_equal(intersect(whole, s), null_space(stacked, scale=1.0))
+            zero = Subspace.zero(n)
+            assert subspaces_equal(add(zero, s), range_space(np.hstack([zero.basis, s.basis])))
 
     def test_scale_hint_kills_product_noise(self, rng):
         # A numerically-zero product must not be read as full rank.

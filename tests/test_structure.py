@@ -3,6 +3,7 @@ import pytest
 
 from woldkit.errors import NotRegular
 from woldkit.generate import (
+    bilateral_spec,
     coisometry_rep,
     concave_rep,
     generic_rep,
@@ -11,11 +12,23 @@ from woldkit.generate import (
     rank_deficient_rep,
     truncated_shift_rep,
 )
-from woldkit.linalg import DEFAULT_POLICY, null_space, pinv, range_space, subspaces_equal
-from woldkit.model import Representation, iterate_map, representation_from_dict
+from woldkit.linalg import (
+    DEFAULT_POLICY,
+    RankWarning,
+    complement,
+    intersect,
+    null_space,
+    pinv,
+    range_space,
+    spectral_norm,
+    subspaces_equal,
+)
+from woldkit.model import Representation, _svd_levels, iterate_map, representation_from_dict
+from woldkit.shifts import build_bilateral_shift
 from woldkit.structure import (
     GenInverse,
     _biregular_levels,
+    _level_pinv,
     algebraic_core,
     fixed_point_range_check,
     generalized_range,
@@ -323,12 +336,47 @@ class TestDagger:
         reps += [Representation(1, 2, np.array([[1.0, 1.0], [0.0, 0.0]]))]
         # ||(V_n)+|| = 1e5^n scales the round-off of the gap and the threshold.
         reps += [Representation(1, 3, 1e-5 * left_invertible_rep(rng, 3).matrix)]
+        reps += [generic_rep(rng, 3, 2), rank_deficient_rep(rng, 3, 3, 2)]
+        reps += [build_bilateral_shift(bilateral_spec(rng, n=2, M=2))[0]]
         verdicts = []
         for rep in reps:
             for n in range(1, 5):
                 verdicts.append(is_n_dagger(rep, n))
                 assert verdicts[-1] == n_dagger_oracle(rep, n)
         assert True in verdicts[1::4] and False in verdicts[1::4]
+
+    def test_level_zero_raises(self, rng):
+        with pytest.raises(ValueError):
+            is_n_dagger(generic_rep(rng, 2, 2), 0)
+
+    def test_rank_reads_the_level_shape(self):
+        # V = [D | 0], D = diag(1, 1e-3): V_3 = [D^3 | 0] is 2 x 16 with
+        # sigma_2 = 1e-9, below the cutoff 1e-10 * 16 of the level and
+        # above the cutoff 1e-10 * 4 that the 2 x 4 core would give.
+        rep = Representation(2, 2, np.hstack([np.diag([1.0, 1e-3]), np.zeros((2, 2))]))
+        with pytest.warns(RankWarning):
+            assert not n_dagger_oracle(rep, 3)
+        with pytest.warns(RankWarning):
+            assert not is_n_dagger(rep, 3)
+        with pytest.warns(RankWarning):
+            assert not is_hyper_dagger(rep, 3)
+
+    def test_rank_cutoff_is_anchored_at_the_norm_power(self):
+        # V = [[e, 1], [0, e]], e = 1e-4: ||V|| ~ 1 but ||V_2|| ~ 2e-4, and
+        # sigma_2(V_2) ~ e^3 / 2 lies between the cutoff 1e-10 * 2 ||V||^2
+        # and the cutoff 1e-10 * 2 ||V_2|| anchored at the level alone.
+        rep = Representation(1, 2, np.array([[1e-4, 1.0], [0.0, 1e-4]]))
+        assert not n_dagger_oracle(rep, 2)
+        assert not is_n_dagger(rep, 2)
+
+    @pytest.mark.parametrize("rank", [0, 1, 3, 5])
+    def test_level_pinv_norm_is_one_over_sigma_r(self, rng, rank):
+        rep = rank_deficient_rep(rng, 2, 5, rank) if rank else Representation(2, 5, np.zeros((5, 10)))
+        for n, level in zip(range(1, 4), _svd_levels(rep)):
+            inv, norm = _level_pinv(rep, n, level, DEFAULT_POLICY)
+            want = pinv(iterate_map(rep, n), scale=rep.norm() ** n)
+            assert np.linalg.norm(inv - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+            assert norm == pytest.approx(spectral_norm(inv), rel=1e-12, abs=0.0)
 
     def test_randomized_search_finds_failure(self, rng):
         found = False
@@ -379,7 +427,35 @@ class TestFixedPointAndInvariance:
         assert inverse_invariance_check(rep, gi)
 
 
+def hat_map_oracle(rep, n_max, pol=DEFAULT_POLICY):
+    """hat_map_check on the dense iterates and the lifted domain."""
+    out = {}
+    for n in range(1, n_max + 1):
+        vn = iterate_map(rep, n)
+        rn = range_space(vn, pol, scale=rep.norm() ** n)
+        rn1 = range_space(iterate_map(rep, n + 1), pol, scale=rep.norm() ** (n + 1))
+        target = intersect(rn, complement(rn1, pol), pol)
+        domain = lift_subspace(n, rep.cokernel(pol), rep.dim_e)
+        if target.dim != domain.dim or target.dim == 0:
+            out[n] = target.dim == domain.dim
+        else:
+            smin = np.linalg.svd(target.basis.conj().T @ vn @ domain.basis, compute_uv=False)[-1]
+            out[n] = bool(smin > pol.tau_sub)
+    return out
+
+
 class TestHatMap:
+    def test_matches_the_dense_levels(self, rng):
+        reps = [generic_rep(rng, 2, 3), generic_rep(rng, 3, 2), left_invertible_rep(rng, 3)]
+        reps += [rank_deficient_rep(rng, d, 4, r) for d in (1, 2) for r in (1, 3)]
+        reps += [truncated_shift_rep(4), build_bilateral_shift(bilateral_spec(rng, n=1, M=2))[0]]
+        verdicts = set()
+        for rep in reps:
+            got = hat_map_check(rep, 3)
+            assert got == hat_map_oracle(rep, 3)
+            verdicts.update(got.values())
+        assert verdicts == {True, False}
+
     def test_regular_instances_pass(self, rng):
         rep = generic_rep(rng, 2, 2)
         assert all(hat_map_check(rep, 3).values())
