@@ -80,9 +80,10 @@ class TestReducedMinModulus:
             assert abs(g * np.linalg.norm(pinv(a), 2) - 1.0) <= 1e-8
 
 
-class TestPinvCutoff:
+class TestPinvAndNorm:
     @pytest.mark.parametrize("rank", [0, 1, 3, 5])
-    def test_norm_is_one_over_sigma_r(self, rng, rank):
+    def test_norm_is_that_of_the_inverse(self, rng, rank):
+        # ||pinv(a)||_2 = 1 / sigma_r, the norm the dagger reader reports.
         a = rand_c(rng, 5, rank) @ rand_c(rng, rank, 7)
         s = np.linalg.svd(a, compute_uv=False)
         want = 1.0 / s[rank - 1] if rank else 0.0
