@@ -325,7 +325,9 @@ def null_space(
 ) -> Subspace:
     """Kernel of a, via the trailing right singular vectors.
 
-    `scale` plays the same role as in range_space.
+    The right factor is square for tall input from the thin SVD, so only a
+    wide a takes the full one.  `scale` plays the same role as in
+    range_space.
     """
     a = as_matrix(a)
     n = a.shape[1]
@@ -333,7 +335,7 @@ def null_space(
         return Subspace.zero(0)
     if not a.any():
         return Subspace.full(n)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     r = _rank(s, a.shape, pol, scale=scale)
     return _subspace(n, vh[r:].conj().T)
 

@@ -16,10 +16,12 @@ build each level one step from the one before: _map_levels (V_1, V_2,
 ...), _lower_levels (S^(1), S^(2), ...) and _svd_levels, the SVD
 u diag(s) w* of V_1, V_2, ..., each read off the thin SVD of an m x dm
 core, so that no level is decomposed whole; _level_rank is the rank rule
-of a level.  Every loop over levels consumes a walk, and iterate_map and
-iterate_lower are the n-th level of one.  _fits_budget is the one budget
-rule, asked before a level (its d^n m columns, or rows of S^(n)) or a
-shift's matrix is built.
+of a level.  A lowering iterate S^(n) is the adjoint of level n of the
+representation whose matrix is S*, so the ranges, kernels and norms of
+S^(n) are read off _svd_levels of that representation.  Every loop over
+levels consumes a walk, and iterate_map and iterate_lower are the n-th
+level of one.  _fits_budget is the one budget rule, asked before a level
+(its d^n m columns, or rows of S^(n)) or a shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -31,9 +33,12 @@ TolerancePolicy by the rank rule of linalg, the pseudoinverse, the reduced
 minimum modulus s[r-1], ker V (the trailing right singular vectors),
 ker V* (the trailing left ones), the first space R(V) of the range chain,
 the factors of the growth pencil and the first level of _svd_levels.
-Iterates and lifts are never memoized, since caching them would raise peak
-memory.  Concurrent first use may build a value twice, with the same
-result, and a RankWarning fires on the first build only.
+The same SVD, permuted, is the SVD of the Moore-Penrose dual (V+)*:
+wold.mp_cauchy_dual sets it through _with_svd, which with derived is the
+only writer of the memo.  Iterates, lifts and the dual are never
+memoized, since caching them would raise peak memory.  Concurrent first
+use may build a value twice, with the same result, and a RankWarning
+fires on the first build only.
 """
 
 from __future__ import annotations
@@ -188,6 +193,15 @@ class Representation:
     def cokernel(self, pol: TolerancePolicy) -> Subspace:
         """ker V* = R(V)^perp inside H."""
         return _subspace(self.dim_h, self.svd()[0][:, self._svd_rank(pol):])
+
+
+def _with_svd(rep: Representation, factors) -> Representation:
+    """rep with its svd() memo set to factors (u, s, vh), a full SVD of
+    rep.matrix that is known without decomposing it; returns rep."""
+    rep._derived[(Representation.svd.__wrapped__, DEFAULT_POLICY)] = tuple(
+        _frozen(f) for f in factors
+    )
+    return rep
 
 
 def _lift(k: int, a: np.ndarray, d: int) -> np.ndarray:

@@ -307,38 +307,41 @@ def is_biregular(
     """Check N(I_{E^(x)m} (x) S) inside R(S^(m)) for m up to the horizon.
 
     Defined for regular representations (NotRegular otherwise, judged at
-    the same horizon).  The verdict is recorded per generalized inverse;
-    it is not aggregated across different S.
+    the same horizon).  S^(m) is the adjoint of level m of the
+    representation whose matrix is S*, so N(S) and R(S^(m)) are read off
+    that representation's SVD walk.  The verdict is recorded per
+    generalized inverse; it is not aggregated across different S.
     """
     require_regular(rep, pol, horizon)
-    ker_s = null_space(gi.matrix, pol)
-    ns = spectral_norm(gi.matrix) if ker_s.dim else 0.0
-    levels = _biregular_levels(rep, gi, ker_s, ns, horizon, pol)
+    adjoint = Representation(rep.dim_e, rep.dim_h, gi.matrix.conj().T)
+    levels = _biregular_levels(adjoint, horizon, pol)
     return BiRegularityReport(horizon=horizon, per_m=dict(zip(range(1, horizon + 1), levels)))
 
 
-def _biregular_levels(
-    rep: Representation, gi: GenInverse, ker_s: Subspace, ns: float, top: int, pol: TolerancePolicy
-):
-    """Yield, for m = 1..top, whether N(I_{E^(x)m} (x) S) lies in R(S^(m)).
+def _biregular_levels(adjoint: Representation, top: int, pol: TolerancePolicy):
+    """Yield, for m = 1..top, whether N(I_{E^(x)m} (x) S) lies in R(S^(m)),
+    where adjoint is the representation whose matrix is S*.
 
-    ker_s is N(S) and ns is ||S||_2, the scale of the rank rule on the
-    iterates; the caller knows them (ker V* and 1/gamma for the
-    Moore-Penrose S).  No regularity gate; levels are computed only as
-    they are consumed.  The lifted kernel has dimension d^m * dim N(S) and
-    R(S^(m)) at most dim H, so a trivial kernel or the dimension rule of
-    contains decides a level without reading S^(m); the walk of S^(m) goes
-    only as deep as the deepest level read.
+    N(S) is the cokernel of adjoint, and S^(m) = w diag(s) u* for the SVD
+    (u, s, w) of its level m, so R(S^(m)) = w[:, :r] with r the rank rule
+    of the level: the shape of S^(m) and the cutoff anchored at ||S||^m.
+    No regularity gate; levels are computed only as they are consumed.
+    The lifted kernel has dimension d^m * dim N(S) and R(S^(m)) at most
+    dim H, so a trivial kernel or the dimension rule of contains decides a
+    level without reading the walk; the walk goes only as deep as the
+    deepest level read.
     """
-    lowered = enumerate(_lower_levels(gi.matrix, rep.dim_e), start=1)
+    d, dim_h = adjoint.dim_e, adjoint.dim_h
+    ker_s = adjoint.cokernel(pol)
+    walk = enumerate(_svd_levels(adjoint), start=1)
     for m in range(1, top + 1):
-        lifted_dim = rep.dim_e**m * ker_s.dim
-        if lifted_dim == 0 or _dims_exclude(lifted_dim, rep.dim_h, pol):
+        lifted_dim = d**m * ker_s.dim
+        if lifted_dim == 0 or _dims_exclude(lifted_dim, dim_h, pol):
             yield lifted_dim == 0  # decided by the dimensions alone
         else:
-            sm = next(s for level, s in lowered if level == m)
-            ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
-            yield contains(ker_lifted, range_space(sm, pol, scale=ns**m), pol)
+            _, s, w = next(level for n, level in walk if n == m)
+            range_m = _subspace(d**m * dim_h, w[:, : _level_rank(adjoint, m, s, pol)])
+            yield contains(lift_subspace(m, ker_s, d), range_m, pol)
 
 
 def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

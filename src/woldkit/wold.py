@@ -9,6 +9,11 @@ property.  Precondition gates (regularity, modulus >= 1, growth
 feasibility) are evaluated up to a horizon so that hard truncations of
 well-behaved infinite operators are not rejected for boundary artifacts;
 the strict verdicts are always reported alongside.
+
+The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
+of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
+that of V.  The biregular flag and duality_check therefore read ranges
+and kernels off the SVD walk of V', and decompose no tall iterate.
 """
 
 from __future__ import annotations
@@ -48,15 +53,16 @@ from .model import (
     _lower_levels,
     _map_levels,
     _times_ampliation,
+    _with_svd,
     budget_horizon,
 )
 from .structure import (
-    GenInverse,
     RegularityReport,
     _biregular_levels,
     _forward_translate,
     _stabilized_chain,
     default_horizon,
+    generalized_range,
     is_hyper_dagger,
     is_regular,
     lift_subspace,
@@ -272,13 +278,8 @@ def wold_diagnostics(
         dagger_equals_adjoint=dagger_adjoint,
         isometric_restriction=isometric,
         fully_coisometric_restriction=fully_coisometric,
-        # Moore-Penrose S, no regularity gate, so the flag stays computable;
-        # N(V+) = ker V* and ||V+|| = 1/gamma come from the SVD of V.
         biregular=all(
-            _biregular_levels(
-                rep, GenInverse(rep=rep, matrix=vd), rep.cokernel(pol), 1.0 / gamma(rep, pol),
-                min(horizon, max(budget_horizon(rep) - 1, 1)), pol,
-            )
+            _biregular_levels(mp_cauchy_dual(rep, pol), min(horizon, budget_horizon(rep)), pol)
         ),
         hyper_dagger=is_hyper_dagger(rep, horizon, pol),
         proj_sum_residual=sum_res,
@@ -340,24 +341,21 @@ def duality_check(
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> bool:
     """The generated subspace equals the join of iterated-pseudoinverse
-    kernels and the complement of the dual map's stable range."""
-    _, horizon = _check_preconditions(rep, None, horizon, pol)
-    w = wandering_space(rep, pol)
-    bracket = generated_subspace(rep, w, pol)
+    kernels and the complement of the dual map's stable range.
 
-    # The kernels of the iterated pseudoinverse increase; join until the
-    # chain ties (the gating horizon need not reach that depth).
-    nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
-    joined = Subspace.zero(rep.dim_h)
-    top = min(max(budget_horizon(rep), 1), rep.dim_h + 2)
-    lowered = _lower_levels(rep.pseudo_inverse(pol), rep.dim_e)
-    for n, vdn in zip(range(1, top + 1), lowered):
-        kernel_n = null_space(vdn, pol, scale=nd**n)
-        joined = add(joined, kernel_n, pol)
-    if not subspaces_equal(bracket, joined, pol):
+    With V' = mp_cauchy_dual(rep), ker V+^(n) = R(V'_n)^perp, so the
+    kernels increase and tie where the ranges of V' tie, and their join is
+    the complement of generalized_range(V'), read off the SVD walk of V'.
+    The second side is the limit of range_chain of the same V'.  The
+    horizon is that of the preconditions only; BudgetExceeded is raised
+    when the ranges of V' do not tie within the size budget.
+    """
+    _check_preconditions(rep, None, horizon, pol)
+    bracket = generated_subspace(rep, wandering_space(rep, pol), pol)
+    dual = mp_cauchy_dual(rep, pol)
+    if not subspaces_equal(bracket, complement(generalized_range(dual, pol), pol), pol):
         return False
-
-    chain, stable = range_chain(mp_cauchy_dual(rep, pol), pol)
+    chain, stable = range_chain(dual, pol)
     return subspaces_equal(bracket, complement(chain[stable - 1], pol), pol)
 
 
@@ -422,20 +420,32 @@ def cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> R
     """V (V*V)^{-1}, defined for injective maps (NotLeftInvertible otherwise).
 
     For injective V this is (V+)*, so it is mp_cauchy_dual behind the
-    injectivity gate; it keeps the generator images of rep.
+    injectivity gate, with the same SVD; it keeps the generator images of rep.
     """
     if rep.kernel(pol).dim:
         raise NotLeftInvertible("representation map has a nontrivial kernel")
-    return dataclasses.replace(mp_cauchy_dual(rep, pol), sigma=rep.sigma, phi=rep.phi)
+    dual = mp_cauchy_dual(rep, pol)
+    return _with_svd(dataclasses.replace(dual, sigma=rep.sigma, phi=rep.phi), dual.svd())
 
 
 def mp_cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Representation:
     """Pseudoinverse-based dual: the adjoint of the Moore-Penrose inverse.
 
     Coincides with cauchy_dual for injective maps and stays defined for
-    maps whose kernel comes from hard truncation.
+    maps whose kernel comes from hard truncation.  Its svd() is set from
+    the SVD V = u diag(s) vh of rank r, so nothing decomposes the dual:
+    (V+)* = u[:, p] diag(1/s[r-1], ..., 1/s[0], 0, ...) vh[q], where p and
+    q reverse the first r indices and keep the others (the zero map keeps
+    its identity factors).  The dual is not memoized on rep.
     """
-    return Representation(rep.dim_e, rep.dim_h, rep.pseudo_inverse(pol).conj().T)
+    u, s, vh = rep.svd()
+    r = rep._svd_rank(pol)
+    order = np.arange(vh.shape[0])
+    order[:r] = order[:r][::-1]
+    inverted = np.zeros_like(s)
+    inverted[:r] = 1.0 / s[order[:r]]
+    dual = Representation(rep.dim_e, rep.dim_h, rep.pseudo_inverse(pol).conj().T)
+    return _with_svd(dual, (u[:, order[: rep.dim_h]], inverted, vh[order]))
 
 
 def check_intertwiner(rep: Representation, a, tol: float = 1e-9) -> bool:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from woldkit.linalg import DEFAULT_POLICY
+from woldkit.linalg import DEFAULT_POLICY, Subspace, add, null_space
+from woldkit.model import budget_horizon, iterate_lower
 
 
 def gaussian_rank(mat, tol: float = 1e-9) -> int:
@@ -62,6 +63,20 @@ def minimal_scale_factor_oracle(q, g) -> float:
     r = u[:, keep] / np.sqrt(w[keep])
     t = r.conj().T @ q @ r
     return max(0.0, float(np.linalg.eigvalsh((t + t.conj().T) / 2.0)[-1]))
+
+
+def kernel_join_oracle(rep, pol=DEFAULT_POLICY):
+    """The join of the kernels of the iterated pseudoinverse V+^(n) for
+    n <= min(max(budget_horizon, 1), m + 2), each from a full SVD of the
+    tall iterate with the cutoff anchored at ||V+||^n: the loop that
+    duality_check ran before it read the range chain of the dual."""
+    vd = rep.pseudo_inverse(pol)
+    nd = 1.0 / rep.min_modulus(pol)  # ||V+||_2; 0 for the zero map
+    joined = Subspace.zero(rep.dim_h)
+    for n in range(1, min(max(budget_horizon(rep), 1), rep.dim_h + 2) + 1):
+        kernel_n = null_space(iterate_lower(vd, rep.dim_e, n), pol, scale=nd**n)
+        joined = add(joined, kernel_n, pol)
+    return joined
 
 
 @pytest.fixture

@@ -255,6 +255,32 @@ class TestSubspaceOps:
         a = rand_c(rng, 4, 6)
         assert subspaces_equal(null_space(a), complement(range_space(a.conj().T)))
 
+    @staticmethod
+    def full_svd_kernel(a):
+        """The kernel from the full SVD of a, with the rank rule of linalg."""
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        cut = DEFAULT_POLICY.tau_rank * s[0] * max(a.shape)
+        return Subspace(a.shape[1], vh[int(np.count_nonzero(s > cut)):].conj().T)
+
+    def test_tall_kernel_matches_the_full_svd(self, rng):
+        cases = [rand_c(rng, 8, 3), rand_c(rng, 9, 2) @ rand_c(rng, 2, 4), np.zeros((6, 3))]
+        cases.append(1e8 * rand_c(rng, 7, 3) @ rand_c(rng, 3, 5))
+        cases += [rand_c(rng, 12, r) @ rand_c(rng, r, 6) for r in range(7)]
+        for a in cases:
+            k = null_space(a)
+            want = Subspace.full(a.shape[1]) if not a.any() else self.full_svd_kernel(a)
+            assert k.dim == want.dim == a.shape[1] - gaussian_rank(a)
+            assert subspaces_equal(k, want)
+            assert np.linalg.norm(k.basis.conj().T @ k.basis - np.eye(k.dim)) <= 1e-13
+            assert np.linalg.norm(a @ k.basis) <= 1e-13 * max(1.0, np.linalg.norm(a))
+
+    def test_wide_input_keeps_its_whole_kernel(self, rng):
+        for a in (rand_c(rng, 3, 7), rand_c(rng, 4, 1) @ rand_c(rng, 1, 6), rand_c(rng, 5, 6)):
+            k = null_space(a)
+            assert k.dim == a.shape[1] - gaussian_rank(a)
+            assert subspaces_equal(k, self.full_svd_kernel(a))
+            assert np.linalg.norm(k.basis.conj().T @ k.basis - np.eye(k.dim)) <= 1e-13
+
     def test_contains_direction(self):
         e = np.eye(3, dtype=complex)
         line = Subspace(3, e[:, :1])

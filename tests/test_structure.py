@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from woldkit.generate import (
 from woldkit.linalg import (
     DEFAULT_POLICY,
     RankWarning,
+    _dims_exclude,
     complement,
     intersect,
     null_space,
@@ -23,7 +27,13 @@ from woldkit.linalg import (
     spectral_norm,
     subspaces_equal,
 )
-from woldkit.model import Representation, _svd_levels, iterate_map, representation_from_dict
+from woldkit.model import (
+    Representation,
+    _svd_levels,
+    iterate_lower,
+    iterate_map,
+    representation_from_dict,
+)
 from woldkit.shifts import build_bilateral_shift
 from woldkit.structure import (
     GenInverse,
@@ -45,6 +55,7 @@ from woldkit.structure import (
     make_generalized_inverse,
     range_chain,
 )
+from woldkit.wold import mp_cauchy_dual
 
 from conftest import contains_oracle
 
@@ -246,33 +257,47 @@ class TestBiRegularity:
         with pytest.raises(NotRegular):
             is_biregular(rep, gi, 3)
 
-    def test_levels_match_eager_oracle(self, rng):
-        from woldkit.generate import bilateral_spec
-        from woldkit.shifts import build_bilateral_shift
+    @staticmethod
+    def assert_levels_match_the_oracle(s, d, top):
+        """_biregular_levels on the representation of S* against the dense
+        oracle; returns the verdicts and how many levels the dimensions left
+        undecided."""
+        adjoint = Representation(d, s.shape[1], s.conj().T)
+        got = list(_biregular_levels(adjoint, top, DEFAULT_POLICY))
+        assert got == biregular_levels_oracle(s, d, top)
+        k, m = null_space(s).dim, s.shape[1]
+        undecided = sum(
+            1 for n in range(1, top + 1) if 0 < d**n * k and not _dims_exclude(d**n * k, m, DEFAULT_POLICY)
+        )
+        return got, undecided
 
+    def test_levels_match_eager_oracle(self, rng):
         reps = [
             generic_rep(rng, 2, 3),
             rank_deficient_rep(rng, 2, 3, 2),
             rank_deficient_rep(rng, 1, 4, 2),
+            rank_deficient_rep(rng, 3, 5, 4),
             truncated_shift_rep(4),
+            left_invertible_rep(rng, 3),
+            Representation(2, 2, np.zeros((2, 4))),
             build_bilateral_shift(bilateral_spec(rng, n=2, M=3))[0],
             build_bilateral_shift(bilateral_spec(rng, n=1, M=3))[0],
         ]
-        seen = set()
+        seen, undecided = set(), 0
         for rep in reps:
             for y in (np.zeros((rep.ambient_domain, rep.dim_h)),
                       rand_complex(rng, rep.ambient_domain, rep.dim_h)):
                 gi = make_generalized_inverse(rep, y)
-                ker_s = null_space(gi.matrix)
-                ns = float(np.linalg.norm(gi.matrix, 2)) if ker_s.dim else 0.0
-                got = list(_biregular_levels(rep, gi, ker_s, ns, 4, DEFAULT_POLICY))
-                assert got == biregular_levels_oracle(rep, gi, 4)
+                got, read = self.assert_levels_match_the_oracle(gi.matrix, rep.dim_e, 4)
                 seen.update(got)
+                undecided += read
         assert seen == {True, False}
+        assert undecided  # some level was read off the walk
 
     def test_moore_penrose_kernel_and_norm_from_the_svd_of_v(self, rng):
-        # For S = V+, N(S) = ker V* and ||S|| = 1/gamma: the objects that
-        # wold_diagnostics passes instead of decomposing V+ again.
+        # For S = V+ the representation of S* is the Moore-Penrose dual, whose
+        # SVD is that of V, permuted: its cokernel is N(S) = ker V* and its
+        # norm is ||S|| = 1/gamma, with no decomposition of V+.
         reps = [
             generic_rep(rng, 2, 3),
             rank_deficient_rep(rng, 2, 4, 2),
@@ -281,23 +306,50 @@ class TestBiRegularity:
             Representation(2, 2, np.zeros((2, 4))),
         ]
         for rep in reps:
-            gi = GenInverse(rep, rep.pseudo_inverse())
-            assert subspaces_equal(rep.cokernel(), null_space(gi.matrix))
-            ns = 1.0 / rep.min_modulus()
-            assert ns == pytest.approx(float(np.linalg.norm(gi.matrix, 2)), rel=1e-12)
-            got = list(_biregular_levels(rep, gi, rep.cokernel(), ns, 3, DEFAULT_POLICY))
-            assert got == biregular_levels_oracle(rep, gi, 3)
+            s = rep.pseudo_inverse()
+            dual = mp_cauchy_dual(rep)
+            assert subspaces_equal(dual.cokernel(), null_space(s))
+            assert subspaces_equal(dual.cokernel(), rep.cokernel())
+            assert dual.norm() == pytest.approx(float(np.linalg.norm(s, 2)), rel=1e-12, abs=0.0)
+            got = list(_biregular_levels(dual, 3, DEFAULT_POLICY))
+            assert got == biregular_levels_oracle(s, rep.dim_e, 3)
+
+    def test_rank_of_a_level_reads_its_shape(self):
+        # S removes the first letter of a word over d = 2 letters, with weight
+        # eps on words of length one, so eps is a singular value of S, S^(2)
+        # and S^(3), which maps the words of length 3 onto E^(x)3 (x) N(S).
+        # The cutoff 1e-10 * ||S||^n * max(shape) keeps eps at levels 1 and 2
+        # and drops it at level 3 (1.2e-8 for 120 rows); the cutoff of the
+        # 15 x 30 core would keep it there too.
+        s = word_removal(2, 3, [8e-9, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            got, read = self.assert_levels_match_the_oracle(s, 2, 4)
+        assert got == [True, True, False, False] and read == 3
 
 
-def biregular_levels_oracle(rep, gi, top, pol=DEFAULT_POLICY):
-    """Every level built and tested by residuals, as before the dimension rule."""
-    ker_s = null_space(gi.matrix, pol)
-    ns = np.linalg.norm(gi.matrix, 2)
+def word_removal(d, length, weights):
+    """S: H -> E (x) H on the span H of the words of length at most `length`
+    over d letters: S(a w) = weights[|w|] e_a (x) w, and S kills the empty word."""
+    words = [w for k in range(length + 1) for w in itertools.product(range(d), repeat=k)]
+    index = {w: i for i, w in enumerate(words)}
+    m = len(words)
+    s = np.zeros((d * m, m), dtype=np.complex128)
+    for w in words[1:]:
+        s[w[0] * m + index[w[1:]], index[w]] = weights[len(w) - 1]
+    return s
+
+
+def biregular_levels_oracle(s, d, top, pol=DEFAULT_POLICY):
+    """Every level S^(n) built and tested by residuals, as before the
+    dimension rule and the SVD walk."""
+    ker_s = null_space(s, pol)
+    ns = np.linalg.norm(s, 2)
     out = []
-    for m in range(1, top + 1):
-        ker_lifted = lift_subspace(m, ker_s, rep.dim_e)
-        rng_m = range_space(iterate_inverse(gi, m), pol, scale=ns**m)
-        out.append(contains_oracle(ker_lifted, rng_m, pol))
+    for n in range(1, top + 1):
+        ker_lifted = lift_subspace(n, ker_s, d)
+        rng_n = range_space(iterate_lower(s, d, n), pol, scale=ns**n)
+        out.append(contains_oracle(ker_lifted, rng_n, pol))
     return out
 
 

@@ -1,26 +1,32 @@
 import numpy as np
 import pytest
 
+from woldkit import structure
 from woldkit.errors import (
+    BudgetExceeded,
     NotContraction,
     NotInvariant,
     NotLeftInvertible,
     PreconditionFailed,
 )
 from woldkit.generate import (
+    bilateral_spec,
     block_wold_rep,
     coisometry_rep,
     concave_rep,
     expansive_rep,
     generic_rep,
     left_invertible_rep,
+    rank_deficient_rep,
     shift_polynomial_pair,
     truncated_shift_rep,
+    unilateral_spec,
     weighted_truncated_shift,
 )
-from woldkit.linalg import Subspace, subspaces_equal
+from woldkit.linalg import Subspace, complement, subspaces_equal
 from woldkit.model import Representation
-from woldkit.structure import GenInverse, is_biregular
+from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
+from woldkit.structure import GenInverse, generalized_range, is_biregular
 from woldkit.wold import (
     cauchy_dual,
     check_intertwiner,
@@ -31,11 +37,14 @@ from woldkit.wold import (
     is_pure_contraction,
     is_wandering,
     kernel_span_check,
+    mp_cauchy_dual,
     reflection_witness,
     wandering_space,
     wold_decompose,
     wold_diagnostics,
 )
+
+from conftest import kernel_join_oracle
 
 
 def coord_space(total, cols):
@@ -128,6 +137,25 @@ class TestWoldDecompose:
                 flag = wold_diagnostics(rep, horizon).biregular
                 assert flag == is_biregular(rep, gi, horizon).holds
 
+    def test_biregular_and_hyper_dagger_read_the_same_top_level(self, monkeypatch, rng):
+        # This shift is biregular up to level 3 with dim ker V* = 1, so its
+        # flag reads every level n with 2^n <= 15; a budget of 4 * 15 columns
+        # stops both walks at level 2.
+        rep = build_unilateral_shift(unilateral_spec(rng, d=2, L=3))[0]
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(4 * 15))
+        deepest = []
+        walk = structure._svd_levels
+
+        def counted(r):
+            deepest.append(0)
+            for level in walk(r):
+                deepest[-1] += 1
+                yield level
+
+        monkeypatch.setattr(structure, "_svd_levels", counted)
+        assert wold_diagnostics(rep, 4).biregular  # raises no BudgetExceeded
+        assert deepest == [2, 2]
+
     def test_unitary_map_restricts_to_a_unitary(self, rng):
         u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         res = wold_diagnostics(Representation(1, 5, u), 4)
@@ -171,6 +199,74 @@ class TestDuality:
     def test_block_instances(self, rng):
         rep, _ = block_wold_rep(rng)
         assert duality_check(rep, horizon=3)
+
+    def test_kernel_join_is_the_complement_of_the_dual_range(self, rng):
+        reps = [truncated_shift_rep(n) for n in (1, 2, 4, 6)]
+        reps += [block_wold_rep(rng, n_shift=1 + i % 2, n_unitary=i // 2)[0] for i in range(6)]
+        reps += [rank_deficient_rep(rng, d, m, r) for d, m, r in ((1, 4, 2), (2, 4, 3), (3, 3, 1))]
+        reps += [concave_rep(rng, m) for m in (2, 4)]
+        reps.append(build_unilateral_shift(unilateral_spec(rng, d=2, L=2))[0])
+        dims = set()
+        for rep in reps:
+            joined = complement(generalized_range(mp_cauchy_dual(rep)))
+            assert subspaces_equal(joined, kernel_join_oracle(rep))
+            dims.add(joined.dim / rep.dim_h)
+        assert 0.0 in dims and 1.0 in dims and len(dims) > 2
+
+    def test_budget_below_the_tie_depth_of_the_dual_raises(self, monkeypatch, rng):
+        # The ranges of the dual of this shift tie at level 4, confirmed at
+        # level 6; a level n has 2^n * 15 columns.
+        rep = build_unilateral_shift(unilateral_spec(rng, d=2, L=3))[0]
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**5 * 15))
+        with pytest.raises(BudgetExceeded):
+            duality_check(rep, horizon=3)
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**6 * 15))
+        assert duality_check(rep, horizon=3)
+
+
+class TestMoorePenroseDual:
+    """mp_cauchy_dual sets its svd() from that of V; the dense SVD of (V+)*
+    is the oracle."""
+
+    @staticmethod
+    def dual_reps(rng):
+        reps = [Representation(d, 3, rng.standard_normal((3, 3 * d))) for d in (1, 2, 3)]
+        reps += [rank_deficient_rep(rng, d, 4, 2) for d in (1, 2, 3)]
+        reps += [Representation(2, 3, np.zeros((3, 6))), truncated_shift_rep(4)]
+        reps.append(build_bilateral_shift(bilateral_spec(rng, n=2, M=2))[0])  # zero weights
+        return reps
+
+    def test_factors_are_an_svd_of_the_dual(self, rng):
+        for rep in self.dual_reps(rng):
+            dual = mp_cauchy_dual(rep)
+            u, s, vh = dual.svd()
+            m, dm = rep.dim_h, rep.ambient_domain
+            assert u.shape == (m, m) and s.shape == (m,) and vh.shape == (dm, dm)
+            want = np.linalg.svd(dual.matrix, compute_uv=False)
+            assert np.all(np.diff(s) <= 0.0)
+            assert np.max(np.abs(s - want)) <= 1e-12 * want[0]
+            scale = max(1.0, float(np.linalg.norm(rep.pseudo_inverse(), 2)))
+            assert np.linalg.norm((u * s) @ vh[:m] - dual.matrix) <= 1e-13 * scale
+            assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= 1e-13
+            assert np.linalg.norm(vh @ vh.conj().T - np.eye(dm)) <= 1e-13
+
+    def test_zero_map_keeps_its_identity_factors(self):
+        u, s, vh = mp_cauchy_dual(Representation(2, 3, np.zeros((3, 6)))).svd()
+        assert np.array_equal(u, np.eye(3)) and not s.any() and np.array_equal(vh, np.eye(6))
+
+    def test_the_dual_is_not_decomposed(self, monkeypatch, rng):
+        reps = self.dual_reps(rng) + [left_invertible_rep(rng, 3)]
+        for rep in reps:
+            rep.pseudo_inverse()  # the one SVD of V
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        for rep in reps:
+            dual = mp_cauchy_dual(rep)
+            dual.svd(), dual.norm(), dual.cokernel()
+        cauchy_dual(reps[-1]).cokernel()
+        assert calls == []
+        assert mp_cauchy_dual(reps[0]) is not mp_cauchy_dual(reps[0])  # not memoized on rep
 
 
 class TestKernelSpanCheck:
