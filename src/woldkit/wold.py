@@ -12,8 +12,10 @@ the strict verdicts are always reported alongside.
 
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
-that of V.  The biregular flag and duality_check therefore read ranges
-and kernels off the SVD walk of V', and decompose no tall iterate.
+that of V.  So the biregular flag reads ranges and kernels off the SVD
+walk of V', duality_check reads the join of the kernels of V+^(n) as the
+complement of the range chain of V', and neither decomposes a tall
+iterate.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .structure import (
     _forward_translate,
     _stabilized_chain,
     default_horizon,
-    generalized_range,
     is_hyper_dagger,
     is_regular,
     lift_subspace,
@@ -278,8 +279,12 @@ def wold_diagnostics(
         dagger_equals_adjoint=dagger_adjoint,
         isometric_restriction=isometric,
         fully_coisometric_restriction=fully_coisometric,
+        # The hyper-dagger clamp, but level 1 is always read: it is not
+        # vacuous here, and it raises BudgetExceeded if S itself is too wide.
         biregular=all(
-            _biregular_levels(mp_cauchy_dual(rep, pol), min(horizon, budget_horizon(rep)), pol)
+            _biregular_levels(
+                mp_cauchy_dual(rep, pol), min(horizon, max(budget_horizon(rep), 1)), pol
+            )
         ),
         hyper_dagger=is_hyper_dagger(rep, horizon, pol),
         proj_sum_residual=sum_res,
@@ -345,17 +350,13 @@ def duality_check(
 
     With V' = mp_cauchy_dual(rep), ker V+^(n) = R(V'_n)^perp, so the
     kernels increase and tie where the ranges of V' tie, and their join is
-    the complement of generalized_range(V'), read off the SVD walk of V'.
-    The second side is the limit of range_chain of the same V'.  The
-    horizon is that of the preconditions only; BudgetExceeded is raised
-    when the ranges of V' do not tie within the size budget.
+    the complement of the limit of range_chain(V').  One comparison checks
+    both sides; range_chain needs no size budget, and the horizon is that
+    of the preconditions only.
     """
     _check_preconditions(rep, None, horizon, pol)
     bracket = generated_subspace(rep, wandering_space(rep, pol), pol)
-    dual = mp_cauchy_dual(rep, pol)
-    if not subspaces_equal(bracket, complement(generalized_range(dual, pol), pol), pol):
-        return False
-    chain, stable = range_chain(dual, pol)
+    chain, stable = range_chain(mp_cauchy_dual(rep, pol), pol)
     return subspaces_equal(bracket, complement(chain[stable - 1], pol), pol)
 
 

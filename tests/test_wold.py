@@ -26,7 +26,7 @@ from woldkit.generate import (
 from woldkit.linalg import Subspace, complement, subspaces_equal
 from woldkit.model import Representation
 from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
-from woldkit.structure import GenInverse, generalized_range, is_biregular
+from woldkit.structure import GenInverse, is_biregular, range_chain
 from woldkit.wold import (
     cauchy_dual,
     check_intertwiner,
@@ -156,6 +156,13 @@ class TestWoldDecompose:
         assert wold_diagnostics(rep, 4).biregular  # raises no BudgetExceeded
         assert deepest == [2, 2]
 
+    def test_biregular_reads_level_one_when_no_level_fits(self, monkeypatch, rng):
+        # d * m = 6 columns exceed the budget, so budget_horizon is 0.
+        monkeypatch.setenv("WOLDKIT_BUDGET", "5")
+        with pytest.raises(BudgetExceeded):  # N(S) is not 0: level 1 is read
+            wold_diagnostics(rank_deficient_rep(rng, 2, 3, 2), 4)
+        assert wold_diagnostics(coisometry_rep(rng, 2, 3), 4).biregular  # N(S) = 0
+
     def test_unitary_map_restricts_to_a_unitary(self, rng):
         u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         res = wold_diagnostics(Representation(1, 5, u), 4)
@@ -208,20 +215,21 @@ class TestDuality:
         reps.append(build_unilateral_shift(unilateral_spec(rng, d=2, L=2))[0])
         dims = set()
         for rep in reps:
-            joined = complement(generalized_range(mp_cauchy_dual(rep)))
+            chain, stable = range_chain(mp_cauchy_dual(rep))
+            joined = complement(chain[stable - 1])
             assert subspaces_equal(joined, kernel_join_oracle(rep))
             dims.add(joined.dim / rep.dim_h)
         assert 0.0 in dims and 1.0 in dims and len(dims) > 2
 
-    def test_budget_below_the_tie_depth_of_the_dual_raises(self, monkeypatch, rng):
-        # The ranges of the dual of this shift tie at level 4, confirmed at
-        # level 6; a level n has 2^n * 15 columns.
+    def test_budget_below_the_tie_depth_of_the_dual_is_no_bound(self, monkeypatch, rng):
+        # The ranges of the dual of this shift tie at level 4; a level n has
+        # 2^n * 15 columns, so the budget admits levels up to 3 only.
         rep = build_unilateral_shift(unilateral_spec(rng, d=2, L=3))[0]
-        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**5 * 15))
-        with pytest.raises(BudgetExceeded):
-            duality_check(rep, horizon=3)
-        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**6 * 15))
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**3 * 15))
         assert duality_check(rep, horizon=3)
+        # A coisometry's dual is surjective; a level n has 2^n * 3 columns.
+        monkeypatch.setenv("WOLDKIT_BUDGET", "12")
+        assert duality_check(coisometry_rep(np.random.default_rng(5), 2, 3))
 
 
 class TestMoorePenroseDual:
