@@ -42,6 +42,7 @@ from .model import (
     _fits_budget,
     _require_budget,
     _times_ampliation,
+    budget_horizon,
     canonical_json,
     parse_json_file,
 )
@@ -491,7 +492,7 @@ def shift_pipeline(
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
     reg = is_regular(rep, pol, horizon)
-    growth = check_growth(rep, None, min(horizon, 4), pol=pol)
+    growth = check_growth(rep, None, min(horizon, 4, budget_horizon(rep)), pol=pol)
     wold = wold_diagnostics(rep, horizon, pol, regularity=reg,
                             growth_feasible=growth.all_feasible)
     weight_holds = weight_report is not None and weight_report.holds

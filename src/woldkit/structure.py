@@ -1,7 +1,9 @@
 """Generalized range, algebraic core, regularity, and generalized inverses.
 
 The decreasing range chain R(V_1) >= R(V_2) >= ... stabilizes in finite
-dimensions; its limit is the generalized range.  Regularity asks that the
+dimensions; its limit is the generalized range.  Every chain of forward
+translates is the one walk _translates, and every subspace chain stops by
+the one rule of _stabilized_chain.  Regularity asks that the
 kernel of the map sits inside E (x) (that limit).  Because the strict
 condition is destroyed by hard truncation of an otherwise regular
 operator (the truncation boundary injects kernel vectors the untruncated
@@ -84,25 +86,33 @@ def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -
     return range_space(_times_ampliation(rep.matrix, s.basis), pol, scale=rep.norm())
 
 
+def _translates(rep: Representation, s: Subspace, pol: TolerancePolicy):
+    """Yield S, V(E (x) S), V(E (x) V(E (x) S)), ...: the forward translates
+    of S, each from the one before.  The n-th is V_n(E^(x)n (x) S)."""
+    while True:
+        yield s
+        s = _forward_translate(rep, s, pol)
+
+
 def _stabilized_chain(spaces_iter, pol: TolerancePolicy) -> tuple[list[Subspace], int]:
     """Consume a chain until two consecutive mutual containments confirm.
 
     Returns (all computed subspaces, 1-based index of the stabilized one).
-    A monotone chain in C^n ties within n steps, so a chain of subspaces of
-    C^n that has not stabilized after n + 8 raises IdentityViolated.
+    Each chain here (ranges of V_n, or joins of forward translates) is
+    constant when its first space is {0} or H, so such a chain is returned
+    as ([first] * 3, 1) without reading further.  A monotone chain in C^n
+    ties within n steps, so a chain of subspaces of C^n that has not
+    stabilized after n + 8 raises IdentityViolated.
     """
     chain: list[Subspace] = []
-    stable_from: int | None = None
+    ties = 0  # consecutive equal pairs at the end of the chain
     for space in spaces_iter:
+        if not chain and space.dim in (0, space.ambient_dim):
+            return [space] * 3, 1
+        ties = ties + 1 if chain and subspaces_equal(chain[-1], space, pol) else 0
         chain.append(space)
-        if len(chain) >= 2 and subspaces_equal(chain[-2], chain[-1], pol):
-            if stable_from is None:
-                stable_from = len(chain) - 1
-            elif len(chain) - stable_from >= 2:
-                # tie at stable_from confirmed by one extra step
-                return chain, stable_from
-        else:
-            stable_from = None
+        if ties == 2:  # the tie at len(chain) - 2, confirmed by one extra step
+            return chain, len(chain) - 2
         if len(chain) >= space.ambient_dim + 8:
             break
     raise IdentityViolated("subspace chain failed to stabilize; numerical pathology")
@@ -114,23 +124,13 @@ def range_chain(
 ) -> tuple[tuple[Subspace, ...], int]:
     """Ranges R(V_n) for n = 1, 2, ... until stabilization, via subspace iteration.
 
-    Uses R(V_{n+1}) = V(E (x) R(V_n)), which never grows past d*m columns,
-    so no size budget applies.  R(V_n) is constant from the returned index on.
-    R(V) is read off the SVD of V; when it is all of H, every V(E (x) R(V_n))
-    is H again, and the chain is (R(V), R(V), R(V)) stable from 1, as the
-    iteration would confirm it.  Memoized on the representation per policy.
+    Uses R(V_{n+1}) = V(E (x) R(V_n)), the forward translates of R(V)
+    (read off the SVD of V), which never grow past d*m columns, so no size
+    budget applies.  R(V_n) is constant from the returned index on.
+    Memoized on the representation per policy.
     """
     first = _subspace(rep.dim_h, rep.svd()[0][:, : rep._svd_rank(pol)])
-    if first.dim == rep.dim_h:
-        return (first, first, first), 1
-
-    def spaces():
-        current = first
-        while True:
-            yield current
-            current = _forward_translate(rep, current, pol)
-
-    chain, stable = _stabilized_chain(spaces(), pol)
+    chain, stable = _stabilized_chain(_translates(rep, first, pol), pol)
     return tuple(chain), stable
 
 
@@ -142,9 +142,8 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
     """Intersection of all iterated ranges, computed from explicit iterates.
 
     Reads R(V_n) off the SVD of each level, which _svd_levels builds from
-    an m x dm core, and stops once two consecutive ranges are mutually
-    contained (plus one confirming step); raises BudgetExceeded if the
-    chain reaches a level past the size budget first.
+    an m x dm core, and stops by the rule of _stabilized_chain; raises
+    BudgetExceeded if the chain reaches a level past the size budget first.
     """
     chain, stable = _stabilized_chain((rn for *_, rn in _ranged_levels(rep, pol)), pol)
     return chain[stable - 1]
@@ -161,7 +160,8 @@ def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -
     """Greatest subspace K with V(E (x) K) = K, by greatest-fixed-point iteration.
 
     The iteration K_0 = H, K_{j+1} = V(E (x) K_j) is the range chain from
-    K_1 = R(V) on; range_chain stops only after V(E (x) K) tested equal to K.
+    K_1 = R(V) on; range_chain stops only where V(E (x) K) = K: after testing
+    it, or at a first space {0} or H, where it holds.
     The core equals generalized_range; the range-structure suite checks it.
     """
     chain, stable = range_chain(rep, pol)

@@ -393,7 +393,8 @@ def suite_shift_growth(count: int, seed: int, pol: TolerancePolicy) -> SuiteResu
     """Scalar closed forms for minimal growth weights.
 
     A doubling one-dimensional map needs weight (4^m - 1)/3 at level m; a
-    constant scalar weight c per level needs (c^(2k) - 1)/(c^2 - 1).
+    constant scalar weight c per level needs (c^(2k) - 1)/(c^2 - 1), and so
+    does c times a coisometry (V V* = I), checked at d = 2, 3 for c = 1.1, 2.
     """
     rng = np.random.default_rng(seed)
     res = SuiteResult("shift-growth")
@@ -406,17 +407,23 @@ def suite_shift_growth(count: int, seed: int, pol: TolerancePolicy) -> SuiteResu
                representation_to_dict(rep))
 
     cs = [1.1, 2.0] + [float(rng.uniform(1.05, 2.0)) for _ in range(max(0, count - 2))]
-    for c in cs:
+    for i, c in enumerate(cs):
         spec = UnilateralSpec(
             d=1, L=6, p=1, Z=tuple(np.array([[c]], dtype=np.complex128) for _ in range(6))
         )
         report = check_unilateral_weight_condition(spec, None, k_max=4, n_max=2, pol=pol)
-        worst = 0.0
-        for k in range(1, 5):
-            want = (c ** (2 * k) - 1.0) / (c**2 - 1.0)
-            worst = max(worst, abs(report.minimal_per_k[k] - want))
-        res.record(worst <= 1e-9, f"constant-weight c={c:.4f} minimal d off by {worst:.3e}",
-                   shift_spec_to_dict(spec))
+        want = [(c ** (2 * k) - 1.0) / (c**2 - 1.0) for k in range(1, 5)]
+        worst = max(abs(report.minimal_per_k[k] - w) for k, w in enumerate(want, start=1))
+        ok, doc = worst <= 1e-9, shift_spec_to_dict(spec)
+        msg = f"constant-weight c={c:.4f} minimal d off by {worst:.3e}"
+        # The fixed records also check c times a coisometry at d = 2, 3, drawn after cs.
+        for d in (2, 3) if i < 2 else ():
+            rep = Representation(d, 3, c * gen.coisometry_rep(rng, d, 3).matrix)
+            seq = minimal_growth_sequence(rep, 4, pol)
+            if ok and not all(abs(a - w) <= 1e-9 * max(1.0, w) for a, w in zip(seq, want)):
+                ok, doc = False, representation_to_dict(rep)
+                msg = f"scaled coisometry d={d} c={c:.4f} minimal weights {seq}"
+        res.record(ok, msg, doc)
     return res
 
 

@@ -10,17 +10,21 @@ feasibility) are evaluated up to a horizon so that hard truncations of
 well-behaved infinite operators are not rejected for boundary artifacts;
 the strict verdicts are always reported alongside.
 
+generated_subspace, is_wandering, reflection_witness and the joins of
+kernel_span_check walk the forward translates of structure._translates.
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
 that of V.  So the biregular flag reads ranges and kernels off the SVD
 walk of V', duality_check reads the join of the kernels of V+^(n) as the
-complement of the range chain of V', and neither decomposes a tall
-iterate.
+complement of the range chain of V', kernel_span_check reads
+ker V+^(n) = R(V'_n)^perp off level n of that walk, and none of them
+decomposes a tall iterate.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,6 +43,7 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _norm2_at_most,
+    _subspace,
     add,
     as_matrix,
     complement,
@@ -51,18 +56,21 @@ from .linalg import (
 )
 from .model import (
     Representation,
+    _level_rank,
     _lift,
     _lower_levels,
-    _map_levels,
+    _svd_levels,
     _times_ampliation,
     _with_svd,
     budget_horizon,
+    iterate_map,
 )
 from .structure import (
     RegularityReport,
     _biregular_levels,
     _forward_translate,
     _stabilized_chain,
+    _translates,
     default_horizon,
     is_hyper_dagger,
     is_regular,
@@ -112,11 +120,7 @@ def is_wandering(
     """S orthogonal to all its forward translates V_n(E^(x)n (x) S), n <= horizon."""
     if s.ambient_dim != rep.dim_h:
         raise PreconditionFailed("subspace must live in H")
-    if s.dim == 0:
-        return True
-    current = s
-    for _ in range(1, horizon + 1):
-        current = _forward_translate(rep, current, pol)
+    for current in itertools.islice(_translates(rep, s, pol), 1, horizon + 1):
         if current.dim == 0:
             return True
         cross = float(np.linalg.norm(s.basis.conj().T @ current.basis, 2))
@@ -131,16 +135,8 @@ def generated_subspace(
     """Smallest invariant subspace containing S: the join of all forward translates."""
     if s.ambient_dim != rep.dim_h:
         raise PreconditionFailed("subspace must live in H")
-
-    def joins():
-        joined = s
-        translate = s
-        while True:
-            yield joined
-            translate = _forward_translate(rep, translate, pol)
-            joined = add(joined, translate, pol)
-
-    chain, stable = _stabilized_chain(joins(), pol)
+    joins = itertools.accumulate(_translates(rep, s, pol), functools.partial(add, pol=pol))
+    chain, stable = _stabilized_chain(joins, pol)
     return chain[stable - 1]
 
 
@@ -252,7 +248,9 @@ def wold_diagnostics(
     else:
         dagger_adjoint = True
 
-    dom = intersect(lifted_ri, complement(wd, pol), pol)
+    # R(V*) = (ker V)^perp: the leading right singular vectors of V.
+    coimage = _subspace(d * m, rep.svd()[2][: rep._svd_rank(pol)].conj().T)
+    dom = intersect(lifted_ri, coimage, pol)
     b = rinf.basis.conj().T @ v @ dom.basis
     unitary_restriction = (
         _norm2_at_most(b.conj().T @ b - np.eye(dom.dim), _FLAG_TOL)
@@ -363,39 +361,36 @@ def duality_check(
 def kernel_span_check(
     rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[bool, bool | None]:
-    """Kernel-span containments at depth n.
+    """Kernel-span containments at depth n >= 1.
 
     First: ker of the n-fold iterated pseudoinverse lies in the join of
-    forward translates of W.  Second (regular representations only,
+    forward translates of W.  With V' = mp_cauchy_dual(rep),
+    ker V+^(n) = R(V'_n)^perp is read off level n of the dual's SVD walk
+    with the rank rule of that level, and the join is the sum of the first
+    n items of _translates(rep, W).  Second (regular representations only,
     otherwise None): ker(V_n) equals the join of lifted-pseudoinverse
     images of the co-wandering space.
     """
     d, m = rep.dim_e, rep.dim_h
-    nv = rep.norm()
-    nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
-    w = wandering_space(rep, pol)
-    wd = co_wandering_space(rep, pol)
-    eye = np.eye(m, dtype=np.complex128)
-    maps = itertools.chain([eye], _map_levels(rep))  # V_0 = I, V_1, ...
-    lowered = [eye, *itertools.islice(_lower_levels(rep.pseudo_inverse(pol), d), n)]
-
-    ker1 = null_space(lowered[n], pol, scale=nd**n)
-    join1 = Subspace.zero(m)
-    for i, vi in zip(range(n), maps):
-        translated = range_space(vi @ lift_subspace(i, w, d).basis, pol, scale=nv**i)
-        join1 = add(join1, translated, pol)
-    first = contains(ker1, join1, pol)
+    dual = mp_cauchy_dual(rep, pol)
+    u, s, _ = next(itertools.islice(_svd_levels(dual), n - 1, None))  # ValueError for n < 1
+    ker1 = _subspace(m, u[:, _level_rank(dual, n, s, pol) :])
+    translates = itertools.islice(_translates(rep, wandering_space(rep, pol), pol), n)
+    first = contains(ker1, functools.reduce(functools.partial(add, pol=pol), translates), pol)
 
     if not is_regular(rep, pol).strict:
         return first, None
-    ker_n = null_space(next(maps), pol, scale=nv**n)  # the zip stopped before V_n
+    nd = 1.0 / gamma(rep, pol)  # ||V+||_2; 0 for the zero map
+    wd = co_wandering_space(rep, pol)
+    ker_n = null_space(iterate_map(rep, n), pol, scale=rep.norm() ** n)
+    eye = np.eye(m, dtype=np.complex128)
+    lowered = itertools.chain([eye], _lower_levels(rep.pseudo_inverse(pol), d))  # S^(0) = I
     join2 = Subspace.zero(d**n * m)
-    for i, vdi in enumerate(lowered[:n]):
+    for i, vdi in zip(range(n), lowered):
         left = _lift(n - i, vdi, d)
         arg = _lift(n - i - 1, wd.basis, d)
         join2 = add(join2, range_space(left @ arg, pol, scale=nd**i), pol)
-    second = subspaces_equal(ker_n, join2, pol)
-    return first, second
+    return first, subspaces_equal(ker_n, join2, pol)
 
 
 def invariant_to_wandering(
@@ -511,19 +506,15 @@ def reflection_witness(
         raise PreconditionFailed("wandering space is not orthogonal to K")
     if not contains(_forward_translate(rep, k, pol), k, pol):
         raise NotInvariant("K is not invariant under the representation")
-    dual = mp_cauchy_dual(rep, pol)
     p_k = project(k)
-    current = w
-    if max_depth is None:
-        max_depth = rep.dim_h + 2
-    for _ in range(max_depth + 1):
+    depth = rep.dim_h + 2 if max_depth is None else max_depth
+    for current in itertools.islice(_translates(mp_cauchy_dual(rep, pol), w, pol), depth + 1):
         if current.dim:
             overlaps = np.linalg.norm(p_k @ current.basis, axis=0)
             best = int(np.argmax(overlaps))
             if overlaps[best] > overlap_tol:
                 h1 = p_k @ current.basis[:, best]
                 return h1 / np.linalg.norm(h1)
-        current = _forward_translate(dual, current, pol)
     raise PreconditionFailed(
         "no forward translate of the wandering space meets K; generation fails"
     )

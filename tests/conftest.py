@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from woldkit.linalg import DEFAULT_POLICY, Subspace, add, null_space
-from woldkit.model import budget_horizon, iterate_lower
+from woldkit.linalg import (
+    DEFAULT_POLICY,
+    Subspace,
+    add,
+    contains,
+    null_space,
+    range_space,
+    subspaces_equal,
+)
+from woldkit.model import budget_horizon, iterate_lower, iterate_map
+from woldkit.structure import is_regular, lift_subspace
 
 
 def gaussian_rank(mat, tol: float = 1e-9) -> int:
@@ -77,6 +86,37 @@ def kernel_join_oracle(rep, pol=DEFAULT_POLICY):
         kernel_n = null_space(iterate_lower(vd, rep.dim_e, n), pol, scale=nd**n)
         joined = add(joined, kernel_n, pol)
     return joined
+
+
+def kernel_span_oracle(rep, n, pol=DEFAULT_POLICY):
+    """kernel_span_check from dense iterates: the kernel of V+^(n) from a
+    full SVD of the tall iterate, the join of range_space(V_i (I (x) W))
+    for i < n, and ker V_n against the lifted images of ker V, each cutoff
+    anchored at the norm of its product; the body of kernel_span_check
+    before it read the dual's SVD walk and the forward translates of W."""
+    d, m = rep.dim_e, rep.dim_h
+    nv = rep.norm()
+    nd = 1.0 / rep.min_modulus(pol)  # ||V+||_2; 0 for the zero map
+    w, wd = rep.cokernel(pol), rep.kernel(pol)
+    lowered = [np.eye(m, dtype=np.complex128)]
+    lowered += [iterate_lower(rep.pseudo_inverse(pol), d, k) for k in range(1, n + 1)]
+
+    ker1 = null_space(lowered[n], pol, scale=nd**n)
+    join1 = Subspace.zero(m)
+    for i in range(n):
+        translated = iterate_map(rep, i) @ lift_subspace(i, w, d).basis
+        join1 = add(join1, range_space(translated, pol, scale=nv**i), pol)
+    first = contains(ker1, join1, pol)
+
+    if not is_regular(rep, pol).strict:
+        return first, None
+    ker_n = null_space(iterate_map(rep, n), pol, scale=nv**n)
+    join2 = Subspace.zero(d**n * m)
+    for i, vdi in enumerate(lowered[:n]):
+        left = np.kron(np.eye(d ** (n - i)), vdi)
+        arg = np.kron(np.eye(d ** (n - i - 1)), wd.basis)
+        join2 = add(join2, range_space(left @ arg, pol, scale=nd**i), pol)
+    return first, subspaces_equal(ker_n, join2, pol)
 
 
 @pytest.fixture

@@ -62,6 +62,17 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["pipeline"]["regularity"]["label"] == "boundary"
 
+    def test_shift_spec_growth_obeys_the_budget(self, tmp_path, monkeypatch):
+        # dim H = 15 and d = 2: only level 1 (30 columns) fits either budget.
+        spec = tmp_path / "uni.json"
+        assert run_cli("generate", "unilateral", "--seed", "1",
+                       "--params", "d=2", "L=3", "--out", str(spec)) == 0
+        for budget in ("40", "30"):
+            monkeypatch.setenv("WOLDKIT_BUDGET", budget)
+            out = tmp_path / f"report-{budget}.json"
+            assert run_cli("analyze", str(spec), "--out", str(out)) == 0
+            assert json.loads(out.read_text())["pipeline"]["growth"]["horizon"] == 1
+
 
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):

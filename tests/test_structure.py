@@ -18,6 +18,7 @@ from woldkit.generate import (
 from woldkit.linalg import (
     DEFAULT_POLICY,
     RankWarning,
+    Subspace,
     _dims_exclude,
     complement,
     intersect,
@@ -39,6 +40,8 @@ from woldkit.structure import (
     GenInverse,
     _biregular_levels,
     _level_pinv,
+    _stabilized_chain,
+    _translates,
     algebraic_core,
     fixed_point_range_check,
     generalized_range,
@@ -55,7 +58,7 @@ from woldkit.structure import (
     make_generalized_inverse,
     range_chain,
 )
-from woldkit.wold import mp_cauchy_dual
+from woldkit.wold import generated_subspace, mp_cauchy_dual
 
 from conftest import contains_oracle
 
@@ -97,6 +100,54 @@ class TestGeneralizedRange:
         for earlier, later in zip(chain, chain[1:]):
             assert contains(later, earlier)
         assert subspaces_equal(chain[stable - 1], generalized_range(rep))
+
+
+class TestSubspaceChains:
+    """_translates is the one walk of forward translates, and
+    _stabilized_chain the one stopping rule of every chain."""
+
+    @staticmethod
+    def chain_from(first, *rest):
+        yield first
+        yield from rest
+        raise AssertionError("the chain was read past its given spaces")
+
+    def test_chain_from_zero_or_whole_space_reads_nothing_further(self):
+        for first in (Subspace.zero(4), Subspace.full(4)):
+            chain, stable = _stabilized_chain(self.chain_from(first), DEFAULT_POLICY)
+            assert stable == 1 and len(chain) == 3 and all(c is first for c in chain)
+
+    def test_other_chains_stop_at_a_confirmed_tie(self):
+        proper, zero = range_space(np.eye(4)[:, :2]), Subspace.zero(4)
+        chain, stable = _stabilized_chain(self.chain_from(proper, zero, zero, zero), DEFAULT_POLICY)
+        assert stable == 2 and len(chain) == 4 and chain[0] is proper
+
+    def test_chains_from_zero_or_whole_space_keep_the_first_basis(self, rng):
+        zero = Representation(2, 3, np.zeros((3, 6)))
+        for rep in (zero, generic_rep(rng, 2, 3), coisometry_rep(rng, 3, 2)):
+            first_basis = rep.svd()[0][:, : rep._svd_rank(DEFAULT_POLICY)]
+            chain, stable = range_chain(rep)
+            assert stable == 1 and len(chain) == 3
+            assert np.array_equal(chain[0].basis, first_basis)
+            assert np.array_equal(generalized_range(rep).basis, first_basis)
+            for s in (Subspace.zero(rep.dim_h), Subspace.full(rep.dim_h)):
+                assert generated_subspace(rep, s) is s
+
+    def test_generalized_range_of_a_surjective_map_needs_no_budget(self, monkeypatch):
+        # Level n of this map has 2^n * 3 columns: only level 1 fits.
+        monkeypatch.setenv("WOLDKIT_BUDGET", "12")
+        rep = coisometry_rep(np.random.default_rng(5), 2, 3)
+        assert generalized_range(rep).dim == 3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_item_n_of_the_walk_is_the_translate_by_v_n(self, rng, d):
+        reps = [generic_rep(rng, d, 4), rank_deficient_rep(rng, d, 4, 3)]
+        for rep in reps:
+            s = range_space(rand_complex(rng, 4, 2))
+            for n, item in enumerate(itertools.islice(_translates(rep, s, DEFAULT_POLICY), 5)):
+                want = range_space(iterate_map(rep, n) @ lift_subspace(n, s, d).basis)
+                assert item.dim == want.dim and subspaces_equal(item, want)
+        assert item.dim < 4  # the rank-deficient map shrinks the translates
 
 
 class TestAlgebraicCore:

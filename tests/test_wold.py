@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from woldkit import structure
+from woldkit import structure, wold
 from woldkit.errors import (
     BudgetExceeded,
     NotContraction,
@@ -44,7 +44,7 @@ from woldkit.wold import (
     wold_diagnostics,
 )
 
-from conftest import kernel_join_oracle
+from conftest import kernel_join_oracle, kernel_span_oracle
 
 
 def coord_space(total, cols):
@@ -162,6 +162,23 @@ class TestWoldDecompose:
         with pytest.raises(BudgetExceeded):  # N(S) is not 0: level 1 is read
             wold_diagnostics(rank_deficient_rep(rng, 2, 3, 2), 4)
         assert wold_diagnostics(coisometry_rep(rng, 2, 3), 4).biregular  # N(S) = 0
+
+    def test_coimage_is_read_off_the_svd_of_v(self, monkeypatch, rng):
+        # The domain of the restriction is E (x) R_inf met with R(V*).
+        seen = []
+        meet = wold.intersect
+        monkeypatch.setattr(wold, "intersect", lambda a, b, pol: seen.append(b) or meet(a, b, pol))
+        for d in (1, 2, 3):
+            reps = [generic_rep(rng, d, 3), rank_deficient_rep(rng, d, 3, 2)]
+            reps += [rank_deficient_rep(rng, d, 4, 1), Representation(d, 3, np.zeros((3, 3 * d)))]
+            for rep in reps:
+                seen.clear()
+                wold_diagnostics(rep, 2)
+                (coimage,) = seen
+                b = coimage.basis
+                assert coimage.dim == rep.ambient_domain - rep.kernel().dim
+                assert np.linalg.norm(b.conj().T @ b - np.eye(coimage.dim)) <= 1e-13
+                assert subspaces_equal(coimage, complement(rep.kernel()))
 
     def test_unitary_map_restricts_to_a_unitary(self, rng):
         u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
@@ -293,6 +310,25 @@ class TestKernelSpanCheck:
             rep = generic_rep(rng, 2, 2)
             first, second = kernel_span_check(rep, 2)
             assert first and second
+
+    def test_verdicts_agree_with_the_dense_oracle(self, rng):
+        reps = [truncated_shift_rep(k) for k in (1, 3, 5)]
+        reps += [weighted_truncated_shift([1.5, 2.0, 1.2])]
+        for d in (1, 2, 3):
+            reps += [generic_rep(rng, d, 2), rank_deficient_rep(rng, d, 3, 2)]
+            reps.append(Representation(d, 3, np.zeros((3, 3 * d))))
+        reps += [block_wold_rep(rng, n_shift=1 + i % 2, n_unitary=i // 2)[0] for i in range(4)]
+        seconds = set()
+        for rep in reps:
+            for n in (1, 2, 3):
+                verdicts = kernel_span_check(rep, n)
+                assert verdicts == kernel_span_oracle(rep, n), (rep.dim_e, rep.dim_h, n)
+                seconds.add(verdicts[1])
+        assert seconds == {None, True}
+
+    def test_depth_below_one_rejected(self, rng):
+        with pytest.raises(ValueError):
+            kernel_span_check(generic_rep(rng, 2, 2), 0)
 
 
 class TestInvariantToWandering:
