@@ -11,6 +11,7 @@ tolerance policy, horizons, and budget, so every verdict is reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -189,11 +190,11 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report["warnings"] = caught
-    payload = canonical_json(_jsonable(report))
+    plain = _jsonable(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    _print_analysis_summary(_jsonable(report))
+            fh.write(canonical_json(plain))
+    _print_analysis_summary(plain)
     return exit_code
 
 
@@ -244,7 +245,9 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="woldkit",
         description="Analyze covariant-representation matrices and weighted shifts.",

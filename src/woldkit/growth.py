@@ -7,14 +7,14 @@ the m-fold iterate against a weighted defect plus a projection term.
 
 This module owns that pencil.  A question about it is a _Level: diagonal
 A and P and the rows z of a factor of the iterate's Gram matrix zz*.
-_pencil gives both answers for a _Level: the minimal weight, from the
-singular generalized eigenproblem solved by minimal_scale_factor
-(Rayleigh quotient on the complement of the kernel of the diagonal G =
-A - P, with kernel directions deciding feasibility by sign), and the
-psd_margin pair for a supplied weight.  It has two readers:
-check_growth, on the compression _level of a representation, and the
-unilateral weight condition of shifts, whose weight inequality is the
-same pencil with P = I.
+_pencil gives both answers for a _Level: the minimal weight, which
+minimal_scale_factor reads off the factored pencil (z, G = A - P, P)
+(Rayleigh quotient on the complement of the kernel of the diagonal G,
+with kernel directions deciding feasibility by sign), and the psd_margin
+pair for a supplied weight.  It has two readers: check_growth, on the
+compression _level of a representation, and the unilateral weight
+condition of shifts, whose weight inequality is the same pencil with
+P = I.
 
 No level operator is formed.  At level k, with N = d^k m, the operators
 A = I (x) V*V, P = I (x) V+V and G = A - P are diagonal in the basis
@@ -29,9 +29,16 @@ and the orthogonal complement of their span, like the columns past m,
 is kept as one coordinate.  A, P and ZZ* are multiples of the identity
 on each such space, so the compression loses only multiplicities, which
 neither the PSD rule nor minimal_scale_factor reads.  It has at most
-m min(d^(k-1), m) + m + 1 coordinates, so a level costs O(N m^2) time for
-its products and QRs, plus dense eigenproblems that no longer grow with N
-once d^(k-1) >= m, and O(N m) memory.
+m min(d^(k-1), m) + m + 1 coordinates, and z has m columns.
+
+The minimal weight needs no eigenproblem of that size.  With no more
+kept coordinates than columns it is one eigvalsh of the kept rows; past
+that it is the root of h(d) = lambda_max(z* diag(1/(d g + p)) z) = 1
+(_schur_root), each evaluation one product of size rows m^2 and one
+m x m eigh.  So a level costs O(N m^2) time for its products and QRs,
+plus O(N m^2) and an m x m eigh per evaluation of h, and O(N m) memory;
+the supplied-weight readers still take a dense eigvalsh of the
+compression.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ from .linalg import (
     TolerancePolicy,
     _psd_tolerance,
     as_matrix,
-    hermitian_part,
     is_psd,
     psd_margin,
     psd_sqrt,
@@ -144,35 +150,128 @@ class GrowthReport:
         }
 
 
-def minimal_scale_factor(q, g, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Smallest d >= 0 with d*G - Q >= 0, for Hermitian Q and G = diag(g).
+def minimal_scale_factor(z, g, p, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """Smallest d >= 0 with d diag(g) + diag(p) - zz* >= 0, for p >= 0.
 
-    g is the 1-D diagonal of G, so the pencil needs no eigenvectors.  Its
-    kernel is the set of coordinates where g is at most the psd_margin
-    tolerance of diag(g).  If Q is strictly positive on that kernel (its
-    principal submatrix there has an eigenvalue above the psd_margin
-    tolerance of Q), the problem is infeasible and the answer is inf.  On
-    the other coordinates the answer is the largest generalized Rayleigh
-    quotient of Q against G: the top eigenvalue of Q[keep, keep] scaled
-    by g^(-1/2) on both sides, or 0 if that is negative.
+    The pencil is factored: row j of z, g[j] and p[j] belong to coordinate
+    j, and Q = zz* - diag(p).  The kernel of diag(g) is the set of
+    coordinates where g is at most the psd_margin tolerance of diag(g).  If
+    Q is strictly positive on that kernel (its principal submatrix there has
+    an eigenvalue above the psd_margin tolerance of Q), the problem is
+    infeasible and the answer is inf.  On the other coordinates the answer
+    is the largest generalized Rayleigh quotient of Q against diag(g): the
+    top eigenvalue of Q[keep, keep] scaled by g^(-1/2) on both sides, or 0
+    if that is negative.  With no more kept rows than columns of z that
+    eigenvalue is computed as it reads; past that it is the root of the
+    m x m Schur function of _schur_root, and no rows x rows matrix is formed.
     """
-    q = hermitian_part(as_matrix(q))
-    g = np.asarray(g, dtype=np.float64)
-    if q.shape != (g.size, g.size):
-        raise ValueError("Q must be square with one row per entry of g")
+    z = as_matrix(z)
+    g, p = np.asarray(g, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    if g.shape != (z.shape[0],) or p.shape != g.shape:
+        raise ValueError("z must have one row per entry of g and of p")
     if g.size == 0:
         return 0.0
     keep = g > _psd_tolerance(np.sort(g), pol)
-    if not keep.all():
-        kernel = ~keep
-        top = float(np.linalg.eigvalsh(q[np.ix_(kernel, kernel)])[-1])
-        if top > _psd_tolerance(np.linalg.eigvalsh(q), pol):
-            return math.inf
+    if not keep.all() and _kernel_positive(z, p, ~keep, pol):
+        return math.inf
     if not keep.any():
         return 0.0
-    inv_sqrt = 1.0 / np.sqrt(g[keep])
-    t = q[np.ix_(keep, keep)] * inv_sqrt[:, None] * inv_sqrt[None, :]
+    z, g, p = z[keep], g[keep], p[keep]
+    if z.shape[0] > z.shape[1]:
+        return _schur_root(z, g, p)
+    inv_sqrt = 1.0 / np.sqrt(g)
+    t = (z @ z.conj().T - np.diag(p)) * inv_sqrt[:, None] * inv_sqrt[None, :]
     return max(0.0, float(np.linalg.eigvalsh(t)[-1]))
+
+
+def _kernel_positive(z, p, kernel, pol: TolerancePolicy) -> bool:
+    """Whether Q = zz* - diag(p) has an eigenvalue above the psd_margin
+    tolerance tol(Q) on its principal submatrix Q_K of the kernel rows.
+
+    Rows of z that vanish there carry an eigenvalue -p <= 0 of Q_K and
+    are dropped.  The top of the rest exceeds a threshold t > 0 iff
+    z_K* diag(1/(p_K + t)) z_K, a matrix of the size of the columns, has an
+    eigenvalue above 1.  tau_psd <= tol(Q) <= tau_psd max(1, max p,
+    ||z||_F^2), so the eigenvalues of Q are computed only when neither
+    bound decides.
+    """
+    zk, pk = z[kernel], p[kernel]
+    nonzero = zk.any(axis=1)
+    zk, pk = zk[nonzero], pk[nonzero]
+    if not zk.shape[0]:
+        return False
+
+    def above(t: float) -> bool:
+        return float(np.linalg.eigvalsh((zk.conj().T / (pk + t)) @ zk)[-1]) > 1.0
+
+    tau = pol.tau_psd
+    if not above(tau):
+        return False
+    if above(tau * max(1.0, float(p.max()), float(np.vdot(z, z).real))):
+        return True
+    q = z @ z.conj().T - np.diag(p)
+    return above(_psd_tolerance(np.linalg.eigvalsh(q), pol))
+
+
+_SCHUR_STEPS = 60  # far above what the safeguarded iteration needs
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _schur_root(z, g, p) -> float:
+    """max(0, top eigenvalue of diag(g)^(-1/2) (zz* - diag(p)) diag(g)^(-1/2))
+    for g > 0 and p >= 0, from m x m matrices, m the columns of z.
+
+    Zero rows of z only add eigenvalues -p/g <= 0 and are dropped.  For
+    d > 0, d diag(g) + diag(p) - zz* >= 0 iff
+    h(d) = lambda_max(z* diag(1/(d g + p)) z) <= 1, and h is convex and
+    decreasing, so 1/h is concave and increasing: Newton steps on
+    1/h(d) = 1 from a point left of the root stay left of it and converge
+    to it, each step one rows m^2 product and one m x m eigh, with h' read
+    off the top eigenvector.  The iteration starts at the largest of 0,
+    the diagonal quotients (|z_j|^2 - p_j)/g_j and u - max(p/g), where
+    u = ||diag(g)^(-1/2) z||_2^2 is the top eigenvalue without the p term,
+    and d = 0 is tested first when it is that start (then p > 0 on every
+    row).  u bounds the root above; a step that would reach it bisects.
+    """
+    nonzero = z.any(axis=1)
+    z, g, p = z[nonzero], g[nonzero], p[nonzero]
+    if not z.shape[0]:
+        return 0.0
+    zh = z.conj().T
+
+    def h(d: float) -> tuple[float, float]:
+        """h(d) and its derivative along the top eigenvector."""
+        w = 1.0 / (d * g + p)
+        lam, vec = np.linalg.eigh((zh * w) @ z)
+        y = z @ vec[:, -1]
+        return float(lam[-1]), -float(np.sum(g * (w * np.abs(y)) ** 2))
+
+    upper = float(np.linalg.eigvalsh((zh / g) @ z)[-1])
+    lo = max(
+        0.0,
+        float(np.max(((np.abs(z) ** 2).sum(axis=1) - p) / g)),
+        upper - float(np.max(p / g)),
+    )
+    hi = upper
+    h_lo, slope = h(lo)
+    if h_lo <= 1.0:
+        return lo
+    for _ in range(_SCHUR_STEPS):
+        step = h_lo * (h_lo - 1.0) / -slope if slope < 0.0 else math.inf
+        d = lo + step
+        bisect = not d < hi
+        if bisect:
+            d = 0.5 * (lo + hi)
+        if d - lo <= 4.0 * _EPS * d:
+            return d
+        value, d_slope = h(d)
+        if value > 1.0:
+            lo, h_lo, slope = d, value, d_slope
+        elif bisect:
+            hi = d
+        else:
+            return d  # a Newton step from the left reached the root
+    return hi
 
 
 @derived
@@ -240,7 +339,7 @@ def _pencil(
     the psd_margin pair (least eigenvalue, PSD verdict) of the operator;
     None when d is None.
     """
-    minimal = minimal_scale_factor(-_affine(lv, 0.0, 1.0, 0.0), lv.a - lv.p, pol)
+    minimal = minimal_scale_factor(lv.z, lv.a - lv.p, lv.p, pol)
     return minimal, None if d is None else psd_margin(_affine(lv, d, 1.0 - d, 0.0), pol)
 
 

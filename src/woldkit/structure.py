@@ -195,18 +195,33 @@ class RegularityReport:
         return all(self.per_m.values())
 
 
-def _in_lifted_ranges(rep: Representation, s: Subspace, horizon: int, pol: TolerancePolicy):
+def _in_lifted_ranges(
+    rep: Representation,
+    s: Subspace,
+    horizon: int,
+    pol: TolerancePolicy,
+    at_limit: bool | None = None,
+):
     """Yield, for m = 1..horizon, whether S lies in E (x) R(V_m).
 
     R(V_m) is the limit of range_chain for every m past the end of the
-    chain, so those levels share one verdict.
+    chain, and a chain entry may be the limit object itself (a constant
+    chain is one object three times).  All those levels share one verdict:
+    at_limit when the caller has it, else computed once here.
     """
     chain, stable = range_chain(rep, pol)
-    for rm in chain[:horizon]:
-        yield contains(s, lift_subspace(1, rm, rep.dim_e), pol)
-    if horizon > len(chain):
-        limit = contains(s, lift_subspace(1, chain[stable - 1], rep.dim_e), pol)
-        yield from itertools.repeat(limit, horizon - len(chain))
+    limit = chain[stable - 1]
+
+    def verdict(space: Subspace) -> bool:
+        nonlocal at_limit
+        if space is not limit:
+            return contains(s, lift_subspace(1, space, rep.dim_e), pol)
+        if at_limit is None:
+            at_limit = contains(s, lift_subspace(1, limit, rep.dim_e), pol)
+        return at_limit
+
+    yield from map(verdict, chain[:horizon])
+    yield from map(verdict, itertools.repeat(limit, horizon - len(chain)))
 
 
 def is_regular(
@@ -220,7 +235,8 @@ def is_regular(
         horizon = default_horizon(rep, pol)
     kernel = rep.kernel(pol)
     strict = contains(kernel, lift_subspace(1, chain[stable - 1], rep.dim_e), pol)
-    per_m = dict(zip(range(1, horizon + 1), _in_lifted_ranges(rep, kernel, horizon, pol)))
+    levels = _in_lifted_ranges(rep, kernel, horizon, pol, at_limit=strict)
+    per_m = dict(zip(range(1, horizon + 1), levels))
     all_m = all(per_m.values())
     anomaly = (strict != all_m) and horizon >= stable
     return RegularityReport(

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import woldkit
 from woldkit.cli import main
@@ -152,6 +153,31 @@ class TestDeterminism:
         assert run_cli("analyze", str(fixture), "--out", str(out1), "--horizon", "3") == 0
         assert run_cli("analyze", str(fixture), "--out", str(out2), "--horizon", "3") == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_back_to_back_calls_share_one_parser(self, tmp_path, capsys):
+        # The parser is built once per process; no option of one call, and
+        # no parse error, reaches the next one.
+        from woldkit.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        fixture = tmp_path / "shift.json"
+        save_representation(truncated_shift_rep(4), fixture)
+        outputs = []
+        for i, extra in enumerate((["--horizon", "3"], [], ["--horizon", "3"])):
+            out = tmp_path / f"r{i}.json"
+            code = run_cli("analyze", str(fixture), "--out", str(out), *extra)
+            outputs.append((code, out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[2] and outputs[0][0] == 0
+        assert json.loads(outputs[1][1])["horizon"] == 8  # the default, not 3
+        for argv in (["analyze"], ["analyze", str(fixture), "--horizon", "three"], ["nonsense"]):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(*argv)
+                errors.append((exc.value.code, capsys.readouterr().err))
+            assert errors[0] == errors[1] and errors[0][0] == 2
+        assert run_cli("analyze", str(fixture), "--out", str(tmp_path / "r3.json"), "--horizon", "3") == 0
+        assert (tmp_path / "r3.json").read_bytes() == outputs[0][1]
 
 
 def source_pythonpath() -> str:

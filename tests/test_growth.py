@@ -264,53 +264,196 @@ class TestMinimalGrowthSequence:
         assert math.isinf(seq[1])
 
 
+def pencil_oracle(z, g, p) -> float:
+    """minimal_scale_factor_oracle on Q = zz* - diag(p) and G = diag(g)."""
+    return minimal_scale_factor_oracle(z @ z.conj().T - np.diag(p), np.diag(g))
+
+
+def factored_pencil(rng, case: str, rows: int, cols: int):
+    """(z, g, p) with rows x cols z, g >= 0 and p in {0, 1}, coordinates shuffled.
+
+    definite: g > 0 and zz* - diag(p) positive somewhere; feasible- and
+    infeasible-kernel: g = 0 on two rows where Q = zz* - diag(p) is
+    negative (rows of norm 1/4, p = 1) or not (norm 2); all-kernel: g = 0
+    and Q negative; zero: everything 0.
+    """
+    z = 2.0 * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    g = rng.uniform(0.5, 2.0, rows)
+    p = rng.integers(0, 2, rows).astype(float)
+    if case in ("feasible-kernel", "infeasible-kernel"):
+        g[:2], p[:2] = 0.0, 1.0
+        norm = 2.0 if case == "infeasible-kernel" else 0.25
+        z[:2] *= norm / np.linalg.norm(z[:2], axis=1, keepdims=True)
+    elif case == "all-kernel":
+        g[:], p[:] = 0.0, 1.0
+        z *= 0.5 / np.linalg.norm(z, 2)
+    elif case == "zero":
+        z, g, p = 0 * z, 0 * g, 0 * p
+    order = rng.permutation(rows)  # kernel coordinates anywhere, g unsorted
+    return z[order], g[order], p[order]
+
+
+PENCIL_CASES = ["definite", "feasible-kernel", "infeasible-kernel", "all-kernel", "zero"]
+
+
 class TestMinimalScaleFactor:
     def test_scalar_pencil(self):
-        assert minimal_scale_factor(np.array([[6.0]]), np.array([3.0])) == pytest.approx(2.0)
+        z, g, p = np.array([[math.sqrt(7.0)]]), np.array([3.0]), np.array([1.0])
+        got = minimal_scale_factor(z, g, p)
+        assert got == pytest.approx(2.0) and agrees(got, pencil_oracle(z, g, p))
 
     def test_zero_pencil(self):
-        assert minimal_scale_factor(np.zeros((2, 2)), np.zeros(2)) == 0.0
+        assert minimal_scale_factor(np.zeros((2, 1)), np.zeros(2), np.zeros(2)) == 0.0
 
     def test_infeasible_kernel(self):
-        q = np.diag([1.0, 0.0])
-        g = np.array([0.0, 1.0])
-        assert math.isinf(minimal_scale_factor(q, g))
+        # Q = diag(1, 0) against G = diag(0, 1).
+        z, g, p = np.array([[1.0], [0.0]]), np.array([0.0, 1.0]), np.zeros(2)
+        assert math.isinf(minimal_scale_factor(z, g, p))
+        assert math.isinf(pencil_oracle(z, g, p))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            minimal_scale_factor(np.eye(2), np.ones(3))
+            minimal_scale_factor(np.eye(2), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError):
+            minimal_scale_factor(np.eye(2), np.ones(2), np.ones(3))
 
-    @pytest.mark.parametrize(
-        "case", ["definite", "feasible-kernel", "infeasible-kernel", "all-kernel", "zero"]
-    )
+    @pytest.mark.parametrize("case", PENCIL_CASES)
     def test_invariant_under_change_of_basis(self, rng, case):
-        """minimal_scale_factor(q, g) is the dense oracle on U q U* and
-        U diag(g) U*, for a random unitary U."""
+        """minimal_scale_factor(z, g, p) is the dense oracle on U Q U* and
+        U diag(g) U*, Q = zz* - diag(p), for a random unitary U; 6 rows
+        against 2 columns take the Schur root, against 8 the direct branch."""
         n = 6
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = (x + x.conj().T) / 2.0
-        shift = (np.linalg.norm(q, 2) + 1.0) * np.eye(2)
-        g = rng.uniform(0.5, 2.0, n)
-        if case in ("feasible-kernel", "infeasible-kernel"):
-            g[:2] = 0.0
-            q[:2, :2] += shift if case == "infeasible-kernel" else -shift
-        elif case == "all-kernel":
-            g[:] = 0.0
-            q -= (np.linalg.norm(q, 2) + 1.0) * np.eye(n)
-        elif case == "zero":
-            q, g = np.zeros((n, n)), np.zeros(n)
-        order = rng.permutation(n)  # kernel coordinates anywhere, g unsorted
-        q, g = q[np.ix_(order, order)], g[order]
-        u = rand_unitary(rng, n)
-        got = minimal_scale_factor(q, g)
-        want = minimal_scale_factor_oracle(u @ q @ u.conj().T, (u * g) @ u.conj().T)
-        assert agrees(got, want)
-        if case == "infeasible-kernel":
-            assert math.isinf(got)
-        elif case in ("all-kernel", "zero"):
-            assert got == 0.0
-        else:
-            assert 0.0 < got < math.inf
+        for cols in (2, 8):
+            z, g, p = factored_pencil(rng, case, n, cols)
+            u = rand_unitary(rng, n)
+            q = z @ z.conj().T - np.diag(p)
+            got = minimal_scale_factor(z, g, p)
+            want = minimal_scale_factor_oracle(u @ q @ u.conj().T, (u * g) @ u.conj().T)
+            assert agrees(got, want)
+            if case == "infeasible-kernel":
+                assert math.isinf(got)
+            elif case in ("all-kernel", "zero"):
+                assert got == 0.0
+            else:
+                assert 0.0 < got < math.inf
+
+    @pytest.mark.parametrize("case", PENCIL_CASES)
+    def test_both_branches_match_oracle(self, case):
+        """Kept rows above, at and below the column count, p = 0 on rows of
+        a rank-deficient z (so the Schur root cannot start at d = 0), and
+        exact zero rows."""
+        kept_past_columns = set()
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 20240811])
+            rows, cols = int(rng.integers(3, 13)), int(rng.integers(1, 6))
+            z, g, p = factored_pencil(rng, case, rows, cols)
+            if seed % 4 == 1:  # rank-deficient rows with p = 0
+                z = z[:, :1] @ rng.standard_normal((1, cols))
+                p[:] = 0.0
+            if seed % 4 == 2:  # an exact zero row that is kept
+                z[np.argmax(g)] = 0.0
+            assert agrees(minimal_scale_factor(z, g, p), pencil_oracle(z, g, p))
+            kept_past_columns.add(int(np.sum(g > 0)) > cols)
+        if case in ("definite", "feasible-kernel"):
+            assert kept_past_columns == {True, False}
+
+    @pytest.mark.parametrize("kernel_rows", [1, 4])
+    @pytest.mark.parametrize("kept", [100.0, 1.0])
+    def test_kernel_tolerance_from_the_whole_pencil(self, kernel_rows, kept):
+        # Q is 2e-7 on a kernel row, and one kept row of norm `kept` sets
+        # ||Q||.  At 100, 2e-7 lies between tau_psd and tau_psd ||z||_F^2,
+        # so the exact tolerance 1e-9 ||Q|| = 1e-5 decides: feasible.  At 1
+        # the tolerance is about 1e-9 and the pencil is infeasible.  Four
+        # kernel rows outnumber the two columns of z.
+        z = np.zeros((kernel_rows + 1, 2))
+        z[0, 0] = math.sqrt(1.0 + 2e-7)
+        z[1:kernel_rows, 1] = 0.3
+        z[-1, 1] = kept
+        g = np.zeros(kernel_rows + 1)
+        g[-1] = 1.0
+        p = np.ones(kernel_rows + 1)
+        p[-1] = 0.0
+        got = minimal_scale_factor(z, g, p)
+        assert agrees(got, pencil_oracle(z, g, p))
+        assert math.isinf(got) == (kept == 1.0)
+
+    def test_answers_zero_when_d_zero_is_feasible(self, rng):
+        # zz* <= diag(p) with p = 1: the answer is 0 on both branches.
+        for rows, cols in ((8, 3), (3, 8)):
+            z = rng.standard_normal((rows, cols))
+            z *= 0.9 / np.linalg.norm(z, 2)
+            g, p = rng.uniform(0.5, 2.0, rows), np.ones(rows)
+            assert minimal_scale_factor(z, g, p) == 0.0 == pencil_oracle(z, g, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_growth_levels_of_every_outcome(self, d):
+        """The factored levels of check_growth against the dense level
+        operators: the zero map, a coisometry (an isometric kernel, answer
+        0), its scaling by 1.3 (closed form), a generic map, and a kernel
+        direction that doubles after two steps (inf from level 2)."""
+        rng = np.random.default_rng(d)
+        reps = [
+            Representation(d, 3, np.zeros((3, 3 * d))),
+            coisometry_rep(rng, d, 3),
+            Representation(d, 3, 1.3 * coisometry_rep(rng, d, 3).matrix),
+            generic_rep(rng, d, 3),
+            embedded(d, weighted_truncated_shift([1.0, 2.0]).matrix),
+        ]
+        outcomes, branches = set(), set()
+        for rep in reps:
+            for k in (1, 2, 3):
+                lv = _level(rep, iterate_map(rep, k - 1), DEFAULT_POLICY)
+                a, p, vkvk = level_operators_oracle(rep, k)
+                got = minimal_scale_factor(lv.z, lv.a - lv.p, lv.p)
+                assert agrees(got, minimal_scale_factor_oracle(vkvk - p, a - p))
+                outcomes.add(0.0 if got == 0.0 else math.inf if math.isinf(got) else 1.0)
+                branches.add(int(np.sum(lv.a - lv.p > 1e-9)) > lv.z.shape[1])
+        assert outcomes == {0.0, 1.0, math.inf}
+        assert branches == ({False} if d == 1 else {True, False})
+
+    def test_result_is_a_python_float(self, rng):
+        pencils = [factored_pencil(rng, case, 6, cols) for case in PENCIL_CASES for cols in (2, 8)]
+        for z, g, p in pencils:
+            assert type(minimal_scale_factor(z, g, p)) is float
+
+    def test_schur_root_takes_few_evaluations(self, monkeypatch):
+        # One eigh per evaluation of h, on every level of the seeded sweep.
+        counts = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            counts[-1] += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for kind, d, k in SWEEP:
+            case = np.random.default_rng([SWEEP.index((kind, d, k)), 20240811])
+            m, seed = int(case.integers(2, 4)), int(case.integers(2**32))
+            rep = sweep_rep(kind, d, m, seed)
+            lv = _level(rep, iterate_map(rep, k - 1), DEFAULT_POLICY)
+            counts.append(0)
+            minimal_scale_factor(lv.z, lv.a - lv.p, lv.p)
+        assert 2 <= max(counts) <= 20
+
+    def test_no_rows_by_rows_matrix_past_the_columns(self, rng, monkeypatch):
+        # Generic d = 2, m = 3 at level 3: 13 coordinates against 3 columns.
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def recorded(a, *args, real=real, **kwargs):
+                shapes.append(np.shape(a))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        rep = generic_rep(rng, 2, 3)
+        lv = _level(rep, iterate_map(rep, 2), DEFAULT_POLICY)
+        assert lv.z.shape == (13, 3)
+        got = minimal_scale_factor(lv.z, lv.a - lv.p, lv.p)
+        monkeypatch.undo()
+        a, p, vkvk = level_operators_oracle(rep, 3)
+        assert agrees(got, minimal_scale_factor_oracle(vkvk - p, a - p))
+        assert shapes and all(shape == (3, 3) for shape in shapes)
 
     def test_matches_svd_scaled_oracle(self, rng):
         reps = level_operator_reps(rng) + [

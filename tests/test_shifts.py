@@ -204,6 +204,36 @@ class TestUnilateralConditionOracle:
         assert d == 1 or seen["inf"] == {True, False}
 
 
+    def test_pairs_past_the_first_level(self, monkeypatch):
+        """Pairs (k, n) with k >= 2 against the dense formula.  Their
+        factored pencils are square, d^(k+n) rows of Y~* against as many
+        columns, so the minimal weight comes from the direct eigenvalue."""
+        import woldkit.growth as growth
+
+        shapes = []
+        solve = growth.minimal_scale_factor
+        monkeypatch.setattr(
+            growth, "minimal_scale_factor", lambda z, *a: shapes.append(z.shape) or solve(z, *a)
+        )
+        outcomes = set()
+        for d in (2, 3):
+            for kind in ("expansive", "unit-directions", "contractive"):
+                spec = sweep_weights(kind, d, 3, 7 * d)
+                report = check_unilateral_weight_condition(spec, None, 3, 1)
+                pairs, _, _ = weight_condition_oracle(spec, None, 3, 1, 10**6)
+                for (k, n), want in pairs.items():
+                    got = report.pairs[(k, n)]["minimal_d"]
+                    if k < 2:
+                        continue
+                    if math.isinf(want["minimal_d"]):
+                        assert got is None
+                    else:
+                        assert close(got, want["minimal_d"])
+                    outcomes.add(got is None)
+        assert outcomes == {True, False}
+        assert shapes and all(rows == cols for rows, cols in shapes)
+
+
 class TestWeightConditionIsTheShiftPencil:
     """The unilateral weight condition is the growth pencil of the shift it
     weights: the level-k minimal weight of check_growth on the built shift

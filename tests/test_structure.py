@@ -21,6 +21,7 @@ from woldkit.linalg import (
     Subspace,
     _dims_exclude,
     complement,
+    contains,
     intersect,
     null_space,
     pinv,
@@ -220,6 +221,57 @@ class TestRegularity:
                     lifted = lift_subspace(1, rm, rep.dim_e)
                     expected[m] = contains_oracle(kernel, lifted, DEFAULT_POLICY)
                 assert is_regular(rep, horizon=horizon).per_m == expected
+
+    def test_constant_chain_is_lifted_once(self, monkeypatch):
+        # The chain of a surjective map is H three times: one lift serves
+        # the strict verdict, the three chain levels and the five past them.
+        rep = generic_rep(np.random.default_rng(1), 2, 3)
+        chain, stable = range_chain(rep)
+        assert stable == 1 and all(space is chain[0] for space in chain)
+        kron, calls = np.kron, []
+        monkeypatch.setattr(np, "kron", lambda *args: calls.append(args) or kron(*args))
+        report = is_regular(rep, horizon=8)
+        assert len(calls) == 1
+        assert report.strict and report.per_m == dict.fromkeys(range(1, 9), True)
+
+    def test_shared_limit_verdict_matches_the_per_space_loop(self, monkeypatch):
+        """Seeded maps whose range chains are not constant: the per-level
+        verdicts equal the loop that lifted every chain entry and the limit
+        once more, while only the entries that are not the limit object get
+        a lift of their own."""
+        import woldkit.structure as structure
+
+        def per_space_loop(rep, s, horizon):
+            chain, stable = range_chain(rep)
+            spaces = [*chain[:horizon], *[chain[stable - 1]] * (horizon - len(chain))]
+            return [contains(s, lift_subspace(1, rm, rep.dim_e)) for rm in spaces]
+
+        reps = [truncated_shift_rep(4), truncated_shift_rep(6)]
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 20240811])
+            d, m = int(rng.integers(1, 3)), int(rng.integers(3, 6))
+            reps.append(rank_deficient_rep(rng, d, m, int(rng.integers(1, m))))
+        verdicts = set()
+        for rep in reps:
+            chain, stable = range_chain(rep)
+            assert any(space is not chain[stable - 1] for space in chain)
+            kernel = rep.kernel(DEFAULT_POLICY)
+            for horizon in (1, stable, len(chain), len(chain) + 3):
+                want = per_space_loop(rep, kernel, horizon)
+                lifts = []
+                monkeypatch.setattr(
+                    structure, "lift_subspace", lambda *a: lifts.append(a) or lift_subspace(*a)
+                )
+                report = is_regular(rep, horizon=horizon)
+                shared = list(structure._in_lifted_ranges(rep, kernel, horizon, DEFAULT_POLICY))
+                monkeypatch.undo()
+                assert list(report.per_m.values()) == shared == want
+                # is_regular lifts the limit for its strict verdict; the
+                # generator alone lifts it only for a level that needs it.
+                own = sum(space is not chain[stable - 1] for space in chain[:horizon])
+                assert len(lifts) == (1 + own) + own + (own < horizon)
+                verdicts.update(want)
+        assert verdicts == {True, False}
 
     def test_condition_verdicts_consistent(self, rng):
         for _ in range(10):
