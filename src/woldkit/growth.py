@@ -430,7 +430,7 @@ def gamma_power_bound_check(
     if not is_regular(rep, pol).strict:
         raise NotRegular("gamma power bound is stated for regular representations")
     g1 = gamma(rep, pol)
-    for n, (_, s, _) in zip(range(1, n_max + 1), _svd_levels(rep)):
+    for n, (_, s) in zip(range(1, n_max + 1), _svd_levels(rep)):
         r = _level_rank(rep, n, s, pol, warn=False)
         gn = float(s[r - 1]) if r else math.inf  # gamma(V_n)
         if gn < g1**n - 1e-8:

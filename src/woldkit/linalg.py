@@ -310,12 +310,17 @@ def range_space(
     `scale` anchors the cutoff for matrices built as products: roundoff
     in a product lives at eps * (product of factor norms), so passing
     that product keeps a mathematically-zero result from being read as
-    full-rank noise.
+    full-rank noise.  When the SVD of a does not converge, u is read off
+    the SVD of a*.
     """
     a = as_matrix(a)
     if a.shape[1] == 0 or not a.any():
         return Subspace.zero(a.shape[0])
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    try:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:  # LAPACK's divide and conquer failed; a* has the same SVD
+        _, s, vh = np.linalg.svd(a.conj().T, full_matrices=False)
+        u = vh.conj().T
     r = _rank(s, a.shape, pol, scale=scale)
     return _subspace(a.shape[0], u[:, :r])
 

@@ -13,12 +13,16 @@ for check functions.
 
 This module is the one place a level is built and budgeted.  Three walks
 build each level one step from the one before: _map_levels (V_1, V_2,
-...), _lower_levels (S^(1), S^(2), ...) and _svd_levels, the SVD
-u diag(s) w* of V_1, V_2, ..., each read off the thin SVD of an m x dm
-core, so that no level is decomposed whole; _level_rank is the rank rule
-of a level.  A lowering iterate S^(n) is the adjoint of level n of the
-representation whose matrix is S*, so the ranges, kernels and norms of
-S^(n) are read off _svd_levels of that representation.  Every loop over
+...), _lower_levels (S^(1), S^(2), ...) and _svd_levels, the left
+singular vectors u and singular values s of V_1, V_2, ..., each read off
+the thin SVD of an m x dm core, so that no level is decomposed whole and
+the walk holds nothing larger than the core; _level_rank is the rank rule
+of a level.  (u, s) gives R(V_n), ker V_n* and V_n V_n* = u diag(s)^2 u*,
+which is all the level tests read: structure.is_hyper_dagger and the
+biregularity levels decide level n from level n - 1 on E (x) H.  A
+lowering iterate S^(n) is the adjoint of level n of the representation
+whose matrix is S*, so the kernels and norms of S^(n) are read off
+_svd_levels of that representation.  Every loop over
 levels consumes a walk, and iterate_map and iterate_lower are the n-th
 level of one.  _fits_budget is the one budget rule, asked before a level
 (its d^n m columns, or rows of S^(n)) or a shift's matrix is built.
@@ -246,25 +250,24 @@ def _map_levels(rep: Representation):
 
 
 def _svd_levels(rep: Representation):
-    """Yield (u, s, w) with V_n = u diag(s) w* for n = 1, 2, ...: u is m x m
-    unitary, s the m singular values in descending order, and w is
-    d^n m x m with orthonormal columns.
+    """Yield (u, s) with V_n V_n* = u diag(s)^2 u* for n = 1, 2, ...: u is
+    m x m unitary and s the m singular values of V_n in descending order,
+    so that V_n = u diag(s) w* for an isometry w that is never formed.
 
-    Level 1 is read off rep.svd().  Since V_n = C (I_E (x) w_{n-1})* with
-    the m x dm core C = V (I_E (x) u_{n-1} diag(s_{n-1})), one thin SVD
-    C = u diag(s) x* gives u and s of level n, and w = (I_E (x) w_{n-1}) x,
-    whose j-th row block is w_{n-1} times the j-th m x m row block of x.
-    The budget is checked before each level is built.
+    Level 1 is read off rep.svd().  Since V_n = V (I_E (x) V_{n-1}) and
+    V_{n-1} = u_{n-1} diag(s_{n-1}) w_{n-1}*, the m x dm core
+    C = V (I_E (x) u_{n-1} diag(s_{n-1})) has C C* = V_n V_n*, so one thin
+    SVD of C gives u and s of level n, and no array grows with the level.
+    The budget is checked before each level, as for the level itself.
     """
     d, m = rep.dim_e, rep.dim_h
-    u, s, vh = rep.svd()
-    s, w = s[:m], vh[:m].conj().T
+    u, s, _ = rep.svd()
+    s = s[:m]
     for n in itertools.count(1):
         _require_budget(d**n * m, f"columns of V_{n}")
         if n > 1:
-            u, s, xh = np.linalg.svd(_times_ampliation(rep.matrix, u * s), full_matrices=False)
-            w = (w @ xh.conj().T.reshape(d, m, m)).reshape(d * w.shape[0], m)
-        yield u, s, w
+            u, s, _ = np.linalg.svd(_times_ampliation(rep.matrix, u * s), full_matrices=False)
+        yield u, s
 
 
 def _level_rank(

@@ -10,6 +10,15 @@ operator (the truncation boundary injects kernel vectors the untruncated
 operator does not have), every consumer that needs regularity can also
 evaluate it "at a horizon": kernel contained in E (x) R(V_m) for all m up
 to the horizon.  Reports carry both verdicts.
+
+Two level properties, the hyper-dagger property (V+^(n) = (V_n)+) and
+biregularity (E^(x)n (x) N(S) inside R(S^(n))), are decided level by
+level: level n is one factor times the ampliation of level n - 1, so,
+given that level n - 1 holds, level n is a test on E (x) H that reads
+only u and s of the SVD walk (Greville's reverse-order law for the
+first, a kernel recursion for the second).  Each also asks that the rank
+rule of level n keeps the rank that its factors give; is_n_dagger keeps
+the dense test of one level.
 """
 
 from __future__ import annotations
@@ -27,11 +36,12 @@ from .linalg import (
     _dims_exclude,
     _norm2_at_most,
     _subspace,
+    add,
     complement,
     contains,
     intersect,
     null_space,
-    pinv,  # noqa: F401  kept as structure.pinv, which perfbench/tests rebinds and checks
+    pinv,
     range_space,
     spectral_norm,
     subspaces_equal,
@@ -47,6 +57,7 @@ from .model import (
     budget_horizon,
     derived,
     iterate_lower,
+    iterate_map,
 )
 
 __all__ = [
@@ -150,10 +161,10 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
 
 
 def _ranged_levels(rep: Representation, pol: TolerancePolicy):
-    """Yield (u, s, w, R(V_n)) for n = 1, 2, ...: the SVD V_n = u diag(s) w*
-    of _svd_levels and the range u[:, :r], r the rank of V_n."""
-    for n, (u, s, w) in enumerate(_svd_levels(rep), start=1):
-        yield u, s, w, _subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)])
+    """Yield (u, s, R(V_n)) for n = 1, 2, ...: the level (u, s) of
+    _svd_levels and the range u[:, :r], r the rank of V_n."""
+    for n, (u, s) in enumerate(_svd_levels(rep), start=1):
+        yield u, s, _subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)])
 
 
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -323,10 +334,13 @@ def is_biregular(
     """Check N(I_{E^(x)m} (x) S) inside R(S^(m)) for m up to the horizon.
 
     Defined for regular representations (NotRegular otherwise, judged at
-    the same horizon).  S^(m) is the adjoint of level m of the
-    representation whose matrix is S*, so N(S) and R(S^(m)) are read off
-    that representation's SVD walk.  The verdict is recorded per
-    generalized inverse; it is not aggregated across different S.
+    the same horizon).  per_m holds prefix verdicts: level m is decided
+    given that every level below it holds, so per_m is False from the
+    first failing level on, and holds is the verdict for all levels up to
+    the horizon.  The levels are read off the SVD walk of the
+    representation whose matrix is S* (see _biregular_levels).  The
+    verdict is recorded per generalized inverse; it is not aggregated
+    across different S.
     """
     require_regular(rep, pol, horizon)
     adjoint = Representation(rep.dim_e, rep.dim_h, gi.matrix.conj().T)
@@ -335,29 +349,46 @@ def is_biregular(
 
 
 def _biregular_levels(adjoint: Representation, top: int, pol: TolerancePolicy):
-    """Yield, for m = 1..top, whether N(I_{E^(x)m} (x) S) lies in R(S^(m)),
-    where adjoint is the representation whose matrix is S*.
+    """Yield, for m = 1..top, whether N(I_{E^(x)k} (x) S) lies in R(S^(k))
+    for every k <= m, where adjoint is the representation whose matrix is S*.
 
-    N(S) is the cokernel of adjoint, and S^(m) = w diag(s) u* for the SVD
-    (u, s, w) of its level m, so R(S^(m)) = w[:, :r] with r the rank rule
-    of the level: the shape of S^(m) and the cutoff anchored at ||S||^m.
-    No regularity gate; levels are computed only as they are consumed.
-    The lifted kernel has dimension d^m * dim N(S) and R(S^(m)) at most
-    dim H, so a trivial kernel or the dimension rule of contains decides a
-    level without reading the walk; the walk goes only as deep as the
-    deepest level read.
+    Since S^(m) = (I_E (x) S^(m-1)) S and N(S^(m)) is the preimage of
+    E^(x)(m-1) (x) N(S) under S^(m-1), level m holds, given level m - 1,
+    iff E (x) N(S^(m)) lies in J = R(S) + E (x) N(S^(m-1)), a test on
+    E (x) H.  N(S^(m)) = R(S^(m)*)^perp is u[:, r:] of level m of the
+    adjoint's walk, r the rank rule of that level (the shape of S^(m) and
+    the cutoff anchored at ||S||^m), and N(S^(0)) = {0}.  N(S) is the
+    cokernel of adjoint and R(S) its coimage, both from adjoint.svd().
+    The step needs r to be the rank that the kept factors give,
+    dim J - d dim N(S^(m-1)); a level where it is not (a singular value
+    between the cutoffs of two levels) is decided by the dense test of the
+    level, on the range of level m of adjoint.  The lifted kernel has
+    dimension d^m * dim N(S) and R(S^(m)) at most dim H, so a trivial
+    kernel decides every level and the dimension rule of contains decides
+    a level false without reading the walk.  No regularity gate; the walk
+    goes only as deep as the deepest level read.
     """
     d, dim_h = adjoint.dim_e, adjoint.dim_h
     ker_s = adjoint.cokernel(pol)
-    walk = enumerate(_svd_levels(adjoint), start=1)
+    if ker_s.dim == 0:
+        yield from itertools.repeat(True, top)
+        return
+    coimage = _subspace(d * dim_h, adjoint.svd()[2][: adjoint._svd_rank(pol)].conj().T)
+    kernel = Subspace.zero(dim_h)  # N(S^(0))
+    walk = _svd_levels(adjoint)
+    holds = True
     for m in range(1, top + 1):
-        lifted_dim = d**m * ker_s.dim
-        if lifted_dim == 0 or _dims_exclude(lifted_dim, dim_h, pol):
-            yield lifted_dim == 0  # decided by the dimensions alone
-        else:
-            _, s, w = next(level for n, level in walk if n == m)
-            range_m = _subspace(d**m * dim_h, w[:, : _level_rank(adjoint, m, s, pol)])
-            yield contains(lift_subspace(m, ker_s, d), range_m, pol)
+        holds = holds and not _dims_exclude(d**m * ker_s.dim, dim_h, pol)
+        if holds:
+            u, s = next(walk)
+            previous, kernel = kernel, _subspace(dim_h, u[:, _level_rank(adjoint, m, s, pol) :])
+            joined = add(coimage, lift_subspace(1, previous, d), pol)
+            if dim_h - kernel.dim == joined.dim - d * previous.dim:
+                holds = contains(lift_subspace(1, kernel, d), joined, pol)
+            else:
+                range_m = range_space(iterate_map(adjoint, m).conj().T, pol, scale=adjoint.norm() ** m)
+                holds = contains(lift_subspace(m, ker_s, d), range_m, pol)
+        yield holds
 
 
 def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -365,34 +396,68 @@ def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_PO
     return iterate_lower(rep.pseudo_inverse(pol), rep.dim_e, n)
 
 
-def _level_pinv(
-    rep: Representation, n: int, level: tuple, pol: TolerancePolicy
-) -> tuple[np.ndarray, float]:
-    """(V_n)+ and its 2-norm from the SVD (u, s, w) of V_n.
-
-    (V_n)+ = (w[:, :r] / s[:r]) u[:, :r]* with r the rank of V_n, and its
-    norm is 1 / s[r-1] (0.0 when r = 0).
-    """
-    u, s, w = level
-    r = _level_rank(rep, n, s, pol)
-    return (w[:, :r] / s[:r]) @ u[:, :r].conj().T, (1.0 / float(s[r - 1]) if r else 0.0)
-
-
-def _dagger_at(
-    rep: Representation, n: int, level: tuple, lowered: np.ndarray, pol: TolerancePolicy
-) -> bool:
-    """The n-dagger verdict from the SVD of V_n and V+^(n)."""
-    direct, direct_norm = _level_pinv(rep, n, level, pol)
-    return _norm2_at_most(lowered - direct, 1e-8 * max(1.0, direct_norm))
-
-
 def is_n_dagger(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff the iterated pseudoinverse equals the pseudoinverse of the
-    iterate: ||V+^(n) - (V_n)+||_2 <= 1e-8 max(1, ||(V_n)+||_2)."""
+    iterate at level n alone: ||V+^(n) - (V_n)+||_2 <= 1e-8 max(1, ||(V_n)+||_2).
+
+    The dense test: both d^n m x m matrices are built, (V_n)+ with the rank
+    rule of the level anchored at ||V||^n.  is_hyper_dagger decides the
+    same levels in order without them.
+    """
     if n == 1:
         return True
     lowered = iterated_pinv(rep, n, pol)  # ValueError for n < 1
-    return _dagger_at(rep, n, next(itertools.islice(_svd_levels(rep), n - 1, None)), lowered, pol)
+    direct = pinv(iterate_map(rep, n), pol, scale=rep.norm() ** n)
+    return _norm2_at_most(lowered - direct, 1e-8 * max(1.0, spectral_norm(direct)))
+
+
+def _reverse_order_law(
+    rep: Representation, n: int, previous: tuple, s_n: np.ndarray, pol: TolerancePolicy
+) -> bool:
+    """Level n of is_hyper_dagger, given that level n - 1 holds.
+
+    Then V+^(n) = (I_E (x) V_{n-1})+ V+, and V_n = V (I_E (x) V_{n-1}), so
+    the level holds iff (AB)+ = B+ A+ for A = V and B = I_E (x) V_{n-1}.
+    By Greville's reverse-order law that is R(A*AB) in R(B) and R(BB*A*)
+    in R(A*), and the rank rule of level n must keep the rank of AB.
+    With (u, s) of level n - 1, U = u[:, :r], r its rank, and the SVD
+    V = u_V diag(s_V) vh, Q = vh[:r_V]* spanning R(V*), all three are read
+    off T = (I_E (x) u*) vh*, the unitary change between the splittings
+    E (x) (R(U) + R(U)-perp) and R(V*) + N(V) of E (x) H:
+      (a) V*V (E (x) R(U)) in E (x) R(U): the block of
+          (I (x) U-perp*) V*V (I (x) U), Frobenius norm at most
+          1e-8 max(1, ||V||^2); void when r = m;
+      (b) (I (x) U s^2 U*) R(V*) in R(V*): the block of
+          N(V)* (I (x) U s^2 U*) Q, at most 1e-8 max(1, s_0^2); void when
+          r_V = dm;
+      (c) the rank of level n is that of AB: the number of singular values
+          above tau_sub of the dr x r_V block (I (x) U*) Q, or
+          min(r_V, dr) when U or Q spans its whole space.
+    Everything here is dm x dm; the rank of level n is taken first, so
+    each level read raises the RankWarning of its rule.
+    """
+    d, m = rep.dim_e, rep.dim_h
+    rank = _level_rank(rep, n, s_n, pol)
+    u, s = previous
+    r, r_v = _level_rank(rep, n - 1, s, pol, warn=False), rep._svd_rank(pol)
+    spanning = r in (0, m) or r_v in (0, d * m)  # U or Q spans {0} or its whole space
+    if spanning and rank != min(r_v, d * r):
+        return False
+    if not r or not r_v or (r, r_v) == (m, d * m):
+        return True  # (a) and (b) are void
+    _, s_v, vh = rep.svd()
+    t = u.conj().T @ vh.conj().T.reshape(d, m, d * m)
+    on_u, off_u = t[:, :r].reshape(d * r, d * m), t[:, r:].reshape(d * (m - r), d * m)
+    gap_a = (off_u[:, :r_v] * s_v[:r_v] ** 2) @ on_u[:, :r_v].conj().T
+    gap_b = on_u[:, r_v:].conj().T @ (np.tile(s[:r] ** 2, d)[:, None] * on_u[:, :r_v])
+    if np.linalg.norm(gap_a) > 1e-8 * max(1.0, rep.norm() ** 2):
+        return False
+    if np.linalg.norm(gap_b) > 1e-8 * max(1.0, float(s[0]) ** 2):
+        return False
+    if spanning:
+        return True  # the rank was checked above
+    cosines = np.linalg.svd(on_u[:, :r_v], compute_uv=False)
+    return rank == int(np.count_nonzero(cosines > pol.tau_sub))
 
 
 def is_hyper_dagger(
@@ -400,14 +465,16 @@ def is_hyper_dagger(
 ) -> bool:
     """n-dagger for every n up to the horizon (clamped to the size budget).
 
-    (V_n)+ is read off the SVD of V_n that _svd_levels builds from an
-    m x dm core, so no level is decomposed whole.
+    Level 1 always holds, and each later level is decided given the one
+    before by _reverse_order_law, from (u, s) of two consecutive levels of
+    _svd_levels; no d^n m x m matrix is built.
     """
     top = min(horizon, budget_horizon(rep))
-    levels = zip(
-        range(1, top + 1), _svd_levels(rep), _lower_levels(rep.pseudo_inverse(pol), rep.dim_e)
+    levels = itertools.pairwise(itertools.islice(_svd_levels(rep), top))
+    return all(
+        _reverse_order_law(rep, n, previous, s_n, pol)
+        for n, (previous, (_, s_n)) in enumerate(levels, start=2)
     )
-    return all(n == 1 or _dagger_at(rep, n, level, sn, pol) for n, level, sn in levels)
 
 
 def fixed_point_range_check(
@@ -471,7 +538,7 @@ def hat_map_check(
     cok = rep.cokernel(pol)  # R(V)^perp
     results: dict[int, bool] = {}
     ranged = itertools.pairwise(_ranged_levels(rep, pol))
-    for n, ((u, s, w, rn), (*_, rn1)) in zip(range(1, n_max + 1), ranged):
+    for n, vn, ((*_, rn), (*_, rn1)) in zip(range(1, n_max + 1), _map_levels(rep), ranged):
         target = intersect(rn, complement(rn1, pol), pol)
         if target.dim != rep.dim_e**n * cok.dim:  # the dimension of the domain
             results[n] = False
@@ -479,8 +546,8 @@ def hat_map_check(
         if target.dim == 0:
             results[n] = True
             continue
-        # V_n = (u s) w* on the domain E^(x)n (x) R(V)-perp, with no lift formed.
-        compressed = (target.basis.conj().T @ (u * s)) @ _times_ampliation(w.conj().T, cok.basis)
+        # V_n on the domain E^(x)n (x) R(V)-perp, with no lift formed.
+        compressed = target.basis.conj().T @ _times_ampliation(vn, cok.basis)
         smin = float(np.linalg.svd(compressed, compute_uv=False)[-1])
         results[n] = smin > pol.tau_sub
     return results

@@ -258,6 +258,7 @@ def suite_wold(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
             "dagger equals adjoint": result.dagger_equals_adjoint,
             "unitary restriction": result.unitary_restriction,
             "biregular": result.biregular,
+            "hyper dagger": result.hyper_dagger,
         }
         expected_shift, expected_unitary = _expected_block_spans(layout)
         checks["generated part recovers shift blocks"] = subspaces_equal(

@@ -14,11 +14,15 @@ generated_subspace, is_wandering, reflection_witness and the joins of
 kernel_span_check walk the forward translates of structure._translates.
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
-that of V.  So the biregular flag reads ranges and kernels off the SVD
-walk of V', duality_check reads the join of the kernels of V+^(n) as the
-complement of the range chain of V', kernel_span_check reads
-ker V+^(n) = R(V'_n)^perp off level n of that walk, and none of them
-decomposes a tall iterate.
+that of V.  So the biregular flag reads the kernels
+ker V+^(n) = R(V'_n)^perp off the SVD walk of V' and decides each level
+from the one before on E (x) H (structure._biregular_levels),
+duality_check reads the join of those kernels as the complement of the
+range chain of V', and kernel_span_check reads ker V+^(n) off level n of
+that walk.  The hyper_dagger flag decides each level from the one before
+by Greville's reverse-order law, from u and s of two consecutive levels
+of V's walk (structure.is_hyper_dagger).  None of them builds a tall
+iterate.
 """
 
 from __future__ import annotations
@@ -373,7 +377,7 @@ def kernel_span_check(
     """
     d, m = rep.dim_e, rep.dim_h
     dual = mp_cauchy_dual(rep, pol)
-    u, s, _ = next(itertools.islice(_svd_levels(dual), n - 1, None))  # ValueError for n < 1
+    u, s = next(itertools.islice(_svd_levels(dual), n - 1, None))  # ValueError for n < 1
     ker1 = _subspace(m, u[:, _level_rank(dual, n, s, pol) :])
     translates = itertools.islice(_translates(rep, wandering_space(rep, pol), pol), n)
     first = contains(ker1, functools.reduce(functools.partial(add, pol=pol), translates), pol)

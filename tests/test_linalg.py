@@ -251,6 +251,27 @@ class TestSubspaceOps:
         s = range_space(rand_c(rng, 6, 2))
         assert subspaces_equal(complement(complement(s)), s)
 
+    def test_range_survives_an_svd_that_does_not_converge(self, monkeypatch, rng):
+        # LAPACK's divide and conquer can fail on structured input (a 36 x 31
+        # union of bases in the biregularity join did); the range is then
+        # read off the SVD of a*.
+        a = rand_c(rng, 6, 3) @ rand_c(rng, 3, 4)
+        want = range_space(a)
+        svd = np.linalg.svd
+        shapes = []
+
+        def failing(x, *args, **kwargs):
+            shapes.append(x.shape)
+            if x.shape == a.shape:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        got = range_space(a)
+        assert shapes == [(6, 4), (4, 6)]
+        assert got.dim == want.dim == 3 and subspaces_equal(got, want)
+        assert np.linalg.norm(got.basis.conj().T @ got.basis - np.eye(3)) <= 1e-13
+
     def test_kernel_is_complement_of_adjoint_range(self, rng):
         a = rand_c(rng, 4, 6)
         assert subspaces_equal(null_space(a), complement(range_space(a.conj().T)))

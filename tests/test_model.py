@@ -182,24 +182,24 @@ class TestWalks:
 
 
 class TestSvdLevels:
-    """_svd_levels reads the SVD of V_n off an m x dm core; the dense SVD of
+    """_svd_levels reads u and s of V_n off an m x dm core; the dense SVD of
     iterate_map is the oracle."""
 
     @staticmethod
     def assert_level_svd(rep, top):
         m = rep.dim_h
-        for n, (u, s, w) in zip(range(1, top + 1), _svd_levels(rep)):
+        for n, (u, s) in zip(range(1, top + 1), _svd_levels(rep)):
             vn = iterate_map(rep, n)
-            assert u.shape == (m, m) and s.shape == (m,) and w.shape == (vn.shape[1], m)
+            assert u.shape == (m, m) and s.shape == (m,)
             want = np.linalg.svd(vn, compute_uv=False)
             assert np.all(np.diff(s) <= 0.0)
             # An exactly zero level may come out as round-off of the product of
             # n factors V, whose scale is ||V||^n.
             scale = want[0] if want[0] else rep.norm() ** n
             assert np.max(np.abs(s - want)) <= 1e-12 * scale
-            assert np.linalg.norm((u * s) @ w.conj().T - vn) <= 1e-13 * max(np.linalg.norm(vn), scale)
+            gram = vn @ vn.conj().T
+            assert np.linalg.norm((u * s**2) @ u.conj().T - gram) <= 1e-13 * max(np.linalg.norm(gram), scale**2)
             assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= 1e-13
-            assert np.linalg.norm(w.conj().T @ w - np.eye(m)) <= 1e-13
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_the_dense_svd(self, rng, d):
@@ -210,10 +210,10 @@ class TestSvdLevels:
         rep = truncated_shift_rep(4)  # V_n = 0 from n = 4 on
         self.assert_level_svd(rep, 6)
         levels = list(itertools.islice(_svd_levels(rep), 6))
-        assert [int(np.count_nonzero(s > 0.5)) for _, s, _ in levels] == [3, 2, 1, 0, 0, 0]
+        assert [int(np.count_nonzero(s > 0.5)) for _, s in levels] == [3, 2, 1, 0, 0, 0]
         zero = Representation(2, 3, np.zeros((3, 6)))
         self.assert_level_svd(zero, 6)
-        assert all(not s.any() for _, s, _ in itertools.islice(_svd_levels(zero), 6))
+        assert all(not s.any() for _, s in itertools.islice(_svd_levels(zero), 6))
 
     def test_bilateral_shift_with_zero_weights(self, rng):
         rep, _ = build_bilateral_shift(bilateral_spec(rng, n=2, M=2))
@@ -221,10 +221,9 @@ class TestSvdLevels:
 
     def test_level_one_is_read_off_the_svd_of_v(self, rng):
         rep = Representation(2, 3, rand_c(rng, 3, 6))
-        u, s, w = next(_svd_levels(rep))
-        full_u, full_s, vh = rep.svd()
+        u, s = next(_svd_levels(rep))
+        full_u, full_s, _ = rep.svd()
         assert u is full_u and np.array_equal(s, full_s[:3])
-        assert np.array_equal(w, vh[:3].conj().T)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_budget_stops_the_walk_before_the_level(self, monkeypatch, rng, d):
@@ -233,7 +232,7 @@ class TestSvdLevels:
         monkeypatch.setenv("WOLDKIT_BUDGET", str(d**3 * m))
         walk = _svd_levels(rep)
         levels = list(itertools.islice(walk, budget_horizon(rep)))  # never raises
-        assert [w.shape[0] for _, _, w in levels] == [d * m, d**2 * m, d**3 * m]
+        assert [(u.shape, s.shape) for u, s in levels] == [((m, m), (m,))] * 3
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
@@ -241,7 +240,23 @@ class TestSvdLevels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < d**4 * m * m * 16 / 8  # w of level 4 holds d^4 m^2 complex entries
+        assert peak < d**4 * m * m * 16 / 8  # level 4 holds d^4 m^2 complex entries
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_array_grows_with_the_level(self, rng, d):
+        # Level 6 of an m = 20 map has d^6 * 20 columns; the walk to it holds
+        # the m x dm core and its factors only.
+        m = 20
+        rep = Representation(d, m, rand_c(rng, m, d * m))
+        rep.svd()
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(_svd_levels(rep), 6):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * m * m * 16
 
 
 class TestCovariance:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,16 +32,17 @@ from woldkit.linalg import (
 )
 from woldkit.model import (
     Representation,
+    _level_rank,
     _svd_levels,
     iterate_lower,
     iterate_map,
     representation_from_dict,
 )
 from woldkit.shifts import build_bilateral_shift
+from woldkit import structure
 from woldkit.structure import (
     GenInverse,
     _biregular_levels,
-    _level_pinv,
     _stabilized_chain,
     _translates,
     algebraic_core,
@@ -362,12 +364,12 @@ class TestBiRegularity:
 
     @staticmethod
     def assert_levels_match_the_oracle(s, d, top):
-        """_biregular_levels on the representation of S* against the dense
-        oracle; returns the verdicts and how many levels the dimensions left
-        undecided."""
+        """_biregular_levels on the representation of S* against the prefix
+        verdicts of the dense oracle; returns the verdicts and how many levels
+        the dimensions left undecided."""
         adjoint = Representation(d, s.shape[1], s.conj().T)
         got = list(_biregular_levels(adjoint, top, DEFAULT_POLICY))
-        assert got == biregular_levels_oracle(s, d, top)
+        assert got == list(itertools.accumulate(biregular_levels_oracle(s, d, top), min))
         k, m = null_space(s).dim, s.shape[1]
         undecided = sum(
             1 for n in range(1, top + 1) if 0 < d**n * k and not _dims_exclude(d**n * k, m, DEFAULT_POLICY)
@@ -415,7 +417,7 @@ class TestBiRegularity:
             assert subspaces_equal(dual.cokernel(), rep.cokernel())
             assert dual.norm() == pytest.approx(float(np.linalg.norm(s, 2)), rel=1e-12, abs=0.0)
             got = list(_biregular_levels(dual, 3, DEFAULT_POLICY))
-            assert got == biregular_levels_oracle(s, rep.dim_e, 3)
+            assert got == list(itertools.accumulate(biregular_levels_oracle(s, rep.dim_e, 3), min))
 
     def test_rank_of_a_level_reads_its_shape(self):
         # S removes the first letter of a word over d = 2 letters, with weight
@@ -429,6 +431,55 @@ class TestBiRegularity:
             warnings.simplefilter("ignore", RankWarning)
             got, read = self.assert_levels_match_the_oracle(s, 2, 4)
         assert got == [True, True, False, False] and read == 3
+
+    def test_recursion_matches_the_oracle_prefix_on_a_seeded_corpus(self, monkeypatch, rng):
+        # Level m is decided from N(S^(m)) and N(S^(m-1)) of the walk; maps of
+        # every rank at d = 1, 2, 3, each with S = V+ and a random generalized
+        # inverse.  No level of this corpus is built.
+        reps = [
+            rank_deficient_rep(rng, d, m, r)
+            for d in (1, 2, 3)
+            for m in (2, 3, 4)
+            for r in range(m + 1)
+        ]
+        reps += [truncated_shift_rep(length) for length in (3, 4, 5)]
+        reps += [Representation(1, 3, REVERSE_ORDER_A), Representation(1, 3, REVERSE_ORDER_A.T)]
+        reps += [build_bilateral_shift(bilateral_spec(rng, n=2, M=2))[0]]
+        monkeypatch.setattr(structure, "iterate_map", None)
+        first_failures, undecided = set(), 0
+        for rep in reps:
+            for y in (np.zeros((rep.ambient_domain, rep.dim_h)),
+                      rand_complex(rng, rep.ambient_domain, rep.dim_h)):
+                s = make_generalized_inverse(rep, y).matrix
+                got, read = self.assert_levels_match_the_oracle(s, rep.dim_e, 4)
+                first_failures.add(got.index(False) + 1 if False in got else None)
+                undecided += read
+        assert first_failures == {None, 1, 2, 3, 4}
+        assert undecided
+
+    @pytest.mark.parametrize("eps, want", [(4e-9, [True, False, False, False]), (2e-8, [True, True, True, False])])
+    def test_a_rank_rule_that_disagrees_with_the_factors_is_decided_by_the_level(self, monkeypatch, eps, want):
+        # Word removal with weight eps on the words of length one, next to an
+        # injective block with singular values 1, 1, eps.  eps lies between
+        # the cutoffs of levels 1 and 2 (4e-9) or 2 and 3 (2e-8), so the rule
+        # of that level drops a singular value that the product of the kept
+        # factors has.  Such a level is decided by the dense test of the
+        # level, which the walk of the kernels cannot reproduce.
+        words = word_removal(2, 3, [eps, 1.0, 1.0])
+        block = np.zeros((6, 3))
+        block[:3] = np.diag([1.0, 1.0, eps])
+        s = np.zeros((2 * 18, 18), dtype=np.complex128)
+        for j in range(2):
+            s[18 * j : 18 * j + 15, :15] = words[15 * j : 15 * (j + 1)]
+            s[18 * j + 15 : 18 * (j + 1), 15:] = block[3 * j : 3 * (j + 1)]
+        built = []
+        monkeypatch.setattr(
+            structure, "iterate_map", lambda rep, n: built.append(n) or iterate_map(rep, n)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            got, _ = self.assert_levels_match_the_oracle(s, 2, 4)
+        assert got == want and built[0] == 2
 
 
 def word_removal(d, length, weights):
@@ -526,12 +577,15 @@ class TestDagger:
 
     @pytest.mark.parametrize("rank", [0, 1, 3, 5])
     def test_level_pinv_norm_is_one_over_sigma_r(self, rng, rank):
+        # ||(V_n)+|| = 1 / s[r-1] and R((V_n)+*) = u[:, :r], with (u, s) read
+        # off the walk and r by the rank rule of the level.
         rep = rank_deficient_rep(rng, 2, 5, rank) if rank else Representation(2, 5, np.zeros((5, 10)))
-        for n, level in zip(range(1, 4), _svd_levels(rep)):
-            inv, norm = _level_pinv(rep, n, level, DEFAULT_POLICY)
+        for n, (u, s) in zip(range(1, 4), _svd_levels(rep)):
+            r = _level_rank(rep, n, s, DEFAULT_POLICY)
             want = pinv(iterate_map(rep, n), scale=rep.norm() ** n)
-            assert np.linalg.norm(inv - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
-            assert norm == pytest.approx(spectral_norm(inv), rel=1e-12, abs=0.0)
+            norm = 1.0 / float(s[r - 1]) if r else 0.0
+            assert norm == pytest.approx(spectral_norm(want), rel=1e-10, abs=0.0)
+            assert subspaces_equal(range_space(want.conj().T), Subspace(5, u[:, :r]))
 
     def test_randomized_search_finds_failure(self, rng):
         found = False
@@ -541,6 +595,103 @@ class TestDagger:
                 found = True
                 break
         assert found
+
+
+def reverse_order_conditions_oracle(rep, n, pol=DEFAULT_POLICY):
+    """Conditions (a), (b) and (c) of is_hyper_dagger at level n, on dense
+    lifts: V*V maps E (x) R(V_{n-1}) into itself, I (x) V_{n-1}V_{n-1}* maps
+    R(V*) into itself, and the rank of V_n is the number of cosines above
+    tau_sub between R(V*) and E (x) R(V_{n-1})."""
+    d, v, nv = rep.dim_e, rep.matrix, rep.norm()
+    prev = iterate_map(rep, n - 1)
+    lifted = np.kron(np.eye(d), range_space(prev, pol, scale=nv ** (n - 1)).basis)
+    q = range_space(v.conj().T, pol).basis
+    x = v.conj().T @ v @ lifted
+    a = np.linalg.norm(x - lifted @ (lifted.conj().T @ x)) <= 1e-8 * max(1.0, nv**2)
+    y = np.kron(np.eye(d), prev @ prev.conj().T) @ q
+    b = np.linalg.norm(y - q @ (q.conj().T @ y)) <= 1e-8 * max(1.0, spectral_norm(prev) ** 2)
+    cosines = np.linalg.svd(lifted.conj().T @ q, compute_uv=False) if lifted.size and q.size else []
+    rank = range_space(iterate_map(rep, n), pol, scale=nv**n).dim
+    return a, b, rank == int(np.count_nonzero(np.asarray(cosines) > pol.tau_sub))
+
+
+REVERSE_ORDER_A = np.array([[0, 1, 0], [0, 2, 0], [1, 0, 0]], dtype=np.complex128)
+
+
+class TestReverseOrderLaw:
+    """is_hyper_dagger decides each level from the one before on E (x) H;
+    the dense n_dagger_oracle of every level up to the horizon is the oracle."""
+
+    @staticmethod
+    def corpus(rng):
+        reps = [
+            rank_deficient_rep(rng, d, m, r)
+            for d in (1, 2, 3)
+            for m in (2, 3, 4)
+            for r in range(m + 1)
+        ]
+        for d in (1, 2, 3):
+            reps += [generic_rep(rng, d, 3), coisometry_rep(rng, d, 3)]
+            sparse = rand_complex(rng, 4, 4 * d)
+            sparse[rng.uniform(size=sparse.shape) < 0.7] = 0.0
+            reps.append(Representation(d, 4, sparse))
+        reps += [truncated_shift_rep(4), left_invertible_rep(rng, 3)]
+        reps += [build_bilateral_shift(bilateral_spec(rng, n=2, M=2))[0]]
+        reps += [Representation(1, 3, REVERSE_ORDER_A), Representation(1, 3, REVERSE_ORDER_A.T)]
+        return reps
+
+    def test_prefix_matches_the_dense_levels(self, rng):
+        verdicts = set()
+        for rep in self.corpus(rng):
+            dense = list(itertools.accumulate((n_dagger_oracle(rep, n) for n in range(1, 5)), min))
+            got = [is_hyper_dagger(rep, horizon) for horizon in range(1, 5)]
+            assert got == dense
+            verdicts.update(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "matrix, d, level, failing",
+        [
+            (REVERSE_ORDER_A, 1, 2, 0),  # V*V moves R(V) out of itself
+            (REVERSE_ORDER_A.T, 1, 2, 1),  # V V* moves R(V*) out of itself
+            (np.array([[1e-4, 1.0], [0.0, 1e-4]]), 1, 2, 2),  # the cutoff of V_2
+            (np.hstack([np.diag([1.0, 1e-3]), np.zeros((2, 2))]), 2, 3, 2),  # the shape of V_3
+            # ... with ker V and ker V_2* nonzero, so the cosines give the rank
+            (np.hstack([np.diag([1.0, 1e-3, 0.0]), np.zeros((3, 3))]), 2, 3, 2),
+        ],
+    )
+    def test_each_condition_decides_a_false(self, matrix, d, level, failing):
+        rep = Representation(d, matrix.shape[0], matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            assert all(all(reverse_order_conditions_oracle(rep, n)) for n in range(2, level))
+            conditions = reverse_order_conditions_oracle(rep, level)
+            assert [i for i, holds in enumerate(conditions) if not holds] == [failing]
+            assert is_hyper_dagger(rep, level - 1)
+            assert not is_hyper_dagger(rep, level)
+            assert not n_dagger_oracle(rep, level)
+
+    def test_invertible_levels_are_decided_exactly(self, rng):
+        # An invertible V is hyper-dagger in exact arithmetic.  At d = 1 the
+        # law decides it from ranks alone, while the dense gap of V_5 with
+        # cond(V) ~ 70 is round-off of the size of the threshold.
+        rep = Representation(1, 3, rand_complex(rng, 3, 3) @ rand_complex(rng, 3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            assert is_hyper_dagger(rep, 5)
+
+    def test_no_level_sized_array(self, rng):
+        # Level 6 of an m = 20, d = 3 map has 3^6 * 20 columns; the test holds
+        # only dm x dm arrays.
+        rep = coisometry_rep(rng, 3, 20)
+        rep.pseudo_inverse()
+        tracemalloc.start()
+        try:
+            assert is_hyper_dagger(rep, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (3 * 20) ** 2 * 16
 
 
 class TestFixedPointAndInvariance:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,9 @@ from woldkit.generate import (
     weighted_truncated_shift,
 )
 from woldkit.linalg import Subspace, complement, subspaces_equal
-from woldkit.model import Representation
+from woldkit.model import Representation, budget_horizon
 from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
-from woldkit.structure import GenInverse, is_biregular, range_chain
+from woldkit.structure import GenInverse, default_horizon, is_biregular, range_chain
 from woldkit.wold import (
     cauchy_dual,
     check_intertwiner,
@@ -155,6 +157,33 @@ class TestWoldDecompose:
         monkeypatch.setattr(structure, "_svd_levels", counted)
         assert wold_diagnostics(rep, 4).biregular  # raises no BudgetExceeded
         assert deepest == [2, 2]
+
+    def test_flags_build_no_level_sized_array(self, monkeypatch, rng):
+        # Unilateral d = 2, L = 6: dim H = 127 and both flags read levels up
+        # to 7, of 2^7 * 127 columns.  Deciding them on E (x) H keeps each
+        # below 16 MB; the dense levels peaked at 133 and 51 MB.
+        rep = build_unilateral_shift(unilateral_spec(rng, d=2, L=6))[0]
+        peaks = {}
+
+        def traced(name, fn):
+            def run(*args):
+                tracemalloc.start()
+                try:
+                    out = fn(*args)
+                    out = out if isinstance(out, bool) else iter(list(out))
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                return out
+
+            return run
+
+        monkeypatch.setattr(wold, "is_hyper_dagger", traced("hyper_dagger", wold.is_hyper_dagger))
+        monkeypatch.setattr(wold, "_biregular_levels", traced("biregular", wold._biregular_levels))
+        res = wold_diagnostics(rep, default_horizon(rep))
+        assert res.hyper_dagger and res.horizon > budget_horizon(rep) == 7
+        assert peaks.keys() == {"hyper_dagger", "biregular"}
+        assert max(peaks.values()) < 16e6
 
     def test_biregular_reads_level_one_when_no_level_fits(self, monkeypatch, rng):
         # d * m = 6 columns exceed the budget, so budget_horizon is 0.
