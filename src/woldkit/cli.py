@@ -245,6 +245,17 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --horizon and --count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it unchanged."""
@@ -264,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="analyze a representation or shift-spec file")
     p_an.add_argument("input")
     p_an.add_argument("--out", help="write the JSON report here")
-    p_an.add_argument("--horizon", type=int, default=None)
+    p_an.add_argument("--horizon", type=_positive_int, default=None)
     add_tolerances(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -277,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run seeded verification suites")
     p_ver.add_argument("suite", help="'all' or one suite name")
-    p_ver.add_argument("--count", type=int, default=25)
+    p_ver.add_argument("--count", type=_positive_int, default=25)
     p_ver.add_argument("--seed", type=int, default=1)
     add_tolerances(p_ver)
     p_ver.set_defaults(func=cmd_verify)

@@ -81,6 +81,8 @@ def expansive_rep(
     rng: np.random.Generator, m: int, top: float = 1.8, floor: float = 1.0 + 1e-6
 ) -> Representation:
     """All singular values at least one: the map increases every norm."""
+    if not floor <= top:
+        raise InvalidParams(f"need top >= {floor}")
     return Representation(1, m, _with_singular_values(rng, m, floor, top))
 
 
@@ -199,6 +201,8 @@ def unilateral_spec(
     """Invertible expansive weights with singular values in [lo, hi]."""
     if sigma_lo < 1.0:
         raise InvalidParams("weights must have singular values at least one")
+    if sigma_hi < sigma_lo:
+        raise InvalidParams("need sigma_lo <= sigma_hi")
     mats = []
     for k in range(1, L + 1):
         n = d**k
@@ -213,6 +217,8 @@ def bilateral_spec(
 ) -> BilateralSpec:
     """Weight table following the sign pattern: 1 below zero, 0 at zero,
     at least 1 above zero."""
+    if w_hi < 1.0:
+        raise InvalidParams("need w_hi >= 1")
     w = np.ones((n, 2 * M + 1), dtype=np.complex128)
     w[:, M] = 0.0
     w[:, M + 1 :] = rng.uniform(1.0, w_hi, size=(n, M))
@@ -228,11 +234,15 @@ def generate_named(kind: str, seed: int, params: dict[str, float]):
     p = dict(params)
 
     def geti(key: str, default: int) -> int:
+        """A size parameter: every one of them is at least 1."""
         val = p.pop(key, default)
         try:
-            return int(val)
+            size = int(val)
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"parameter {key} must be an integer, got {val!r}") from exc
+        if size < 1:
+            raise InvalidParams(f"parameter {key} must be at least 1, got {size}")
+        return size
 
     def getf(key: str, default: float) -> float:
         val = p.pop(key, default)

@@ -1,10 +1,12 @@
 """Generalized range, algebraic core, regularity, and generalized inverses.
 
 The decreasing range chain R(V_1) >= R(V_2) >= ... stabilizes in finite
-dimensions; its limit is the generalized range.  Every chain of forward
-translates is the one walk _translates, and every subspace chain stops by
-the one rule of _stabilized_chain.  Regularity asks that the
-kernel of the map sits inside E (x) (that limit).  Because the strict
+dimensions; its limit R_infinity is the generalized range, and
+range_chain returns R(V_1), ..., R_infinity: its length is the
+stabilization index.  Every chain of forward translates is the one walk
+_translates, and every subspace chain stops by the one rule of
+_stabilized_chain, at its first repeated member.  Regularity asks that the
+kernel of the map sits inside E (x) R_infinity.  Because the strict
 condition is destroyed by hard truncation of an otherwise regular
 operator (the truncation boundary injects kernel vectors the untruncated
 operator does not have), every consumer that needs regularity can also
@@ -105,48 +107,49 @@ def _translates(rep: Representation, s: Subspace, pol: TolerancePolicy):
         s = _forward_translate(rep, s, pol)
 
 
-def _stabilized_chain(spaces_iter, pol: TolerancePolicy) -> tuple[list[Subspace], int]:
-    """Consume a chain until two consecutive mutual containments confirm.
+def _stabilized_chain(spaces, pol: TolerancePolicy) -> list[Subspace]:
+    """Consume a chain up to its limit: the first member that equals the next.
 
-    Returns (all computed subspaces, 1-based index of the stabilized one).
-    Each chain here (ranges of V_n, or joins of forward translates) is
-    constant when its first space is {0} or H, so such a chain is returned
-    as ([first] * 3, 1) without reading further.  A monotone chain in C^n
-    ties within n steps, so a chain of subspaces of C^n that has not
+    Each chain here is monotone, and each member is a function of the one
+    before (R(V_{n+1}) = V(E (x) R(V_n)), and J_{n+1} = S + V(E (x) J_n) for
+    the joins of translates), so it is constant from its first repeated
+    member on, and from a member {0} or H (V(E (x) {0}) = {0}; H is the
+    top of an increasing chain, or the first member R(V) = H of a
+    decreasing one), which ends the chain without a further read.  A tie
+    is tested only between members of equal dimension: across dimensions
+    subspaces_equal fails while tau_sub*sqrt(dim) < 1 (linalg._dims_exclude).
+    Returns the members up to and including the limit.  A monotone chain
+    in C^n ties within n steps, so a chain of subspaces of C^n that has not
     stabilized after n + 8 raises IdentityViolated.
     """
     chain: list[Subspace] = []
-    ties = 0  # consecutive equal pairs at the end of the chain
-    for space in spaces_iter:
-        if not chain and space.dim in (0, space.ambient_dim):
-            return [space] * 3, 1
-        ties = ties + 1 if chain and subspaces_equal(chain[-1], space, pol) else 0
+    for space in spaces:
+        if chain and space.dim == chain[-1].dim and subspaces_equal(chain[-1], space, pol):
+            return chain
         chain.append(space)
-        if ties == 2:  # the tie at len(chain) - 2, confirmed by one extra step
-            return chain, len(chain) - 2
+        if space.dim in (0, space.ambient_dim):
+            return chain
         if len(chain) >= space.ambient_dim + 8:
             break
     raise IdentityViolated("subspace chain failed to stabilize; numerical pathology")
 
 
 @derived
-def range_chain(
-    rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[tuple[Subspace, ...], int]:
-    """Ranges R(V_n) for n = 1, 2, ... until stabilization, via subspace iteration.
+def range_chain(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[Subspace, ...]:
+    """The ranges R(V_1), ..., R_infinity, via subspace iteration.
 
     Uses R(V_{n+1}) = V(E (x) R(V_n)), the forward translates of R(V)
     (read off the SVD of V), which never grow past d*m columns, so no size
-    budget applies.  R(V_n) is constant from the returned index on.
+    budget applies.  The last member is the limit R_infinity: R(V_n) equals
+    it for every n from the length of the chain on.
     Memoized on the representation per policy.
     """
     first = _subspace(rep.dim_h, rep.svd()[0][:, : rep._svd_rank(pol)])
-    chain, stable = _stabilized_chain(_translates(rep, first, pol), pol)
-    return tuple(chain), stable
+    return tuple(_stabilized_chain(_translates(rep, first, pol), pol))
 
 
 def stabilization_index(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    return range_chain(rep, pol)[1]
+    return len(range_chain(rep, pol))
 
 
 def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -156,8 +159,7 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
     an m x dm core, and stops by the rule of _stabilized_chain; raises
     BudgetExceeded if the chain reaches a level past the size budget first.
     """
-    chain, stable = _stabilized_chain((rn for *_, rn in _ranged_levels(rep, pol)), pol)
-    return chain[stable - 1]
+    return _stabilized_chain((rn for *_, rn in _ranged_levels(rep, pol)), pol)[-1]
 
 
 def _ranged_levels(rep: Representation, pol: TolerancePolicy):
@@ -171,12 +173,11 @@ def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -
     """Greatest subspace K with V(E (x) K) = K, by greatest-fixed-point iteration.
 
     The iteration K_0 = H, K_{j+1} = V(E (x) K_j) is the range chain from
-    K_1 = R(V) on; range_chain stops only where V(E (x) K) = K: after testing
-    it, or at a first space {0} or H, where it holds.
+    K_1 = R(V) on; range_chain ends only where V(E (x) K) = K: at a member
+    equal to the next one, or at a member {0} or H, where it holds.
     The core equals generalized_range; the range-structure suite checks it.
     """
-    chain, stable = range_chain(rep, pol)
-    return chain[stable - 1]
+    return range_chain(rep, pol)[-1]
 
 
 def default_horizon(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
@@ -215,24 +216,17 @@ def _in_lifted_ranges(
 ):
     """Yield, for m = 1..horizon, whether S lies in E (x) R(V_m).
 
-    R(V_m) is the limit of range_chain for every m past the end of the
-    chain, and a chain entry may be the limit object itself (a constant
-    chain is one object three times).  All those levels share one verdict:
-    at_limit when the caller has it, else computed once here.
+    One containment per member of range_chain before its limit; every level
+    from the stabilization index on shares the limit's verdict: at_limit
+    when the caller has it, else computed once here.
     """
-    chain, stable = range_chain(rep, pol)
-    limit = chain[stable - 1]
-
-    def verdict(space: Subspace) -> bool:
-        nonlocal at_limit
-        if space is not limit:
-            return contains(s, lift_subspace(1, space, rep.dim_e), pol)
+    *before, limit = range_chain(rep, pol)
+    for space in before[:horizon]:
+        yield contains(s, lift_subspace(1, space, rep.dim_e), pol)
+    if horizon > len(before):
         if at_limit is None:
             at_limit = contains(s, lift_subspace(1, limit, rep.dim_e), pol)
-        return at_limit
-
-    yield from map(verdict, chain[:horizon])
-    yield from map(verdict, itertools.repeat(limit, horizon - len(chain)))
+        yield from itertools.repeat(at_limit, horizon - len(before))
 
 
 def is_regular(
@@ -241,11 +235,12 @@ def is_regular(
     horizon: int | None = None,
 ) -> RegularityReport:
     """Kernel-inclusion regularity check with per-horizon witnesses."""
-    chain, stable = range_chain(rep, pol)
+    chain = range_chain(rep, pol)
+    stable = len(chain)
     if horizon is None:
         horizon = default_horizon(rep, pol)
     kernel = rep.kernel(pol)
-    strict = contains(kernel, lift_subspace(1, chain[stable - 1], rep.dim_e), pol)
+    strict = contains(kernel, lift_subspace(1, chain[-1], rep.dim_e), pol)
     levels = _in_lifted_ranges(rep, kernel, horizon, pol, at_limit=strict)
     per_m = dict(zip(range(1, horizon + 1), levels))
     all_m = all(per_m.values())
@@ -492,8 +487,8 @@ def fixed_point_range_check(
     equals R_infinity as a subspace.
     """
     require_regular(rep, pol, horizon)
-    chain, stable = range_chain(rep, pol)
-    rinf = chain[stable - 1]
+    chain = range_chain(rep, pol)
+    rinf, stable = chain[-1], len(chain)
     m_dim = rep.dim_h
     eye = np.eye(m_dim, dtype=np.complex128)
     stacked = []
@@ -517,8 +512,7 @@ def inverse_invariance_check(
     rep: Representation, gi: GenInverse, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
     """S maps the generalized range into E (x) (generalized range)."""
-    chain, stable = range_chain(rep, pol)
-    rinf = chain[stable - 1]
+    rinf = algebraic_core(rep, pol)
     if rinf.dim == 0:
         return True
     image = range_space(gi.matrix @ rinf.basis, pol)

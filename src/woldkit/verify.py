@@ -163,7 +163,17 @@ def suite_kernel_lattice(count: int, seed: int, pol: TolerancePolicy) -> SuiteRe
 
 
 def suite_generalized_inverse(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
-    """Iterated generalized-inverse identities on regular instances."""
+    """Iterated generalized-inverse identities on regular instances.
+
+    In finite dimensions strict regularity is surjectivity: with
+    K = R_infinity-perp, ker V in E (x) R_infinity makes V injective on
+    E (x) K with an image that meets R_infinity = V(E (x) R_infinity) only
+    in 0, so d dim K + dim R_infinity <= dim H.  That forces K = 0 for
+    d >= 2 and R(V) = H for d = 1; conversely R(V) = H makes the range
+    chain constant at H.  So every instance kept here has V V+ = I (the
+    factor V V+ of S changes none of them), and no strictly regular map
+    that is neither surjective nor injective exists to draw.
+    """
     rng = np.random.default_rng(seed)
     res = SuiteResult("generalized-inverse")
     for i in range(count):

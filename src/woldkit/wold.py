@@ -75,11 +75,11 @@ from .structure import (
     _forward_translate,
     _stabilized_chain,
     _translates,
+    algebraic_core,
     default_horizon,
     is_hyper_dagger,
     is_regular,
     lift_subspace,
-    range_chain,
 )
 
 __all__ = [
@@ -140,8 +140,7 @@ def generated_subspace(
     if s.ambient_dim != rep.dim_h:
         raise PreconditionFailed("subspace must live in H")
     joins = itertools.accumulate(_translates(rep, s, pol), functools.partial(add, pol=pol))
-    chain, stable = _stabilized_chain(joins, pol)
-    return chain[stable - 1]
+    return _stabilized_chain(joins, pol)[-1]
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,7 @@ def wold_diagnostics(
     w = wandering_space(rep, pol)
     wd = co_wandering_space(rep, pol)
     bracket = generated_subspace(rep, w, pol)
-    chain, stable = range_chain(rep, pol)
-    rinf = chain[stable - 1]
+    rinf = algebraic_core(rep, pol)
 
     p_bw, p_ri = project(bracket), project(rinf)
     eye_h = np.eye(m, dtype=np.complex128)
@@ -241,8 +239,9 @@ def wold_diagnostics(
     spans_h = add(bracket, rinf, pol).dim == m
 
     lifted_ri = lift_subspace(1, rinf, d)
-    # V(E (x) R_infinity) lies in R_infinity: range_chain stopped on that
-    # containment, so reduction needs only the adjoint direction.
+    # V(E (x) R_infinity) lies in R_infinity: range_chain ends where the
+    # next member, V(E (x) R_infinity), equals it at tau_sub (or at {0} or
+    # H), so reduction needs only the adjoint direction.
     backward = range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
     reduces = contains(backward, lifted_ri, pol)
 
@@ -358,8 +357,8 @@ def duality_check(
     """
     _check_preconditions(rep, None, horizon, pol)
     bracket = generated_subspace(rep, wandering_space(rep, pol), pol)
-    chain, stable = range_chain(mp_cauchy_dual(rep, pol), pol)
-    return subspaces_equal(bracket, complement(chain[stable - 1], pol), pol)
+    dual_core = algebraic_core(mp_cauchy_dual(rep, pol), pol)
+    return subspaces_equal(bracket, complement(dual_core, pol), pol)
 
 
 def kernel_span_check(

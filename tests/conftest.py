@@ -5,17 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from woldkit.errors import IdentityViolated
+from woldkit.generate import (
+    block_wold_rep,
+    generic_rep,
+    left_invertible_rep,
+    rand_complex,
+    rand_unitary,
+    rank_deficient_rep,
+    truncated_shift_rep,
+    unilateral_spec,
+    weighted_truncated_shift,
+)
 from woldkit.linalg import (
     DEFAULT_POLICY,
     Subspace,
+    _subspace,
     add,
     contains,
     null_space,
     range_space,
     subspaces_equal,
 )
-from woldkit.model import budget_horizon, iterate_lower, iterate_map
-from woldkit.structure import is_regular, lift_subspace
+from woldkit.model import Representation, budget_horizon, iterate_lower, iterate_map
+from woldkit.shifts import build_unilateral_shift
+from woldkit.structure import RegularityReport, _translates, is_regular, lift_subspace
 
 
 def gaussian_rank(mat, tol: float = 1e-9) -> int:
@@ -117,6 +131,92 @@ def kernel_span_oracle(rep, n, pol=DEFAULT_POLICY):
         arg = np.kron(np.eye(d ** (n - i - 1)), wd.basis)
         join2 = add(join2, range_space(left @ arg, pol, scale=nd**i), pol)
     return first, subspaces_equal(ker_n, join2, pol)
+
+
+def two_tie_chain_oracle(spaces, pol=DEFAULT_POLICY):
+    """The stopping rule that confirmed a tie by one more read: consume a
+    chain until two consecutive pairs are equal, and return (the members
+    read, the 1-based index of the first member of the confirmed tie).  A
+    chain from {0} or H is ([first] * 3, 1), read no further."""
+    chain = []
+    ties = 0  # consecutive equal pairs at the end of the chain
+    for space in spaces:
+        if not chain and space.dim in (0, space.ambient_dim):
+            return [space] * 3, 1
+        ties = ties + 1 if chain and subspaces_equal(chain[-1], space, pol) else 0
+        chain.append(space)
+        if ties == 2:
+            return chain, len(chain) - 2
+        if len(chain) >= space.ambient_dim + 8:
+            break
+    raise IdentityViolated("subspace chain failed to stabilize; numerical pathology")
+
+
+def range_translates(rep, pol=DEFAULT_POLICY):
+    """R(V), V(E (x) R(V)), ...: the walk that range_chain stops."""
+    first = _subspace(rep.dim_h, rep.svd()[0][:, : rep._svd_rank(pol)])
+    return _translates(rep, first, pol)
+
+
+def regularity_oracle(rep, horizon=None, pol=DEFAULT_POLICY) -> RegularityReport:
+    """is_regular on the range chain of the two-tie rule: level m is judged
+    on the m-th member read (a confirming member too), and every level past
+    them on the limit."""
+    chain, stable = two_tie_chain_oracle(range_translates(rep, pol), pol)
+    limit, kernel = chain[stable - 1], rep.kernel(pol)
+    if horizon is None:
+        horizon = max(8, stable + 4)
+
+    def verdict(space):
+        return contains(kernel, lift_subspace(1, space, rep.dim_e), pol)
+
+    strict = verdict(limit)
+    per_m = {m: verdict(chain[m - 1] if m <= len(chain) else limit) for m in range(1, horizon + 1)}
+    anomaly = strict != all(per_m.values()) and horizon >= stable
+    return RegularityReport(kernel.dim, strict, per_m, stable, horizon, anomaly)
+
+
+def graded_rep(rng, d: int, sizes, core: int = 0) -> Representation:
+    """A map that sends E (x) H_k into H_{k+1} for the blocks H_0, H_1, ...
+    of the given sizes, by Gaussian blocks, and E (x) U onto U for a
+    block U of dimension core, seen in a random unitary basis of H: its
+    range chain falls by one block per level to a limit of dimension core."""
+    m = sum(sizes) + core
+    starts = np.cumsum([0, *sizes])
+    v = np.zeros((m, d * m), dtype=np.complex128)
+    for i in range(d):
+        for k in range(len(sizes) - 1):
+            rows, cols = slice(starts[k + 1], starts[k + 2]), slice(starts[k], starts[k + 1])
+            v[rows, i * m + cols.start : i * m + cols.stop] = rand_complex(rng, sizes[k + 1], sizes[k])
+        v[m - core :, i * m + m - core : (i + 1) * m] = rand_complex(rng, core, core)
+    q = rand_unitary(rng, m)
+    return Representation(d, m, q @ v @ np.kron(np.eye(d), q.conj().T))
+
+
+def chain_corpus(d: int, seed: int = 17) -> list[Representation]:
+    """Seeded maps at dim E = d whose subspace chains differ in length and
+    limit: dense, rank-deficient (the zero map among them) and graded
+    maps, the same with some columns scaled by 1e-6 (two-scale maps), and
+    unilateral shifts; at d = 1 also truncated and weighted shifts,
+    block-Wold sums and an invertible map."""
+    rng = np.random.default_rng([d, seed])
+    reps = []
+    for m in (2, 3, 4) if d < 3 else (2, 3):
+        reps += [generic_rep(rng, d, m), *(rank_deficient_rep(rng, d, m, r) for r in range(m))]
+    for sizes, core in (((1, 1), 0), ((2, 1, 1), 1), ((1, 2, 1), 2), ((2, 2, 1, 1), 0)):
+        reps.append(graded_rep(rng, d, sizes, core))
+    for rep in list(reps):
+        v = rep.matrix.copy()
+        v[:, rng.permutation(v.shape[1])[: max(1, v.shape[1] // 3)]] *= 1e-6
+        reps.append(Representation(d, rep.dim_h, v))
+    if d == 1:
+        reps += [truncated_shift_rep(n) for n in (1, 3, 5)]
+        reps.append(weighted_truncated_shift(rng.uniform(1.0, 1.6, size=4)))
+        reps += [block_wold_rep(rng, n_shift=1 + i % 2, n_unitary=i // 2)[0] for i in range(4)]
+        reps.append(left_invertible_rep(rng, 4))
+    else:
+        reps.append(build_unilateral_shift(unilateral_spec(rng, d=d, L=2))[0])
+    return reps
 
 
 @pytest.fixture

@@ -121,6 +121,27 @@ class TestGenerate:
         assert run_cli("generate", "expansive", "--params", "bogus=3",
                        "--out", str(tmp_path / "x.json")) == 1
 
+    @pytest.mark.parametrize("kind, param", [
+        ("generic", "d=-1"),
+        ("left-invertible", "m=-2"),
+        ("expansive", "m=-1"),
+        ("concave", "m=-1"),
+        ("bilateral", "n=-1"),
+        ("bilateral", "M=-1"),
+        ("unilateral", "d=-1"),
+        ("bilateral", "w_hi=0.5"),
+        ("expansive", "top=0.5"),
+        ("unilateral", "sigma_hi=0.5"),
+    ])
+    def test_out_of_range_parameter_is_one_error_line(self, tmp_path, capsys, kind, param):
+        # A negative size or a range whose upper end is below its lower end
+        # exits 1 with one line, and writes nothing.
+        out = tmp_path / "x.json"
+        assert run_cli("generate", kind, "--params", param, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
@@ -169,7 +190,15 @@ class TestDeterminism:
             outputs.append((code, out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[2] and outputs[0][0] == 0
         assert json.loads(outputs[1][1])["horizon"] == 8  # the default, not 3
-        for argv in (["analyze"], ["analyze", str(fixture), "--horizon", "three"], ["nonsense"]):
+        for argv in (
+            ["analyze"],
+            ["analyze", str(fixture), "--horizon", "three"],
+            ["analyze", str(fixture), "--horizon", "-3"],
+            ["analyze", str(fixture), "--horizon", "0"],
+            ["verify", "wold", "--count", "0"],
+            ["verify", "wold", "--count", "-1"],
+            ["nonsense"],
+        ):
             errors = []
             for _ in range(2):
                 with pytest.raises(SystemExit) as exc:

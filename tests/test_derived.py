@@ -61,9 +61,9 @@ def test_builders_agree_with_uncached_calls(rng, kind):
     assert math.isclose(rep.norm(), spectral_norm(v), rel_tol=1e-14)
     _same_subspace(rep.kernel(pol), null_space(v, pol))
     _same_subspace(rep.cokernel(pol), null_space(v.conj().T, pol))
-    chain, stable = range_chain(rep, pol)
-    fresh_chain, fresh_stable = _chain_oracle(rep, pol)
-    assert stable == fresh_stable and len(chain) == len(fresh_chain)
+    chain = range_chain(rep, pol)
+    fresh_chain = _chain_oracle(rep, pol)
+    assert len(chain) == len(fresh_chain)
     for a, b in zip(chain, fresh_chain):
         _same_subspace(a, b)
     if kind == "zero":
@@ -104,9 +104,9 @@ def test_one_svd_of_v_feeds_every_derived_object(rng, monkeypatch, kind):
 def test_range_chain_of_surjective_map_matches_iteration(rng, d, m):
     rep = generic_rep(rng, d, m)
     assert rep.cokernel().dim == 0
-    chain, stable = range_chain(rep)
-    fresh_chain, fresh_stable = _chain_oracle(rep, DEFAULT_POLICY)
-    assert (stable, len(chain)) == (fresh_stable, len(fresh_chain)) == (1, 3)
+    chain = range_chain(rep)
+    fresh_chain = _chain_oracle(rep, DEFAULT_POLICY)
+    assert len(chain) == len(fresh_chain) == 1  # R(V) = H is the limit
     for a, b in zip(chain, fresh_chain):
         _same_subspace(a, b)
 
@@ -141,7 +141,7 @@ def test_entries_are_keyed_by_policy(rng):
 def test_results_are_read_only(rng):
     rep = rank_deficient_rep(rng, 2, 3, 1)
     arrays = [rep.pseudo_inverse(), rep.kernel().basis, rep.cokernel().basis, *rep.svd()]
-    chain, _ = range_chain(rep)
+    chain = range_chain(rep)
     assert isinstance(chain, tuple)
     arrays += [space.basis for space in chain]
     for arr in arrays:

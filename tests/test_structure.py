@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 import warnings
@@ -15,12 +16,14 @@ from woldkit.generate import (
     rand_complex,
     rank_deficient_rep,
     truncated_shift_rep,
+    unilateral_spec,
 )
 from woldkit.linalg import (
     DEFAULT_POLICY,
     RankWarning,
     Subspace,
     _dims_exclude,
+    add,
     complement,
     contains,
     intersect,
@@ -38,7 +41,7 @@ from woldkit.model import (
     iterate_map,
     representation_from_dict,
 )
-from woldkit.shifts import build_bilateral_shift
+from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
 from woldkit import structure
 from woldkit.structure import (
     GenInverse,
@@ -63,7 +66,13 @@ from woldkit.structure import (
 )
 from woldkit.wold import generated_subspace, mp_cauchy_dual
 
-from conftest import contains_oracle
+from conftest import (
+    chain_corpus,
+    contains_oracle,
+    range_translates,
+    regularity_oracle,
+    two_tie_chain_oracle,
+)
 
 
 # Instance 18 of `woldkit verify range-structure --count 25 --seed 2800`
@@ -99,10 +108,10 @@ class TestGeneralizedRange:
         from woldkit.linalg import contains
 
         rep = generic_rep(rng, 2, 3)
-        chain, stable = range_chain(rep)
+        chain = range_chain(rep)
         for earlier, later in zip(chain, chain[1:]):
             assert contains(later, earlier)
-        assert subspaces_equal(chain[stable - 1], generalized_range(rep))
+        assert subspaces_equal(chain[-1], generalized_range(rep))
 
 
 class TestSubspaceChains:
@@ -117,20 +126,33 @@ class TestSubspaceChains:
 
     def test_chain_from_zero_or_whole_space_reads_nothing_further(self):
         for first in (Subspace.zero(4), Subspace.full(4)):
-            chain, stable = _stabilized_chain(self.chain_from(first), DEFAULT_POLICY)
-            assert stable == 1 and len(chain) == 3 and all(c is first for c in chain)
+            chain = _stabilized_chain(self.chain_from(first), DEFAULT_POLICY)
+            assert len(chain) == 1 and chain[0] is first
 
-    def test_other_chains_stop_at_a_confirmed_tie(self):
+    def test_other_chains_stop_at_the_first_tie(self, monkeypatch):
+        # The limit is the first member equal to the next one; the next one
+        # is read, not kept, and only members of equal dimension are compared.
+        eye = np.eye(4)
+        wider, proper, same = (range_space(eye[:, cols]) for cols in ([0, 1, 2], [0, 1], [1, 0]))
+        calls = []
+        monkeypatch.setattr(
+            structure, "subspaces_equal", lambda *a: calls.append(a) or subspaces_equal(*a)
+        )
+        chain = _stabilized_chain(self.chain_from(wider, proper, same), DEFAULT_POLICY)
+        assert len(chain) == 2 and chain[0] is wider and chain[1] is proper
+        assert len(calls) == 1 and calls[0][:2] == (proper, same)
+
+    def test_a_zero_member_ends_the_chain(self):
         proper, zero = range_space(np.eye(4)[:, :2]), Subspace.zero(4)
-        chain, stable = _stabilized_chain(self.chain_from(proper, zero, zero, zero), DEFAULT_POLICY)
-        assert stable == 2 and len(chain) == 4 and chain[0] is proper
+        chain = _stabilized_chain(self.chain_from(proper, zero), DEFAULT_POLICY)
+        assert len(chain) == 2 and chain[0] is proper and chain[1] is zero
 
     def test_chains_from_zero_or_whole_space_keep_the_first_basis(self, rng):
         zero = Representation(2, 3, np.zeros((3, 6)))
         for rep in (zero, generic_rep(rng, 2, 3), coisometry_rep(rng, 3, 2)):
             first_basis = rep.svd()[0][:, : rep._svd_rank(DEFAULT_POLICY)]
-            chain, stable = range_chain(rep)
-            assert stable == 1 and len(chain) == 3
+            chain = range_chain(rep)
+            assert len(chain) == 1
             assert np.array_equal(chain[0].basis, first_basis)
             assert np.array_equal(generalized_range(rep).basis, first_basis)
             for s in (Subspace.zero(rep.dim_h), Subspace.full(rep.dim_h)):
@@ -141,6 +163,14 @@ class TestSubspaceChains:
         monkeypatch.setenv("WOLDKIT_BUDGET", "12")
         rep = coisometry_rep(np.random.default_rng(5), 2, 3)
         assert generalized_range(rep).dim == 3
+
+    def test_generalized_range_reads_no_level_past_its_limit(self, monkeypatch):
+        # The ranges of this shift reach {0} at level 3; a level n has
+        # 2^n * 7 columns, so the budget admits levels up to 3 only.
+        rep = build_unilateral_shift(unilateral_spec(np.random.default_rng(5), d=2, L=2))[0]
+        assert [space.dim for space in range_chain(rep)] == [6, 4, 0]
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**3 * 7))
+        assert generalized_range(rep).dim == 0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_item_n_of_the_walk_is_the_translate_by_v_n(self, rng, d):
@@ -178,8 +208,7 @@ class TestAlgebraicCore:
         ]
         for rep in reps:
             core = algebraic_core(rep)
-            chain, stable = range_chain(rep)
-            assert core is chain[stable - 1]
+            assert core is range_chain(rep)[-1]
             translate = rep.matrix @ np.kron(np.eye(rep.dim_e), core.basis)
             image = range_space(translate, scale=np.linalg.norm(rep.matrix, 2))
             assert subspaces_equal(image, core)
@@ -214,22 +243,21 @@ class TestRegularity:
             Representation(1, 2, np.array([[0.0, 1.0], [0.0, 0.0]])),
         ]
         for rep in reps:
-            chain, stable = range_chain(rep)
+            chain = range_chain(rep)
             kernel = rep.kernel(DEFAULT_POLICY)
             for horizon in range(1, len(chain) + 4):
                 expected = {}
                 for m in range(1, horizon + 1):
-                    rm = chain[m - 1] if m <= len(chain) else chain[stable - 1]
+                    rm = chain[min(m, len(chain)) - 1]
                     lifted = lift_subspace(1, rm, rep.dim_e)
                     expected[m] = contains_oracle(kernel, lifted, DEFAULT_POLICY)
                 assert is_regular(rep, horizon=horizon).per_m == expected
 
     def test_constant_chain_is_lifted_once(self, monkeypatch):
-        # The chain of a surjective map is H three times: one lift serves
-        # the strict verdict, the three chain levels and the five past them.
+        # The chain of a surjective map is H alone: one lift serves the
+        # strict verdict and all eight levels.
         rep = generic_rep(np.random.default_rng(1), 2, 3)
-        chain, stable = range_chain(rep)
-        assert stable == 1 and all(space is chain[0] for space in chain)
+        assert len(range_chain(rep)) == 1
         kron, calls = np.kron, []
         monkeypatch.setattr(np, "kron", lambda *args: calls.append(args) or kron(*args))
         report = is_regular(rep, horizon=8)
@@ -237,15 +265,15 @@ class TestRegularity:
         assert report.strict and report.per_m == dict.fromkeys(range(1, 9), True)
 
     def test_shared_limit_verdict_matches_the_per_space_loop(self, monkeypatch):
-        """Seeded maps whose range chains are not constant: the per-level
-        verdicts equal the loop that lifted every chain entry and the limit
-        once more, while only the entries that are not the limit object get
-        a lift of their own."""
+        """Seeded maps whose range chains end below H: the per-level
+        verdicts equal the loop that lifted every chain member and the
+        limit once more, while only the members before the limit get a
+        lift of their own."""
         import woldkit.structure as structure
 
         def per_space_loop(rep, s, horizon):
-            chain, stable = range_chain(rep)
-            spaces = [*chain[:horizon], *[chain[stable - 1]] * (horizon - len(chain))]
+            chain = range_chain(rep)
+            spaces = [*chain[:horizon], *[chain[-1]] * (horizon - len(chain))]
             return [contains(s, lift_subspace(1, rm, rep.dim_e)) for rm in spaces]
 
         reps = [truncated_shift_rep(4), truncated_shift_rep(6)]
@@ -255,10 +283,9 @@ class TestRegularity:
             reps.append(rank_deficient_rep(rng, d, m, int(rng.integers(1, m))))
         verdicts = set()
         for rep in reps:
-            chain, stable = range_chain(rep)
-            assert any(space is not chain[stable - 1] for space in chain)
+            chain = range_chain(rep)
             kernel = rep.kernel(DEFAULT_POLICY)
-            for horizon in (1, stable, len(chain), len(chain) + 3):
+            for horizon in range(1, len(chain) + 4):
                 want = per_space_loop(rep, kernel, horizon)
                 lifts = []
                 monkeypatch.setattr(
@@ -270,7 +297,7 @@ class TestRegularity:
                 assert list(report.per_m.values()) == shared == want
                 # is_regular lifts the limit for its strict verdict; the
                 # generator alone lifts it only for a level that needs it.
-                own = sum(space is not chain[stable - 1] for space in chain[:horizon])
+                own = len(chain[:-1][:horizon])
                 assert len(lifts) == (1 + own) + own + (own < horizon)
                 verdicts.update(want)
         assert verdicts == {True, False}
@@ -279,6 +306,55 @@ class TestRegularity:
         for _ in range(10):
             rep = generic_rep(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
             assert not is_regular(rep).anomaly
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_strict_regularity_is_surjectivity(self, d):
+        # ker V in E (x) R_inf makes V injective on E (x) R_inf-perp with an
+        # image that meets R_inf only in 0, so d dim R_inf-perp + dim R_inf
+        # <= dim H: R_inf = H for d >= 2, and R(V) = H for d = 1.
+        verdicts = [(is_regular(rep).strict, rep.cokernel().dim == 0) for rep in chain_corpus(d)]
+        assert all(strict == onto for strict, onto in verdicts)
+        assert {strict for strict, _ in verdicts} == {True, False}
+
+
+class TestFirstTieAgainstTheTwoTieRule:
+    """Every chain stops at its first repeated member.  The rule that
+    confirmed a tie by one more read (conftest) is the oracle: the members
+    are bit-equal to its members up to its stable index, and the
+    regularity reports are equal."""
+
+    @staticmethod
+    def limit_of_same_members(members, spaces):
+        old, stable = two_tie_chain_oracle(spaces)
+        assert len(members) == stable
+        for new, want in zip(members, old):
+            assert np.array_equal(new.basis, want.basis)
+        return old[stable - 1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_members_and_reports_match(self, d):
+        pol = DEFAULT_POLICY
+        lengths = set()
+        for rep in chain_corpus(d):
+            for r in (rep, mp_cauchy_dual(rep)):
+                self.limit_of_same_members(range_chain(r), range_translates(r))
+            w = rep.cokernel()
+
+            def joins():
+                return itertools.accumulate(_translates(rep, w, pol), functools.partial(add, pol=pol))
+
+            limit = self.limit_of_same_members(_stabilized_chain(joins(), pol), joins())
+            assert np.array_equal(generated_subspace(rep, w).basis, limit.basis)
+
+            def ranges():
+                return (rn for *_, rn in structure._ranged_levels(rep, pol))
+
+            limit = self.limit_of_same_members(_stabilized_chain(ranges(), pol), ranges())
+            assert np.array_equal(generalized_range(rep).basis, limit.basis)
+            for horizon in (1, 2, 3, None):
+                assert is_regular(rep, horizon=horizon) == regularity_oracle(rep, horizon)
+            lengths.add(len(range_chain(rep)))
+        assert len(lengths) >= 4
 
 
 class TestKernelIntersectionIdentity:
