@@ -245,15 +245,24 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --horizon and --count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, expected: str):
+    """An argparse type: an integer of at least low, else a usage error that
+    says it expected the integer named by expected."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")  # --horizon, --count
+_nonnegative_int = _int_at_least(0, "a non-negative integer")  # --seed, as numpy seeds it
 
 
 @functools.cache
@@ -281,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a seeded instance file")
     p_gen.add_argument("kind")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_nonnegative_int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--params", nargs="*", metavar="key=value")
     p_gen.set_defaults(func=cmd_generate)
@@ -289,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run seeded verification suites")
     p_ver.add_argument("suite", help="'all' or one suite name")
     p_ver.add_argument("--count", type=_positive_int, default=25)
-    p_ver.add_argument("--seed", type=int, default=1)
+    p_ver.add_argument("--seed", type=_nonnegative_int, default=1)
     add_tolerances(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -20,7 +20,9 @@ given that level n - 1 holds, level n is a test on E (x) H that reads
 only u and s of the SVD walk (Greville's reverse-order law for the
 first, a kernel recursion for the second).  Each also asks that the rank
 rule of level n keeps the rank that its factors give; is_n_dagger keeps
-the dense test of one level.
+the dense test of one level.  An invertible d = 1 map is hyper-dagger
+without the walk when gamma(V)^n clears the rank cutoff of its last level
+(s_min(V^n) >= gamma(V)^n).
 """
 
 from __future__ import annotations
@@ -397,7 +399,11 @@ def is_n_dagger(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLI
 
     The dense test: both d^n m x m matrices are built, (V_n)+ with the rank
     rule of the level anchored at ||V||^n.  is_hyper_dagger decides the
-    same levels in order without them.
+    same levels in order without them.  On an invertible map the gap is
+    round-off of about cond(V)^n eps, so at high levels of an
+    ill-conditioned one (cond ~ 70 at n = 5) it can exceed the threshold
+    where the reverse-order law holds exactly: this test is not the oracle
+    of is_hyper_dagger there.
     """
     if n == 1:
         return True
@@ -455,6 +461,26 @@ def _reverse_order_law(
     return rank == int(np.count_nonzero(cosines > pol.tau_sub))
 
 
+def _powers_keep_full_rank(rep: Representation, top: int, pol: TolerancePolicy) -> bool:
+    """True when every level 2..top of an invertible d = 1 map is sure to
+    hold, from gamma = gamma(V) and ||V|| alone; False leaves it to the walk.
+
+    At d = 1 with V invertible, r_V = dm, so (a) and (b) of
+    _reverse_order_law are void at every level, and level n holds iff the
+    rank rule of V^n keeps m.  Its cutoff is tau_rank ||V||^n m, and every
+    singular value of V^n is at least gamma^n (s_min(V^n) = 1/||V^-n||).
+    The walk reads them to within about n m eps ||V||^n (one backward
+    stable core SVD per level), so (gamma / ||V||)^n >
+    100 (tau_rank + n eps) m puts every value read above ten times the
+    cutoff: rank m and no RankWarning at level n.  The ratio is at most 1,
+    so level top decides every level below it.
+    """
+    if rep.dim_e != 1 or rep._svd_rank(pol) != rep.dim_h:
+        return False
+    ratio = rep.min_modulus(pol) / rep.norm()
+    return ratio**top > 100.0 * (pol.tau_rank + top * np.finfo(float).eps) * rep.dim_h
+
+
 def is_hyper_dagger(
     rep: Representation, horizon: int, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
@@ -462,9 +488,14 @@ def is_hyper_dagger(
 
     Level 1 always holds, and each later level is decided given the one
     before by _reverse_order_law, from (u, s) of two consecutive levels of
-    _svd_levels; no d^n m x m matrix is built.
+    _svd_levels; no d^n m x m matrix is built.  An invertible d = 1 map
+    whose gamma(V)^top clears the rank cutoff of level top is decided
+    without the walk (_powers_keep_full_rank), and takes no SVD past the
+    one of V.
     """
     top = min(horizon, budget_horizon(rep))
+    if top > 1 and _powers_keep_full_rank(rep, top, pol):
+        return True
     levels = itertools.pairwise(itertools.islice(_svd_levels(rep), top))
     return all(
         _reverse_order_law(rep, n, previous, s_n, pol)

@@ -21,8 +21,10 @@ duality_check reads the join of those kernels as the complement of the
 range chain of V', and kernel_span_check reads ker V+^(n) off level n of
 that walk.  The hyper_dagger flag decides each level from the one before
 by Greville's reverse-order law, from u and s of two consecutive levels
-of V's walk (structure.is_hyper_dagger).  None of them builds a tall
-iterate.
+of V's walk (structure.is_hyper_dagger); an invertible d = 1 map whose
+gamma(V)^n clears the rank cutoff of the last level needs no walk.  None
+of them builds a tall iterate.  wold_diagnostics reads R(V*) off the SVD
+of V, also as V* R_infinity when R_infinity = H.
 """
 
 from __future__ import annotations
@@ -234,15 +236,21 @@ def wold_diagnostics(
     p_bw, p_ri = project(bracket), project(rinf)
     eye_h = np.eye(m, dtype=np.complex128)
     sum_res = float(np.linalg.norm(p_bw + p_ri - eye_h, 2))
-    prod_res = float(np.linalg.norm(p_bw @ p_ri, 2))
+    # A zero projector makes the product exactly zero.
+    prod_res = float(np.linalg.norm(p_bw @ p_ri, 2)) if bracket.dim and rinf.dim else 0.0
     orthogonal = prod_res <= _FLAG_TOL
     spans_h = add(bracket, rinf, pol).dim == m
 
+    # R(V*) = (ker V)^perp: the leading right singular vectors of V.
+    coimage = _subspace(d * m, rep.svd()[2][: rep._svd_rank(pol)].conj().T)
     lifted_ri = lift_subspace(1, rinf, d)
     # V(E (x) R_infinity) lies in R_infinity: range_chain ends where the
     # next member, V(E (x) R_infinity), equals it at tau_sub (or at {0} or
-    # H), so reduction needs only the adjoint direction.
-    backward = range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
+    # H), so reduction needs only the adjoint direction.  V* H is R(V*).
+    if rinf.dim == m:
+        backward = coimage
+    else:
+        backward = range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
     reduces = contains(backward, lifted_ri, pol)
 
     if rinf.dim:
@@ -251,8 +259,6 @@ def wold_diagnostics(
     else:
         dagger_adjoint = True
 
-    # R(V*) = (ker V)^perp: the leading right singular vectors of V.
-    coimage = _subspace(d * m, rep.svd()[2][: rep._svd_rank(pol)].conj().T)
     dom = intersect(lifted_ri, coimage, pol)
     b = rinf.basis.conj().T @ v @ dom.basis
     unitary_restriction = (

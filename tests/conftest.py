@@ -1,5 +1,6 @@
 """Shared helpers for the test suite, including independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from woldkit.errors import IdentityViolated
 from woldkit.generate import (
     block_wold_rep,
+    concave_rep,
+    expansive_rep,
     generic_rep,
     left_invertible_rep,
     rand_complex,
@@ -27,9 +30,21 @@ from woldkit.linalg import (
     range_space,
     subspaces_equal,
 )
-from woldkit.model import Representation, budget_horizon, iterate_lower, iterate_map
+from woldkit.model import (
+    Representation,
+    _svd_levels,
+    budget_horizon,
+    iterate_lower,
+    iterate_map,
+)
 from woldkit.shifts import build_unilateral_shift
-from woldkit.structure import RegularityReport, _translates, is_regular, lift_subspace
+from woldkit.structure import (
+    RegularityReport,
+    _reverse_order_law,
+    _translates,
+    is_regular,
+    lift_subspace,
+)
 
 
 def gaussian_rank(mat, tol: float = 1e-9) -> int:
@@ -174,6 +189,37 @@ def regularity_oracle(rep, horizon=None, pol=DEFAULT_POLICY) -> RegularityReport
     per_m = {m: verdict(chain[m - 1] if m <= len(chain) else limit) for m in range(1, horizon + 1)}
     anomaly = strict != all(per_m.values()) and horizon >= stable
     return RegularityReport(kernel.dim, strict, per_m, stable, horizon, anomaly)
+
+
+def hyper_dagger_walk_oracle(rep, horizon, pol=DEFAULT_POLICY) -> bool:
+    """is_hyper_dagger by the walk alone: every level from 2 to the
+    clamped horizon decided from the one before by the reverse-order law,
+    with no certificate for invertible d = 1 maps.  Unlike the dense gap of
+    n_dagger_oracle, it does not grow with cond(V)^n on invertible maps."""
+    top = min(horizon, budget_horizon(rep))
+    levels = itertools.pairwise(itertools.islice(_svd_levels(rep), top))
+    return all(
+        _reverse_order_law(rep, n, previous, s_n, pol)
+        for n, (previous, (_, s_n)) in enumerate(levels, start=2)
+    )
+
+
+def invertible_corpus(seed: int = 19) -> list[Representation]:
+    """Seeded invertible maps at dim E = 1, of cond(V) from 1 to about 1e4:
+    left-invertible, concave (unitary) and expansive maps, products of two
+    Gaussian squares scaled by 1e-3, 1 and 1e3, and geometric spectra of
+    cond(V) from 10^0.25 to 10^4 in quarter decades, so that for some
+    horizons and tau_rank the level cutoff falls near gamma(V)^n."""
+    rng = np.random.default_rng([1, seed])
+    reps = []
+    for m in (2, 3, 5, 8):
+        reps += [left_invertible_rep(rng, m), concave_rep(rng, m), expansive_rep(rng, m)]
+        for scale in (1e-3, 1.0, 1e3):
+            reps.append(Representation(1, m, scale * rand_complex(rng, m, m) @ rand_complex(rng, m, m)))
+        for cond in 10.0 ** np.arange(0.25, 4.01, 0.25):
+            s = np.geomspace(1.0, 1.0 / cond, m)
+            reps.append(Representation(1, m, (rand_unitary(rng, m) * s) @ rand_unitary(rng, m)))
+    return reps
 
 
 def graded_rep(rng, d: int, sizes, core: int = 0) -> Representation:

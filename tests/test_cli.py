@@ -197,6 +197,8 @@ class TestDeterminism:
             ["analyze", str(fixture), "--horizon", "0"],
             ["verify", "wold", "--count", "0"],
             ["verify", "wold", "--count", "-1"],
+            ["verify", "wold", "--seed", "-1"],
+            ["generate", "generic", "--seed", "-1", "--out", str(tmp_path / "x.json")],
             ["nonsense"],
         ):
             errors = []

@@ -22,6 +22,7 @@ from woldkit.linalg import (
     DEFAULT_POLICY,
     RankWarning,
     Subspace,
+    TolerancePolicy,
     _dims_exclude,
     add,
     complement,
@@ -69,6 +70,8 @@ from woldkit.wold import generated_subspace, mp_cauchy_dual
 from conftest import (
     chain_corpus,
     contains_oracle,
+    hyper_dagger_walk_oracle,
+    invertible_corpus,
     range_translates,
     regularity_oracle,
     two_tie_chain_oracle,
@@ -768,6 +771,44 @@ class TestReverseOrderLaw:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (3 * 20) ** 2 * 16
+
+
+def _verdict_and_warnings(decide, rep, horizon, pol):
+    """decide(rep, horizon, pol) on a fresh copy of rep, whose memoized rank
+    warns anew, with the set of RankWarning messages it raised."""
+    fresh = Representation(rep.dim_e, rep.dim_h, rep.matrix)
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always", RankWarning)
+        verdict = decide(fresh, horizon, pol)
+    return verdict, {str(r.message) for r in records if issubclass(r.category, RankWarning)}
+
+
+class TestInvertibleCertificate:
+    """An invertible d = 1 map whose gamma(V)^top clears the rank cutoff of
+    level top is hyper-dagger without the walk; the walk is the oracle."""
+
+    def test_matches_the_walk(self):
+        certified = set()
+        for rep in invertible_corpus():
+            for horizon, tau_rank in itertools.product((2, 4, 8, 12), (1e-6, 1e-10, 1e-14, 1e-16)):
+                pol = TolerancePolicy(tau_rank=tau_rank)
+                got = _verdict_and_warnings(is_hyper_dagger, rep, horizon, pol)
+                assert got == _verdict_and_warnings(hyper_dagger_walk_oracle, rep, horizon, pol)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RankWarning)
+                    certified.add(structure._powers_keep_full_rank(rep, horizon, pol))
+        assert certified == {True, False}
+
+    def test_a_certified_map_takes_no_svd(self, rng, monkeypatch):
+        rep = left_invertible_rep(rng, 20)
+        rep.svd()
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        # structure and model both call it as np.linalg.svd.
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert is_hyper_dagger(rep, 8)
 
 
 class TestFixedPointAndInvariance:
