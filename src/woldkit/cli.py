@@ -265,6 +265,15 @@ _positive_int = _int_at_least(1, "a positive integer")  # --horizon, --count
 _nonnegative_int = _int_at_least(0, "a non-negative integer")  # --seed, as numpy seeds it
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type for the --tol-* options: a number that
+    TolerancePolicy accepts, else a usage error."""
+    try:
+        return TolerancePolicy(tau_rank=float(text)).tau_rank
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it unchanged."""
@@ -276,10 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tolerances(p):
-        p.add_argument("--tol-rank", type=float, default=DEFAULT_POLICY.tau_rank)
-        p.add_argument("--tol-orth", type=float, default=DEFAULT_POLICY.tau_orth)
-        p.add_argument("--tol-psd", type=float, default=DEFAULT_POLICY.tau_psd)
-        p.add_argument("--tol-sub", type=float, default=DEFAULT_POLICY.tau_sub)
+        p.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_POLICY.tau_rank)
+        p.add_argument("--tol-orth", type=_tolerance, default=DEFAULT_POLICY.tau_orth)
+        p.add_argument("--tol-psd", type=_tolerance, default=DEFAULT_POLICY.tau_psd)
+        p.add_argument("--tol-sub", type=_tolerance, default=DEFAULT_POLICY.tau_sub)
 
     p_an = sub.add_parser("analyze", help="analyze a representation or shift-spec file")
     p_an.add_argument("input")

@@ -18,14 +18,16 @@ singular vectors u and singular values s of V_1, V_2, ..., each read off
 the thin SVD of an m x dm core, so that no level is decomposed whole and
 the walk holds nothing larger than the core; _level_rank is the rank rule
 of a level.  (u, s) gives R(V_n), ker V_n* and V_n V_n* = u diag(s)^2 u*,
-which is all the level tests read: structure.is_hyper_dagger and the
-biregularity levels decide level n from level n - 1 on E (x) H.  A
+which is all the level tests read: structure.is_hyper_dagger decides
+level n from level n - 1 on E (x) H.  _svd_levels can also start from a
+given first level F, walking V_{n-1} (I (x) F) with the same core.  A
 lowering iterate S^(n) is the adjoint of level n of the representation
 whose matrix is S*, so the kernels and norms of S^(n) are read off
-_svd_levels of that representation.  Every loop over
-levels consumes a walk, and iterate_map and iterate_lower are the n-th
-level of one.  _fits_budget is the one budget rule, asked before a level
-(its d^n m columns, or rows of S^(n)) or a shift's matrix is built.
+_svd_levels of that representation, and the biregularity levels read
+only s of two walks of it.  Every loop over levels consumes a walk, and
+iterate_map and iterate_lower are the n-th level of one.  _fits_budget is
+the one budget rule, asked before a level (its d^n m columns, or rows of
+S^(n)) or a shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParseError, ShapeError
+from .errors import BudgetExceeded, InvalidParams, ParseError, ShapeError
 from .linalg import (
     DEFAULT_POLICY,
     Subspace,
@@ -85,16 +87,17 @@ DEFAULT_SIZE_BUDGET = 20_000
 
 
 def size_budget() -> int:
-    """Column budget of a level; WOLDKIT_BUDGET overrides the default."""
+    """Column budget of a level; WOLDKIT_BUDGET overrides the default.
+    Raises InvalidParams unless WOLDKIT_BUDGET is a positive integer."""
     raw = os.environ.get("WOLDKIT_BUDGET")
     if raw is None:
         return DEFAULT_SIZE_BUDGET
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"WOLDKIT_BUDGET must be an integer, got {raw!r}") from exc
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise ValueError("WOLDKIT_BUDGET must be positive")
+        raise InvalidParams(f"WOLDKIT_BUDGET must be a positive integer, got {raw!r}")
     return value
 
 
@@ -249,7 +252,7 @@ def _map_levels(rep: Representation):
         yield vn
 
 
-def _svd_levels(rep: Representation):
+def _svd_levels(rep: Representation, first: np.ndarray | None = None):
     """Yield (u, s) with V_n V_n* = u diag(s)^2 u* for n = 1, 2, ...: u is
     m x m unitary and s the m singular values of V_n in descending order,
     so that V_n = u diag(s) w* for an isometry w that is never formed.
@@ -259,9 +262,15 @@ def _svd_levels(rep: Representation):
     C = V (I_E (x) u_{n-1} diag(s_{n-1})) has C C* = V_n V_n*, so one thin
     SVD of C gives u and s of level n, and no array grows with the level.
     The budget is checked before each level, as for the level itself.
+
+    Given an m x k matrix F in first, the walk is that of
+    F_n = V_{n-1} (I (x) F) instead: level 1 is the thin SVD of F, and each
+    later level the thin SVD of the same core, so s holds the min(m, width)
+    singular values of the core or of F (structure._biregular_levels walks
+    F = V (I_E (x) Q), where F_n = V_n (I (x) Q)).
     """
     d, m = rep.dim_e, rep.dim_h
-    u, s, _ = rep.svd()
+    u, s, _ = rep.svd() if first is None else np.linalg.svd(first, full_matrices=False)
     s = s[:m]
     for n in itertools.count(1):
         _require_budget(d**n * m, f"columns of V_{n}")
@@ -368,6 +377,11 @@ def _is_pair(pair) -> bool:
     )
 
 
+def _is_positive_int(x) -> bool:
+    """A JSON integer of at least 1; a bool is not an integer."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 def _decode_complex_list(entries, rows: int, cols: int, *, name: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ShapeError(f"{name} must hold {rows * cols} [re, im] pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
@@ -434,7 +448,7 @@ def representation_from_dict(data: dict, *, source: str = "<memory>") -> Represe
         if key not in data:
             raise ParseError(f"{source}: missing field {key!r}")
     dim_e, dim_h = data["dim_E"], data["dim_H"]
-    if not isinstance(dim_e, int) or not isinstance(dim_h, int) or dim_e < 1 or dim_h < 1:
+    if not (_is_positive_int(dim_e) and _is_positive_int(dim_h)):
         raise ShapeError(f"{source}: dim_E and dim_H must be positive integers")
     v = _decode_complex_list(data["V"], dim_h, dim_e * dim_h, name="V")
     gens: dict[str, dict[str, np.ndarray]] = {"sigma": {}, "phi": {}}

@@ -40,6 +40,7 @@ from .model import (
     _decode_complex_list,
     _encode_complex_list,
     _fits_budget,
+    _is_positive_int,
     _require_budget,
     _times_ampliation,
     budget_horizon,
@@ -570,7 +571,7 @@ def shift_spec_from_dict(data: dict, *, source: str = "<memory>") -> UnilateralS
             if key not in data:
                 raise ParseError(f"{source}: missing field {key!r}")
         d, big_l, p = data["d"], data["L"], data["p"]
-        if not all(isinstance(x, int) and x >= 1 for x in (d, big_l, p)):
+        if not all(_is_positive_int(x) for x in (d, big_l, p)):
             raise ShapeError(f"{source}: d, L, p must be positive integers")
         z_raw = data["Z"]
         if not isinstance(z_raw, list) or len(z_raw) != big_l:
@@ -583,7 +584,7 @@ def shift_spec_from_dict(data: dict, *, source: str = "<memory>") -> UnilateralS
             if key not in data:
                 raise ParseError(f"{source}: missing field {key!r}")
         n, big_m = data["n"], data["M"]
-        if not all(isinstance(x, int) and x >= 1 for x in (n, big_m)):
+        if not all(_is_positive_int(x) for x in (n, big_m)):
             raise ShapeError(f"{source}: n and M must be positive integers")
         w_raw = data["w"]
         if not isinstance(w_raw, list) or len(w_raw) != n:

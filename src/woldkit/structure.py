@@ -15,14 +15,17 @@ to the horizon.  Reports carry both verdicts.
 
 Two level properties, the hyper-dagger property (V+^(n) = (V_n)+) and
 biregularity (E^(x)n (x) N(S) inside R(S^(n))), are decided level by
-level: level n is one factor times the ampliation of level n - 1, so,
-given that level n - 1 holds, level n is a test on E (x) H that reads
-only u and s of the SVD walk (Greville's reverse-order law for the
-first, a kernel recursion for the second).  Each also asks that the rank
-rule of level n keeps the rank that its factors give; is_n_dagger keeps
-the dense test of one level.  An invertible d = 1 map is hyper-dagger
-without the walk when gamma(V)^n clears the rank cutoff of its last level
-(s_min(V^n) >= gamma(V)^n).
+level off SVD walks, and neither builds a level.  Level n of V is one
+factor times the ampliation of level n - 1, so, given that level n - 1
+holds, the hyper-dagger level is a test on E (x) H that reads u and s of
+the walk (Greville's reverse-order law), and asks that the rank rule of
+level n keeps the rank that its factors give; is_n_dagger keeps the dense
+test of one level.  An invertible d = 1 map is hyper-dagger without the
+walk when gamma(V)^n clears the rank cutoff of its last level
+(s_min(V^n) >= gamma(V)^n).  A biregularity level is a rank identity:
+the kernel of level n of S* lies in E^(x)n (x) R(S*) iff restricting the
+level to that subspace lowers its rank by the codimension, and both ranks
+are read off s of two walks of S*, one of them started on R(S*).
 """
 
 from __future__ import annotations
@@ -37,11 +40,8 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
-    _dims_exclude,
     _norm2_at_most,
     _subspace,
-    add,
-    complement,
     contains,
     intersect,
     null_space,
@@ -84,7 +84,6 @@ __all__ = [
     "is_hyper_dagger",
     "fixed_point_range_check",
     "inverse_invariance_check",
-    "hat_map_check",
     "kernel_intersection_identity",
 ]
 
@@ -161,14 +160,9 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
     an m x dm core, and stops by the rule of _stabilized_chain; raises
     BudgetExceeded if the chain reaches a level past the size budget first.
     """
-    return _stabilized_chain((rn for *_, rn in _ranged_levels(rep, pol)), pol)[-1]
-
-
-def _ranged_levels(rep: Representation, pol: TolerancePolicy):
-    """Yield (u, s, R(V_n)) for n = 1, 2, ...: the level (u, s) of
-    _svd_levels and the range u[:, :r], r the rank of V_n."""
-    for n, (u, s) in enumerate(_svd_levels(rep), start=1):
-        yield u, s, _subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)])
+    levels = enumerate(_svd_levels(rep), start=1)
+    ranges = (_subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)]) for n, (u, s) in levels)
+    return _stabilized_chain(ranges, pol)[-1]
 
 
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -331,10 +325,9 @@ def is_biregular(
     """Check N(I_{E^(x)m} (x) S) inside R(S^(m)) for m up to the horizon.
 
     Defined for regular representations (NotRegular otherwise, judged at
-    the same horizon).  per_m holds prefix verdicts: level m is decided
-    given that every level below it holds, so per_m is False from the
-    first failing level on, and holds is the verdict for all levels up to
-    the horizon.  The levels are read off the SVD walk of the
+    the same horizon).  per_m holds prefix verdicts: per_m is False from
+    the first failing level on, and holds is the verdict for all levels up
+    to the horizon.  The levels are read off two SVD walks of the
     representation whose matrix is S* (see _biregular_levels).  The
     verdict is recorded per generalized inverse; it is not aggregated
     across different S.
@@ -346,45 +339,37 @@ def is_biregular(
 
 
 def _biregular_levels(adjoint: Representation, top: int, pol: TolerancePolicy):
-    """Yield, for m = 1..top, whether N(I_{E^(x)k} (x) S) lies in R(S^(k))
-    for every k <= m, where adjoint is the representation whose matrix is S*.
+    """Yield, for m = 1..top, whether E^(x)k (x) N(S) lies in R(S^(k)) for
+    every k <= m, where adjoint is the representation A whose matrix is S*.
 
-    Since S^(m) = (I_E (x) S^(m-1)) S and N(S^(m)) is the preimage of
-    E^(x)(m-1) (x) N(S) under S^(m-1), level m holds, given level m - 1,
-    iff E (x) N(S^(m)) lies in J = R(S) + E (x) N(S^(m-1)), a test on
-    E (x) H.  N(S^(m)) = R(S^(m)*)^perp is u[:, r:] of level m of the
-    adjoint's walk, r the rank rule of that level (the shape of S^(m) and
-    the cutoff anchored at ||S||^m), and N(S^(0)) = {0}.  N(S) is the
-    cokernel of adjoint and R(S) its coimage, both from adjoint.svd().
-    The step needs r to be the rank that the kept factors give,
-    dim J - d dim N(S^(m-1)); a level where it is not (a singular value
-    between the cutoffs of two levels) is decided by the dense test of the
-    level, on the range of level m of adjoint.  The lifted kernel has
-    dimension d^m * dim N(S) and R(S^(m)) at most dim H, so a trivial
-    kernel decides every level and the dimension rule of contains decides
-    a level false without reading the walk.  No regularity gate; the walk
-    goes only as deep as the deepest level read.
+    S^(m) = A_m*, so R(S^(m)) = N(A_m)^perp, and level m holds iff N(A_m)
+    lies in X = E^(x)m (x) R(S*).  For a map T and a subspace X,
+    rank T - rank T|_X = dim N(T) - dim (N(T) meet X), which is at most
+    codim X with equality iff N(T) lies in X; here codim X = d^m dim N(S).
+    With Q = u[:, :r] of adjoint.svd() spanning R(S*) = R(A) and N(S) the
+    cokernel of A, T|_X is A_m (I (x) Q) = A (I_E (x) A_{m-1} (I (x) Q)):
+    the walk of _svd_levels started at A (I_E (x) Q).  So level m compares
+    the rank rules of level m (the shape of A_m and the cutoff anchored at
+    ||S||^m) on s of the two walks, each read off an m x dm core.  A
+    trivial N(S) decides every level, and since rank A_m <= dim H, a level
+    with d^m dim N(S) > dim H fails without a read.  No regularity gate;
+    the walks go only as deep as the deepest level read.
     """
     d, dim_h = adjoint.dim_e, adjoint.dim_h
-    ker_s = adjoint.cokernel(pol)
-    if ker_s.dim == 0:
+    r = adjoint._svd_rank(pol)
+    if r == dim_h:  # N(S) = 0
         yield from itertools.repeat(True, top)
         return
-    coimage = _subspace(d * dim_h, adjoint.svd()[2][: adjoint._svd_rank(pol)].conj().T)
-    kernel = Subspace.zero(dim_h)  # N(S^(0))
-    walk = _svd_levels(adjoint)
+    restricted = _times_ampliation(adjoint.matrix, adjoint.svd()[0][:, :r])
+    walks = zip(_svd_levels(adjoint), _svd_levels(adjoint, restricted))
     holds = True
     for m in range(1, top + 1):
-        holds = holds and not _dims_exclude(d**m * ker_s.dim, dim_h, pol)
+        codim = d**m * (dim_h - r)
+        holds = holds and codim <= dim_h
         if holds:
-            u, s = next(walk)
-            previous, kernel = kernel, _subspace(dim_h, u[:, _level_rank(adjoint, m, s, pol) :])
-            joined = add(coimage, lift_subspace(1, previous, d), pol)
-            if dim_h - kernel.dim == joined.dim - d * previous.dim:
-                holds = contains(lift_subspace(1, kernel, d), joined, pol)
-            else:
-                range_m = range_space(iterate_map(adjoint, m).conj().T, pol, scale=adjoint.norm() ** m)
-                holds = contains(lift_subspace(m, ker_s, d), range_m, pol)
+            (_, s), (_, s_q) = next(walks)
+            rank_q = _level_rank(adjoint, m, s_q, pol, warn=False)
+            holds = _level_rank(adjoint, m, s, pol) - rank_q == codim
         yield holds
 
 
@@ -548,34 +533,6 @@ def inverse_invariance_check(
         return True
     image = range_space(gi.matrix @ rinf.basis, pol)
     return contains(image, lift_subspace(1, rinf, rep.dim_e), pol)
-
-
-def hat_map_check(
-    rep: Representation, n_max: int = 3, pol: TolerancePolicy = DEFAULT_POLICY
-) -> dict[int, bool]:
-    """Invertibility of the compressions P_{R(V_n) meet R(V_{n+1})-perp} V_n
-    restricted to E^(x)n (x) R(V)-perp, for n up to n_max.
-
-    These maps are invertible exactly for regular representations; the
-    per-n dict records where invertibility (including the dimension
-    match) holds.
-    """
-    cok = rep.cokernel(pol)  # R(V)^perp
-    results: dict[int, bool] = {}
-    ranged = itertools.pairwise(_ranged_levels(rep, pol))
-    for n, vn, ((*_, rn), (*_, rn1)) in zip(range(1, n_max + 1), _map_levels(rep), ranged):
-        target = intersect(rn, complement(rn1, pol), pol)
-        if target.dim != rep.dim_e**n * cok.dim:  # the dimension of the domain
-            results[n] = False
-            continue
-        if target.dim == 0:
-            results[n] = True
-            continue
-        # V_n on the domain E^(x)n (x) R(V)-perp, with no lift formed.
-        compressed = target.basis.conj().T @ _times_ampliation(vn, cok.basis)
-        smin = float(np.linalg.svd(compressed, compute_uv=False)[-1])
-        results[n] = smin > pol.tau_sub
-    return results
 
 
 def kernel_intersection_identity(

@@ -14,16 +14,16 @@ generated_subspace, is_wandering, reflection_witness and the joins of
 kernel_span_check walk the forward translates of structure._translates.
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
-that of V.  So the biregular flag reads the kernels
-ker V+^(n) = R(V'_n)^perp off the SVD walk of V' and decides each level
-from the one before on E (x) H (structure._biregular_levels),
-duality_check reads the join of those kernels as the complement of the
-range chain of V', and kernel_span_check reads ker V+^(n) off level n of
-that walk.  The hyper_dagger flag decides each level from the one before
-by Greville's reverse-order law, from u and s of two consecutive levels
-of V's walk (structure.is_hyper_dagger); an invertible d = 1 map whose
-gamma(V)^n clears the rank cutoff of the last level needs no walk.  None
-of them builds a tall iterate.  wold_diagnostics reads R(V*) off the SVD
+that of V.  So the biregular flag compares, level by level, the ranks of
+V'_n on E^(x)n (x) H and on E^(x)n (x) R(V') off the singular values of
+two SVD walks of V' (structure._biregular_levels), duality_check reads
+the join of the kernels ker V+^(n) = R(V'_n)^perp as the complement of
+the range chain of V', and kernel_span_check reads ker V+^(n) off level
+n of the walk of V'.  The hyper_dagger flag decides each level from the
+one before by Greville's reverse-order law, from u and s of two
+consecutive levels of V's walk (structure.is_hyper_dagger); an invertible
+d = 1 map whose gamma(V)^n clears the rank cutoff of the last level needs
+no walk.  None of them builds a tall iterate.  wold_diagnostics reads R(V*) off the SVD
 of V, also as V* R_infinity when R_infinity = H.
 """
 

@@ -75,6 +75,45 @@ class TestAnalyze:
             assert json.loads(out.read_text())["pipeline"]["growth"]["horizon"] == 1
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim_E": True, "dim_H": 1, "V": [[2.0, 0.0]]},
+            {"kind": "bilateral", "n": True, "M": 1, "w": [[[1, 0], [0, 0], [2, 0]]]},
+            {"kind": "unilateral", "d": True, "L": 1, "p": 1, "Z": [[[1.0, 0.0]]]},
+        ],
+    )
+    def test_a_bool_size_is_one_error_line(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("analyze", str(bad), "--out", str(tmp_path / "r.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be positive integers" in err
+        assert err.count("\n") == 1 and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--tol-rank", "0"), ("--tol-sub", "-1"), ("--tol-psd", "nan"), ("--tol-orth", "abc")],
+    )
+    def test_a_bad_tolerance_is_a_usage_error(self, tmp_path, capsys, option, value):
+        fixture = tmp_path / "shift.json"
+        save_representation(truncated_shift_rep(3), fixture)
+        for argv in (["analyze", str(fixture)], ["verify", "penrose", "--count", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, option, value)
+            assert exc.value.code == 2
+            assert f"argument {option}: expected a positive number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["abc", "0", "-5"])
+    def test_a_bad_budget_is_one_error_line(self, tmp_path, capsys, monkeypatch, budget):
+        fixture = tmp_path / "shift.json"
+        save_representation(truncated_shift_rep(3), fixture)
+        monkeypatch.setenv("WOLDKIT_BUDGET", budget)
+        assert run_cli("analyze", str(fixture)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidParams: WOLDKIT_BUDGET must be a positive integer, got {budget!r}\n"
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

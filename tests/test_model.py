@@ -385,6 +385,28 @@ class TestDecode:
             shift_spec_from_dict(doc)
         assert str(err.value) == "Z_1[0] has an integer too large for a double"
 
+    @pytest.mark.parametrize("field", ["dim_E", "dim_H"])
+    def test_a_bool_is_not_a_dimension(self, field):
+        doc = {"dim_E": 1, "dim_H": 1, "V": [[2.0, 0.0]]}
+        doc[field] = True
+        with pytest.raises(ShapeError, match="dim_E and dim_H must be positive integers"):
+            representation_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"kind": "unilateral", "d": 1, "L": 1, "p": 1, "Z": [[[1.0, 0.0]]]}, field)
+            for field in ("d", "L", "p")
+        ]
+        + [({"kind": "bilateral", "n": 1, "M": 1, "w": [[[1, 0], [0, 0], [2, 0]]]}, field) for field in ("n", "M")],
+    )
+    def test_a_bool_is_not_a_shift_size(self, doc, field):
+        from woldkit.shifts import shift_spec_from_dict
+
+        shift_spec_from_dict(doc)  # valid as written
+        with pytest.raises(ShapeError, match="must be positive integers"):
+            shift_spec_from_dict({**doc, field: True})
+
     def test_first_bad_entry_is_named(self):
         # A non-finite value before an overflowing integer is the one named.
         entries = [[1.0, 0.0], [0.0, math.inf], [-(10**400), 0], [2.0, 2.0]]

@@ -14,6 +14,7 @@ from woldkit.generate import (
     generic_rep,
     left_invertible_rep,
     rand_complex,
+    rand_unitary,
     rank_deficient_rep,
     truncated_shift_rep,
     unilateral_spec,
@@ -23,7 +24,7 @@ from woldkit.linalg import (
     RankWarning,
     Subspace,
     TolerancePolicy,
-    _dims_exclude,
+    _subspace,
     add,
     complement,
     contains,
@@ -52,7 +53,6 @@ from woldkit.structure import (
     algebraic_core,
     fixed_point_range_check,
     generalized_range,
-    hat_map_check,
     inverse_invariance_check,
     is_biregular,
     is_hyper_dagger,
@@ -350,7 +350,8 @@ class TestFirstTieAgainstTheTwoTieRule:
             assert np.array_equal(generated_subspace(rep, w).basis, limit.basis)
 
             def ranges():
-                return (rn for *_, rn in structure._ranged_levels(rep, pol))
+                levels = enumerate(_svd_levels(rep), start=1)
+                return (_subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)]) for n, (u, s) in levels)
 
             limit = self.limit_of_same_members(_stabilized_chain(ranges(), pol), ranges())
             assert np.array_equal(generalized_range(rep).basis, limit.basis)
@@ -450,9 +451,7 @@ class TestBiRegularity:
         got = list(_biregular_levels(adjoint, top, DEFAULT_POLICY))
         assert got == list(itertools.accumulate(biregular_levels_oracle(s, d, top), min))
         k, m = null_space(s).dim, s.shape[1]
-        undecided = sum(
-            1 for n in range(1, top + 1) if 0 < d**n * k and not _dims_exclude(d**n * k, m, DEFAULT_POLICY)
-        )
+        undecided = sum(1 for n in range(1, top + 1) if 0 < d**n * k <= m)
         return got, undecided
 
     def test_levels_match_eager_oracle(self, rng):
@@ -512,9 +511,9 @@ class TestBiRegularity:
         assert got == [True, True, False, False] and read == 3
 
     def test_recursion_matches_the_oracle_prefix_on_a_seeded_corpus(self, monkeypatch, rng):
-        # Level m is decided from N(S^(m)) and N(S^(m-1)) of the walk; maps of
-        # every rank at d = 1, 2, 3, each with S = V+ and a random generalized
-        # inverse.  No level of this corpus is built.
+        # Level m compares the ranks of level m of S* on all of E^(x)m (x) H
+        # and on E^(x)m (x) R(S*); maps of every rank at d = 1, 2, 3, each with
+        # S = V+ and a random generalized inverse.  No level is built.
         reps = [
             rank_deficient_rep(rng, d, m, r)
             for d in (1, 2, 3)
@@ -542,23 +541,63 @@ class TestBiRegularity:
         # injective block with singular values 1, 1, eps.  eps lies between
         # the cutoffs of levels 1 and 2 (4e-9) or 2 and 3 (2e-8), so the rule
         # of that level drops a singular value that the product of the kept
-        # factors has.  Such a level is decided by the dense test of the
-        # level, which the walk of the kernels cannot reproduce.
-        words = word_removal(2, 3, [eps, 1.0, 1.0])
-        block = np.zeros((6, 3))
-        block[:3] = np.diag([1.0, 1.0, eps])
-        s = np.zeros((2 * 18, 18), dtype=np.complex128)
-        for j in range(2):
-            s[18 * j : 18 * j + 15, :15] = words[15 * j : 15 * (j + 1)]
-            s[18 * j + 15 : 18 * (j + 1), 15:] = block[3 * j : 3 * (j + 1)]
-        built = []
-        monkeypatch.setattr(
-            structure, "iterate_map", lambda rep, n: built.append(n) or iterate_map(rep, n)
-        )
+        # factors has.  The rank identity reads both ranks with the rule of
+        # the level itself, so it agrees with the dense oracle there too,
+        # and no level is built.
+        monkeypatch.setattr(structure, "iterate_map", no_level_is_built)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankWarning)
-            got, _ = self.assert_levels_match_the_oracle(s, 2, 4)
-        assert got == want and built[0] == 2
+            got, _ = self.assert_levels_match_the_oracle(beside_injective_block(eps), 2, 4)
+        assert got == want
+
+    def test_rank_identity_matches_the_oracle_near_every_cutoff(self, monkeypatch, rng):
+        # Part 1: word removal with one weight eps at one word length, alone
+        # and beside_injective_block, at d = 2 and 3.  Part 2:
+        # rank-deficient maps whose nonzero singular values fall geometrically
+        # from 1 to 1e-6, each with S = V+ and a random generalized inverse.
+        # Both put singular values of S^(n) near the cutoffs of the levels.
+        monkeypatch.setattr(structure, "iterate_map", no_level_is_built)
+        maps = []
+        for d, length in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            for at, eps in itertools.product(range(length), np.geomspace(1e-12, 1e-6, 7)):
+                words = word_removal(d, length, [eps if k == at else 1.0 for k in range(length)])
+                maps += [(words, d), (beside_injective_block(eps, words, d), d)]
+        for d, m in itertools.product((1, 2, 3), (3, 4, 5)):
+            for rank in range(1, m):
+                spectrum = np.geomspace(1.0, 1e-6, rank)
+                v = (rand_unitary(rng, m)[:, :rank] * spectrum) @ rand_unitary(rng, d * m)[:rank]
+                rep = Representation(d, m, v)
+                for y in (np.zeros((d * m, m)), rand_complex(rng, d * m, m)):
+                    maps.append((make_generalized_inverse(rep, y).matrix, d))
+        verdicts, undecided = set(), 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for s, d in maps:
+                got, read = self.assert_levels_match_the_oracle(s, d, 4)
+                verdicts.add(tuple(got))
+                undecided += read
+        assert {got.count(True) for got in verdicts} >= {0, 1, 2, 3}
+        assert undecided
+
+
+def no_level_is_built(*_):
+    raise AssertionError("a level was built")
+
+
+def beside_injective_block(eps, words=None, d=2):
+    """The map words (by default word_removal(2, 3, [eps, 1, 1])) on C^k next
+    to an injective map C^3 -> E (x) C^3 with singular values 1, 1, eps, as
+    one S on H = C^k + C^3."""
+    if words is None:
+        words = word_removal(2, 3, [eps, 1.0, 1.0])
+    k = words.shape[1]
+    block = np.zeros((3 * d, 3))
+    block[:3] = np.diag([1.0, 1.0, eps])
+    s = np.zeros((d * (k + 3), k + 3), dtype=np.complex128)
+    for j in range(d):
+        s[(k + 3) * j : (k + 3) * j + k, :k] = words[k * j : k * (j + 1)]
+        s[(k + 3) * j + k : (k + 3) * (j + 1), k:] = block[3 * j : 3 * (j + 1)]
+    return s
 
 
 def word_removal(d, length, weights):
@@ -850,55 +889,7 @@ class TestFixedPointAndInvariance:
         assert inverse_invariance_check(rep, gi)
 
 
-def hat_map_oracle(rep, n_max, pol=DEFAULT_POLICY):
-    """hat_map_check on the dense iterates and the lifted domain."""
-    out = {}
-    for n in range(1, n_max + 1):
-        vn = iterate_map(rep, n)
-        rn = range_space(vn, pol, scale=rep.norm() ** n)
-        rn1 = range_space(iterate_map(rep, n + 1), pol, scale=rep.norm() ** (n + 1))
-        target = intersect(rn, complement(rn1, pol), pol)
-        domain = lift_subspace(n, rep.cokernel(pol), rep.dim_e)
-        if target.dim != domain.dim or target.dim == 0:
-            out[n] = target.dim == domain.dim
-        else:
-            smin = np.linalg.svd(target.basis.conj().T @ vn @ domain.basis, compute_uv=False)[-1]
-            out[n] = bool(smin > pol.tau_sub)
-    return out
-
-
 class TestHatMap:
-    def test_matches_the_dense_levels(self, rng):
-        reps = [generic_rep(rng, 2, 3), generic_rep(rng, 3, 2), left_invertible_rep(rng, 3)]
-        reps += [rank_deficient_rep(rng, d, 4, r) for d in (1, 2) for r in (1, 3)]
-        reps += [truncated_shift_rep(4), build_bilateral_shift(bilateral_spec(rng, n=1, M=2))[0]]
-        verdicts = set()
-        for rep in reps:
-            got = hat_map_check(rep, 3)
-            assert got == hat_map_oracle(rep, 3)
-            verdicts.update(got.values())
-        assert verdicts == {True, False}
-
-    def test_regular_instances_pass(self, rng):
-        rep = generic_rep(rng, 2, 2)
-        assert all(hat_map_check(rep, 3).values())
-
-    def test_truncation_detected(self):
-        rep = truncated_shift_rep(3)
-        results = hat_map_check(rep, 4)
-        assert not all(results.values())
-
-    def test_pinned_verdicts(self):
-        regular = [
-            generic_rep(np.random.default_rng(0), 1, 3),
-            generic_rep(np.random.default_rng(0), 2, 3),
-            left_invertible_rep(np.random.default_rng(0), 4),
-        ]
-        for rep in regular:
-            assert hat_map_check(rep) == {1: True, 2: True, 3: True}
-        not_regular = rank_deficient_rep(np.random.default_rng(0), 2, 4, 2)
-        assert hat_map_check(not_regular) == {1: False, 2: False, 3: False}
-
     def test_dimension_identity_for_regular(self, rng):
         from woldkit.linalg import complement, intersect, range_space
 

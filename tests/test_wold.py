@@ -142,21 +142,23 @@ class TestWoldDecompose:
     def test_biregular_and_hyper_dagger_read_the_same_top_level(self, monkeypatch, rng):
         # This shift is biregular up to level 3 with dim ker V* = 1, so its
         # flag reads every level n with 2^n <= 15; a budget of 4 * 15 columns
-        # stops both walks at level 2.
+        # stops all three walks at level 2: the two of the biregular flag
+        # (of S* and of S* restricted to E (x) R(S*)) and that of V.
         rep = build_unilateral_shift(unilateral_spec(rng, d=2, L=3))[0]
         monkeypatch.setenv("WOLDKIT_BUDGET", str(4 * 15))
         deepest = []
         walk = structure._svd_levels
 
-        def counted(r):
+        def counted(r, first=None):
+            index = len(deepest)
             deepest.append(0)
-            for level in walk(r):
-                deepest[-1] += 1
+            for level in walk(r, first):
+                deepest[index] += 1
                 yield level
 
         monkeypatch.setattr(structure, "_svd_levels", counted)
         assert wold_diagnostics(rep, 4).biregular  # raises no BudgetExceeded
-        assert deepest == [2, 2]
+        assert deepest == [2, 2, 2]
 
     def test_flags_build_no_level_sized_array(self, monkeypatch, rng):
         # Unilateral d = 2, L = 6: dim H = 127 and both flags read levels up
