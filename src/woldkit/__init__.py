@@ -75,7 +75,6 @@ from .structure import (
     is_hyper_dagger,
     is_n_dagger,
     is_regular,
-    iterate_inverse,
     iterated_pinv,
     make_generalized_inverse,
 )

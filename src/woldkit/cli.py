@@ -221,6 +221,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     pol = _policy_from_args(args)
+    size_budget()  # a bad WOLDKIT_BUDGET fails before any suite prints
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITES:
         print(

@@ -3,9 +3,10 @@
 The decreasing range chain R(V_1) >= R(V_2) >= ... stabilizes in finite
 dimensions; its limit R_infinity is the generalized range, and
 range_chain returns R(V_1), ..., R_infinity: its length is the
-stabilization index.  Every chain of forward translates is the one walk
-_translates, and every subspace chain stops by the one rule of
-_stabilized_chain, at its first repeated member.  Regularity asks that the
+stabilization index; it steps each member inside the one before
+(_nested_ranges).  Every other chain of forward translates is the one
+walk _translates, and every subspace chain stops by the one rule of
+_stabilized_chain, at its first repeated dimension.  Regularity asks that the
 kernel of the map sits inside E (x) R_infinity.  Because the strict
 condition is destroyed by hard truncation of an otherwise regular
 operator (the truncation boundary injects kernel vectors the untruncated
@@ -41,6 +42,7 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _norm2_at_most,
+    _rank,
     _subspace,
     contains,
     intersect,
@@ -76,7 +78,6 @@ __all__ = [
     "lift_subspace",
     "GenInverse",
     "make_generalized_inverse",
-    "iterate_inverse",
     "BiRegularityReport",
     "is_biregular",
     "iterated_pinv",
@@ -108,45 +109,47 @@ def _translates(rep: Representation, s: Subspace, pol: TolerancePolicy):
         s = _forward_translate(rep, s, pol)
 
 
-def _stabilized_chain(spaces, pol: TolerancePolicy) -> list[Subspace]:
-    """Consume a chain up to its limit: the first member that equals the next.
+def _stabilized_chain(spaces) -> list[Subspace]:
+    """Consume a chain up to its limit: the member before the first member
+    of equal dimension, or the first member {0} or H.
 
-    Each chain here is monotone, and each member is a function of the one
-    before (R(V_{n+1}) = V(E (x) R(V_n)), and J_{n+1} = S + V(E (x) J_n) for
-    the joins of translates), so it is constant from its first repeated
-    member on, and from a member {0} or H (V(E (x) {0}) = {0}; H is the
-    top of an increasing chain, or the first member R(V) = H of a
-    decreasing one), which ends the chain without a further read.  A tie
-    is tested only between members of equal dimension: across dimensions
-    subspaces_equal fails while tau_sub*sqrt(dim) < 1 (linalg._dims_exclude).
-    Returns the members up to and including the limit.  A monotone chain
-    in C^n ties within n steps, so a chain of subspaces of C^n that has not
-    stabilized after n + 8 raises IdentityViolated.
+    Each chain here is nested, and nested subspaces of equal dimension are
+    equal.  Each member is a function of the one before (R(V_{n+1}) =
+    V(E (x) R(V_n)), and J_{n+1} = S + V(E (x) J_n) for the joins of
+    translates), so the chain is constant from there on, and from a member
+    {0} or H, which ends it without a further read.  A chain in C^n
+    changes dimension at most n times, so it ends.
     """
     chain: list[Subspace] = []
     for space in spaces:
-        if chain and space.dim == chain[-1].dim and subspaces_equal(chain[-1], space, pol):
+        if chain and space.dim == chain[-1].dim:
             return chain
         chain.append(space)
         if space.dim in (0, space.ambient_dim):
             return chain
-        if len(chain) >= space.ambient_dim + 8:
-            break
-    raise IdentityViolated("subspace chain failed to stabilize; numerical pathology")
+
+
+def _nested_ranges(rep: Representation, pol: TolerancePolicy):
+    """Yield R(V), R(V_2), ...: R(V_{n+1}) = Q R(Q* V (I_E (x) Q)) for an
+    orthonormal basis Q of R(V_n), which contains it.  Each member is read
+    off the SVD of the r x dr core with the rank rule of the m x dr
+    translate of _forward_translate, so it lies in the one before."""
+    q = rep.svd()[0][:, : rep._svd_rank(pol)]
+    while True:
+        yield _subspace(rep.dim_h, q)
+        core = q.conj().T @ _times_ampliation(rep.matrix, q)
+        u, s, _ = np.linalg.svd(core, full_matrices=False)
+        q = q @ u[:, : _rank(s, (rep.dim_h, core.shape[1]), pol, scale=rep.norm())]
 
 
 @derived
 def range_chain(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[Subspace, ...]:
-    """The ranges R(V_1), ..., R_infinity, via subspace iteration.
-
-    Uses R(V_{n+1}) = V(E (x) R(V_n)), the forward translates of R(V)
-    (read off the SVD of V), which never grow past d*m columns, so no size
-    budget applies.  The last member is the limit R_infinity: R(V_n) equals
-    it for every n from the length of the chain on.
-    Memoized on the representation per policy.
+    """The ranges R(V_1), ..., R_infinity of _nested_ranges, whose cores
+    never grow past m x dm, so no size budget applies.  The last member is
+    the limit R_infinity: R(V_n) equals it for every n from the length of
+    the chain on.  Memoized on the representation per policy.
     """
-    first = _subspace(rep.dim_h, rep.svd()[0][:, : rep._svd_rank(pol)])
-    return tuple(_stabilized_chain(_translates(rep, first, pol), pol))
+    return tuple(_stabilized_chain(_nested_ranges(rep, pol)))
 
 
 def stabilization_index(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
@@ -162,7 +165,7 @@ def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY
     """
     levels = enumerate(_svd_levels(rep), start=1)
     ranges = (_subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)]) for n, (u, s) in levels)
-    return _stabilized_chain(ranges, pol)[-1]
+    return _stabilized_chain(ranges)[-1]
 
 
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -170,7 +173,7 @@ def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -
 
     The iteration K_0 = H, K_{j+1} = V(E (x) K_j) is the range chain from
     K_1 = R(V) on; range_chain ends only where V(E (x) K) = K: at a member
-    equal to the next one, or at a member {0} or H, where it holds.
+    whose next one has its dimension, or at a member {0} or H.
     The core equals generalized_range; the range-structure suite checks it.
     """
     return range_chain(rep, pol)[-1]
@@ -299,11 +302,6 @@ def make_generalized_inverse(
     vd = rep.pseudo_inverse(pol)
     s = vd + (np.eye(rep.ambient_domain, dtype=np.complex128) - vd @ v) @ y @ (v @ vd)
     return GenInverse(rep=rep, matrix=s)
-
-
-def iterate_inverse(gi: GenInverse, n: int) -> np.ndarray:
-    """S^(n): the n-fold lowering iterate of shape (d^n * m) x m."""
-    return iterate_lower(gi.matrix, gi.rep.dim_e, n)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def generated_subspace(
     if s.ambient_dim != rep.dim_h:
         raise PreconditionFailed("subspace must live in H")
     joins = itertools.accumulate(_translates(rep, s, pol), functools.partial(add, pol=pol))
-    return _stabilized_chain(joins, pol)[-1]
+    return _stabilized_chain(joins)[-1]
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,41 @@ def chain_corpus(d: int, seed: int = 17) -> list[Representation]:
     return reps
 
 
+def ill_conditioned_corpus(count: int = 100, seed: int = 23) -> list[Representation]:
+    """Seeded maps at d in {1, 2, 3} and m in 2..8 whose singular values
+    fall geometrically from a scale in 1e-3..1e3 down to a relative
+    1e-12..1, where chains of translates with separately computed bases
+    drifted apart at round-off: they did not tie, or grew.  Even items are
+    U diag(s) W* of rank k <= m (U and W the first k columns of random
+    unitaries).  Odd items send E (x) B_j into B_{j+1} for two to four
+    blocks B_j of H, and the last block into itself or to 0, by Gaussian
+    blocks whose rows are scaled by the spectrum, seen in a random unitary
+    basis of H: their range chains fall block by block."""
+    rng = np.random.default_rng(seed)
+
+    def spectrum(k):
+        return np.geomspace(1.0, 10.0 ** rng.uniform(-12, 0), k) * 10.0 ** rng.uniform(-3, 3)
+
+    reps = []
+    for i in range(count):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        if i % 2 == 0:
+            k = int(rng.integers(1, m + 1))
+            v = (rand_unitary(rng, m)[:, :k] * spectrum(k)) @ rand_unitary(rng, d * m)[:k]
+        else:
+            cuts = rng.choice(np.arange(1, m), size=min(m - 1, int(rng.integers(1, 4))), replace=False)
+            starts = [0, *sorted(cuts), m]
+            blocks = list(zip(starts, starts[1:]))
+            maps = list(zip(blocks, blocks[1:])) + [(blocks[-1], blocks[-1])] * int(rng.integers(2))
+            g = np.zeros((m, d, m), dtype=np.complex128)
+            for (c0, c1), (r0, r1) in maps:
+                g[r0:r1, :, c0:c1] = rand_complex(rng, r1 - r0, d * (c1 - c0)).reshape(r1 - r0, d, c1 - c0)
+            q = rand_unitary(rng, m)
+            v = q @ (spectrum(m)[:, None] * g.reshape(m, d * m)) @ np.kron(np.eye(d), q.conj().T)
+        reps.append(Representation(d, m, v))
+    return reps
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

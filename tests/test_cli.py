@@ -109,9 +109,11 @@ class TestAnalyze:
         fixture = tmp_path / "shift.json"
         save_representation(truncated_shift_rep(3), fixture)
         monkeypatch.setenv("WOLDKIT_BUDGET", budget)
-        assert run_cli("analyze", str(fixture)) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: InvalidParams: WOLDKIT_BUDGET must be a positive integer, got {budget!r}\n"
+        for argv in (["analyze", str(fixture)], ["verify", "all", "--count", "1"]):
+            assert run_cli(*argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""  # verify reads the budget before any suite prints
+            assert err == f"error: InvalidParams: WOLDKIT_BUDGET must be a positive integer, got {budget!r}\n"
 
 
 class TestGenerate:

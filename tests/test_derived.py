@@ -48,7 +48,7 @@ def _chain_oracle(rep, pol):
             yield current
             current = _forward_translate(rep, current, pol)
 
-    return _stabilized_chain(spaces(), pol)
+    return _stabilized_chain(spaces())
 
 
 @pytest.mark.parametrize("kind", ["generic", "rank-deficient", "left-invertible", "zero"])
