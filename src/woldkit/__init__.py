@@ -85,7 +85,6 @@ from .wold import (
     check_purity_transfer,
     duality_check,
     generated_subspace,
-    invariant_to_wandering,
     is_pure_contraction,
     is_wandering,
     kernel_span_check,

@@ -6,6 +6,10 @@ inverse, the reduced minimum modulus, PSD decisions and Hermitian PSD
 square roots, and a small lattice of orthonormal-basis subspaces (range,
 kernel, complement, intersection, sum, containment, projection).
 
+Containment is one residual rule, _in_ampliation: whether S lies in
+C^d (x) K, asked block by block, so a subspace of E (x) H is tested
+against K without forming I_d (x) K; contains is its d = 1 case.
+
 Subspace(n, B) checks a caller's basis for orthonormality; the bases the
 package builds are orthonormal by construction, skip that check through
 _subspace, and are checked by the tests.
@@ -407,18 +411,31 @@ def _dims_exclude(dim1: int, dim2: int, pol: TolerancePolicy) -> bool:
     return dim1 > dim2 and pol.tau_sub * math.sqrt(dim1) < 1.0
 
 
+def _in_ampliation(s1: Subspace, s2: Subspace, d: int, pol: TolerancePolicy) -> bool:
+    """True iff s1, in C^d (x) C^n, lies in C^d (x) s2, columnwise at tau_sub.
+
+    Checks norm((I_d (x) (I - P_{s2})) b) <= tau_sub for every basis column
+    b of s1: b is cut into its d blocks of length n, each projected on s2,
+    so the lift of s2 is never formed.  d = 1 is contains.
+    """
+    if s1.dim == 0:
+        return True
+    if _dims_exclude(s1.dim, d * s2.dim, pol):
+        return False
+    q = s2.basis
+    blocks = s1.basis.reshape(d, s2.ambient_dim, s1.dim)
+    residual = (blocks - q @ (q.conj().T @ blocks)).reshape(s1.ambient_dim, s1.dim)
+    return bool(np.all(np.linalg.norm(residual, axis=0) <= pol.tau_sub))
+
+
 def contains(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff s1 is contained in s2, columnwise at tau_sub.
 
-    Checks norm((I - P_{s2}) b) <= tau_sub for every basis column b of s1.
+    Checks norm((I - P_{s2}) b) <= tau_sub for every basis column b of s1,
+    by the rule of _in_ampliation at d = 1.
     """
     _check_ambient(s1, s2)
-    if s1.dim == 0:
-        return True
-    if _dims_exclude(s1.dim, s2.dim, pol):
-        return False
-    residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
-    return bool(np.all(np.linalg.norm(residual, axis=0) <= pol.tau_sub))
+    return _in_ampliation(s1, s2, 1, pol)
 
 
 def subspaces_equal(s1: Subspace, s2: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

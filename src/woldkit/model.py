@@ -8,8 +8,10 @@ Products never form that lift.  _times_ampliation is the one step
 a (I_D (x) x): each column block of a times x.  The level walks, z_product,
 the weight products of the unilateral weight condition, the forward
 translate V(E (x) S) and check_intertwiner take it.  _lift, the one place
-that forms the ampliation, is left for subspace bases (lift_subspace) and
-for check functions.
+that forms the ampliation, is left for the check functions that need the
+lifted operator itself: kernel_intersection_identity, kernel_span_check,
+norm_partition_residual and telescoping_residuals.  A subspace of
+E (x) H is never lifted: linalg._in_ampliation tests it block by block.
 
 This module is the one place a level is built and budgeted.  Three walks
 build each level one step from the one before: _map_levels (V_1, V_2,

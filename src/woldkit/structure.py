@@ -7,8 +7,9 @@ stabilization index; it steps each member inside the one before
 (_nested_ranges).  Every other chain of forward translates is the one
 walk _translates, and every subspace chain stops by the one rule of
 _stabilized_chain, at its first repeated dimension.  Regularity asks that the
-kernel of the map sits inside E (x) R_infinity.  Because the strict
-condition is destroyed by hard truncation of an otherwise regular
+kernel of the map sits inside E (x) R_infinity, which
+linalg._in_ampliation tests block by block, without the lift.  Because
+the strict condition is destroyed by hard truncation of an otherwise regular
 operator (the truncation boundary injects kernel vectors the untruncated
 operator does not have), every consumer that needs regularity can also
 evaluate it "at a horizon": kernel contained in E (x) R(V_m) for all m up
@@ -41,10 +42,10 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
+    _in_ampliation,
     _norm2_at_most,
     _rank,
     _subspace,
-    contains,
     intersect,
     null_space,
     pinv,
@@ -75,7 +76,6 @@ __all__ = [
     "RegularityReport",
     "is_regular",
     "require_regular",
-    "lift_subspace",
     "GenInverse",
     "make_generalized_inverse",
     "BiRegularityReport",
@@ -87,13 +87,6 @@ __all__ = [
     "inverse_invariance_check",
     "kernel_intersection_identity",
 ]
-
-
-def lift_subspace(k: int, s: Subspace, d: int) -> Subspace:
-    """E^(x)k (x) S as a subspace of E^(x)k (x) ambient."""
-    if k == 0 or d == 1:
-        return s
-    return _subspace(d**k * s.ambient_dim, _lift(k, s.basis, d))
 
 
 def _forward_translate(rep: Representation, s: Subspace, pol: TolerancePolicy) -> Subspace:
@@ -215,16 +208,16 @@ def _in_lifted_ranges(
 ):
     """Yield, for m = 1..horizon, whether S lies in E (x) R(V_m).
 
-    One containment per member of range_chain before its limit; every level
-    from the stabilization index on shares the limit's verdict: at_limit
-    when the caller has it, else computed once here.
+    One _in_ampliation per member of range_chain before its limit; every
+    level from the stabilization index on shares the limit's verdict:
+    at_limit when the caller has it, else computed once here.
     """
     *before, limit = range_chain(rep, pol)
     for space in before[:horizon]:
-        yield contains(s, lift_subspace(1, space, rep.dim_e), pol)
+        yield _in_ampliation(s, space, rep.dim_e, pol)
     if horizon > len(before):
         if at_limit is None:
-            at_limit = contains(s, lift_subspace(1, limit, rep.dim_e), pol)
+            at_limit = _in_ampliation(s, limit, rep.dim_e, pol)
         yield from itertools.repeat(at_limit, horizon - len(before))
 
 
@@ -239,7 +232,7 @@ def is_regular(
     if horizon is None:
         horizon = default_horizon(rep, pol)
     kernel = rep.kernel(pol)
-    strict = contains(kernel, lift_subspace(1, chain[-1], rep.dim_e), pol)
+    strict = _in_ampliation(kernel, chain[-1], rep.dim_e, pol)
     levels = _in_lifted_ranges(rep, kernel, horizon, pol, at_limit=strict)
     per_m = dict(zip(range(1, horizon + 1), levels))
     all_m = all(per_m.values())
@@ -277,7 +270,6 @@ def require_regular(
 class GenInverse:
     """A generalized inverse S of a representation map: V S V = V, S V S = S."""
 
-    rep: Representation
     matrix: np.ndarray
 
 
@@ -301,7 +293,7 @@ def make_generalized_inverse(
         )
     vd = rep.pseudo_inverse(pol)
     s = vd + (np.eye(rep.ambient_domain, dtype=np.complex128) - vd @ v) @ y @ (v @ vd)
-    return GenInverse(rep=rep, matrix=s)
+    return GenInverse(matrix=s)
 
 
 @dataclass(frozen=True)
@@ -530,7 +522,7 @@ def inverse_invariance_check(
     if rinf.dim == 0:
         return True
     image = range_space(gi.matrix @ rinf.basis, pol)
-    return contains(image, lift_subspace(1, rinf, rep.dim_e), pol)
+    return _in_ampliation(image, rinf, rep.dim_e, pol)
 
 
 def kernel_intersection_identity(

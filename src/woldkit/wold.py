@@ -23,8 +23,13 @@ n of the walk of V'.  The hyper_dagger flag decides each level from the
 one before by Greville's reverse-order law, from u and s of two
 consecutive levels of V's walk (structure.is_hyper_dagger); an invertible
 d = 1 map whose gamma(V)^n clears the rank cutoff of the last level needs
-no walk.  None of them builds a tall iterate.  wold_diagnostics reads R(V*) off the SVD
-of V, also as V* R_infinity when R_infinity = H.
+no walk.  None of them builds a tall iterate.  wold_diagnostics forms no
+subspace of E (x) H.  With R an orthonormal basis of R_infinity, the
+reduction flag asks whether V* R_infinity lies in E (x) R_infinity through
+linalg._in_ampliation, V restricted to E (x) R_infinity is V (I_E (x) R),
+and the domain (E (x) R_infinity) meet R(V*) of the unitary restriction
+is (I_E (x) R) y for y in the kernel of K* (I_E (x) R), K spanning ker V
+off the SVD of V.
 """
 
 from __future__ import annotations
@@ -48,13 +53,13 @@ from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
+    _in_ampliation,
     _norm2_at_most,
     _subspace,
     add,
     as_matrix,
     complement,
     contains,
-    intersect,
     null_space,
     project,
     range_space,
@@ -81,7 +86,6 @@ from .structure import (
     default_horizon,
     is_hyper_dagger,
     is_regular,
-    lift_subspace,
 )
 
 __all__ = [
@@ -94,7 +98,6 @@ __all__ = [
     "wold_diagnostics",
     "duality_check",
     "kernel_span_check",
-    "invariant_to_wandering",
     "cauchy_dual",
     "mp_cauchy_dual",
     "check_intertwiner",
@@ -241,17 +244,13 @@ def wold_diagnostics(
     orthogonal = prod_res <= _FLAG_TOL
     spans_h = add(bracket, rinf, pol).dim == m
 
-    # R(V*) = (ker V)^perp: the leading right singular vectors of V.
-    coimage = _subspace(d * m, rep.svd()[2][: rep._svd_rank(pol)].conj().T)
-    lifted_ri = lift_subspace(1, rinf, d)
     # V(E (x) R_infinity) lies in R_infinity: range_chain ends where the
-    # next member, V(E (x) R_infinity), equals it at tau_sub (or at {0} or
-    # H), so reduction needs only the adjoint direction.  V* H is R(V*).
-    if rinf.dim == m:
-        backward = coimage
-    else:
-        backward = range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
-    reduces = contains(backward, lifted_ri, pol)
+    # next member, V(E (x) R_infinity), has its dimension (or at {0} or H),
+    # so reduction needs only the adjoint direction, V* R_infinity inside
+    # E (x) R_infinity, which holds outright when R_infinity = H.
+    reduces = rinf.dim == m or _in_ampliation(
+        range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm()), rinf, d, pol
+    )
 
     if rinf.dim:
         gap = (vd - v.conj().T) @ rinf.basis
@@ -259,19 +258,25 @@ def wold_diagnostics(
     else:
         dagger_adjoint = True
 
-    dom = intersect(lifted_ri, coimage, pol)
-    b = rinf.basis.conj().T @ v @ dom.basis
+    # V on E (x) R_infinity is t = V (I (x) R), and R* t is its compression
+    # b_full to R_infinity.  The domain (E (x) R_infinity) meet R(V*) of the
+    # unitary restriction is (I (x) R) y for y in the kernel of K* (I (x) R),
+    # K* the trailing rows of vh (R(V*) = (ker V)^perp); y is orthonormal,
+    # and so is (I (x) R) y.
+    t = _times_ampliation(v, rinf.basis)
+    b_full = rinf.basis.conj().T @ t
+    kernel_rows = rep.svd()[2][rep._svd_rank(pol) :]  # K*
+    y = null_space(_times_ampliation(kernel_rows, rinf.basis), pol, scale=1.0)
+    b = b_full @ y.basis
     unitary_restriction = (
-        _norm2_at_most(b.conj().T @ b - np.eye(dom.dim), _FLAG_TOL)
+        _norm2_at_most(b.conj().T @ b - np.eye(y.dim), _FLAG_TOL)
         and _norm2_at_most(b @ b.conj().T - np.eye(rinf.dim), _FLAG_TOL)
     )
 
-    t = v @ lifted_ri.basis
     isometric = (
-        _norm2_at_most(t - p_ri @ t, _FLAG_TOL)
-        and _norm2_at_most(t.conj().T @ t - np.eye(lifted_ri.dim), _FLAG_TOL)
+        _norm2_at_most(t - rinf.basis @ b_full, _FLAG_TOL)
+        and _norm2_at_most(t.conj().T @ t - np.eye(t.shape[1]), _FLAG_TOL)
     )
-    b_full = rinf.basis.conj().T @ t
     fully_coisometric = _norm2_at_most(b_full @ b_full.conj().T - np.eye(rinf.dim), _FLAG_TOL)
 
     return WoldResult(
@@ -400,25 +405,6 @@ def kernel_span_check(
         arg = _lift(n - i - 1, wd.basis, d)
         join2 = add(join2, range_space(left @ arg, pol, scale=nd**i), pol)
     return first, subspaces_equal(ker_n, join2, pol)
-
-
-def invariant_to_wandering(
-    rep: Representation,
-    k: Subspace,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> Subspace:
-    """Extract the wandering space K minus V(E (x) K) of an invariant K.
-
-    NotInvariant unless K lies in H with V(E (x) K) inside K.  For analytic
-    representations meeting the decomposition preconditions the result
-    generates K; the tests check that.
-    """
-    if k.ambient_dim != rep.dim_h:
-        raise NotInvariant("subspace must live in H")
-    image = _forward_translate(rep, k, pol)
-    if not contains(image, k, pol):
-        raise NotInvariant("subspace is not invariant under the representation")
-    return intersect(k, complement(image, pol), pol)
 
 
 def cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Representation:

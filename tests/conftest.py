@@ -8,7 +8,9 @@ import pytest
 
 from woldkit.errors import IdentityViolated
 from woldkit.generate import (
+    bilateral_spec,
     block_wold_rep,
+    coisometry_rep,
     concave_rep,
     expansive_rep,
     generic_rep,
@@ -26,8 +28,11 @@ from woldkit.linalg import (
     _subspace,
     add,
     contains,
+    intersect,
     null_space,
+    project,
     range_space,
+    spectral_norm,
     subspaces_equal,
 )
 from woldkit.model import (
@@ -37,13 +42,14 @@ from woldkit.model import (
     iterate_lower,
     iterate_map,
 )
-from woldkit.shifts import build_unilateral_shift
+from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
 from woldkit.structure import (
     RegularityReport,
     _reverse_order_law,
     _translates,
+    algebraic_core,
     is_regular,
-    lift_subspace,
+    range_chain,
 )
 
 
@@ -70,6 +76,13 @@ def gaussian_rank(mat, tol: float = 1e-9) -> int:
                 a[r] = a[r] - a[r, col] * a[rank]
         rank += 1
     return rank
+
+
+def lift_subspace(k: int, s, d: int) -> Subspace:
+    """E^(x)k (x) S as a subspace of E^(x)k (x) ambient, with the basis
+    kron(I_{d^k}, B) formed densely: the lift that the containment and
+    intersection oracles test against."""
+    return _subspace(d**k * s.ambient_dim, np.kron(np.eye(d**k, dtype=np.complex128), s.basis))
 
 
 def contains_oracle(s1, s2, pol) -> bool:
@@ -189,6 +202,78 @@ def regularity_oracle(rep, horizon=None, pol=DEFAULT_POLICY) -> RegularityReport
     per_m = {m: verdict(chain[m - 1] if m <= len(chain) else limit) for m in range(1, horizon + 1)}
     anomaly = strict != all(per_m.values()) and horizon >= stable
     return RegularityReport(kernel.dim, strict, per_m, stable, horizon, anomaly)
+
+
+def lifted_regularity_oracle(rep, horizon, pol=DEFAULT_POLICY):
+    """(strict, per_m) of is_regular with every member of range_chain
+    lifted by the Kronecker basis of lift_subspace, and the kernel tested
+    against it by the residual rule alone."""
+    chain, kernel = range_chain(rep, pol), rep.kernel(pol)
+
+    def verdict(space):
+        return contains_oracle(kernel, lift_subspace(1, space, rep.dim_e), pol)
+
+    per_m = {m: verdict(chain[min(m, len(chain)) - 1]) for m in range(1, horizon + 1)}
+    return verdict(chain[-1]), per_m
+
+
+def wold_restriction_oracle(rep, pol=DEFAULT_POLICY) -> dict:
+    """The four restriction flags of wold_diagnostics with E (x) R_inf
+    formed densely: the Kronecker lift of R_inf, R(V*) from the leading
+    right singular vectors of V, the domain of the unitary restriction as
+    their intersect in E (x) H, and exact 2-norms at the flag tolerance."""
+    d, m = rep.dim_e, rep.dim_h
+    v = rep.matrix
+    rinf = algebraic_core(rep, pol)
+    lifted = lift_subspace(1, rinf, d)
+    coimage = _subspace(d * m, rep.svd()[2][: rep._svd_rank(pol)].conj().T)
+    if rinf.dim == m:
+        backward = coimage
+    else:
+        backward = range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm())
+
+    def small(a):
+        return spectral_norm(a) <= 1e-8
+
+    dom = intersect(lifted, coimage, pol)
+    b = rinf.basis.conj().T @ v @ dom.basis
+    t = v @ lifted.basis
+    b_full = rinf.basis.conj().T @ t
+    return {
+        "reduces": contains(backward, lifted, pol),
+        "unitary_restriction": small(b.conj().T @ b - np.eye(dom.dim))
+        and small(b @ b.conj().T - np.eye(rinf.dim)),
+        "isometric_restriction": small(t - project(rinf) @ t)
+        and small(t.conj().T @ t - np.eye(lifted.dim)),
+        "fully_coisometric_restriction": small(b_full @ b_full.conj().T - np.eye(rinf.dim)),
+    }
+
+
+def mixed_corpus(count: int, seed: int = 5) -> list[Representation]:
+    """Seeded maps cycling through six kinds: generic and rank-deficient
+    maps (d <= 3, m <= 5), block-Wold sums, coisometries, bilateral shifts
+    (n <= 3, M <= 5) and unilateral shifts (d <= 2, L <= 3)."""
+    rng = np.random.default_rng(seed)
+    reps = []
+    for i in range(count):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        kind = i % 6
+        if kind == 0:
+            rep = generic_rep(rng, d, m)
+        elif kind == 1:
+            rep = rank_deficient_rep(rng, d, m, int(rng.integers(0, m)))
+        elif kind == 2:
+            rep = block_wold_rep(rng, int(rng.integers(1, 3)), int(rng.integers(0, 3)))[0]
+        elif kind == 3:
+            rep = coisometry_rep(rng, d, m)
+        elif kind == 4:
+            spec = bilateral_spec(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+            rep = build_bilateral_shift(spec)[0]
+        else:
+            spec = unilateral_spec(rng, d=int(rng.integers(1, 3)), L=int(rng.integers(1, 4)))
+            rep = build_unilateral_shift(spec)[0]
+        reps.append(rep)
+    return reps
 
 
 def hyper_dagger_walk_oracle(rep, horizon, pol=DEFAULT_POLICY) -> bool:

@@ -116,6 +116,41 @@ class TestAnalyze:
             assert err == f"error: InvalidParams: WOLDKIT_BUDGET must be a positive integer, got {budget!r}\n"
 
 
+    def test_reports_form_no_lift(self, tmp_path, capsys, monkeypatch):
+        """analyze asks its E (x) H questions block by block: with _lift
+        raising in every module that binds it, a representation file, a
+        unilateral and a bilateral spec give the exit codes, report bytes
+        and summaries of the run without the patch."""
+        kinds = {"generic": ["d=2", "m=3"], "unilateral": ["d=2", "L=3"], "bilateral": ["n=2", "M=3"]}
+        inputs = []
+        for kind, params in kinds.items():
+            inputs.append(tmp_path / f"{kind}.json")
+            assert run_cli("generate", kind, "--seed", "1", "--params", *params,
+                           "--out", str(inputs[-1])) == 0
+        capsys.readouterr()
+
+        def analyze_all(tag):
+            runs = []
+            for path in inputs:
+                report = tmp_path / f"{path.stem}.{tag}.report.json"
+                code = run_cli("analyze", str(path), "--out", str(report))
+                runs.append((code, report.read_bytes(), capsys.readouterr().out))
+            return runs
+
+        plain = analyze_all("plain")
+
+        def no_lift(*args):
+            raise AssertionError("the ampliation was formed")
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("woldkit") and hasattr(module, "_lift"):
+                monkeypatch.setattr(module, "_lift", no_lift)
+                patched.add(name)
+        assert patched >= {"woldkit.structure", "woldkit.growth", "woldkit.wold"}
+        assert analyze_all("patched") == plain
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

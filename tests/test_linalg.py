@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from woldkit.linalg import (
     RankWarning,
     Subspace,
     TolerancePolicy,
+    _dims_exclude,
+    _in_ampliation,
     _norm2_at_most,
     add,
     as_matrix,
@@ -24,9 +28,9 @@ from woldkit.linalg import (
     spectral_norm,
     subspaces_equal,
 )
-from woldkit.structure import lift_subspace
+from woldkit.structure import range_chain
 
-from conftest import contains_oracle, gaussian_rank
+from conftest import contains_oracle, gaussian_rank, ill_conditioned_corpus, lift_subspace
 
 
 def rand_c(rng, r, c):
@@ -456,6 +460,29 @@ class TestContainsDimensionRule:
         assert contains_oracle(plane, line, loose)
         assert contains(plane, line, loose)
         assert not contains(plane, line)
+
+
+class TestInAmpliation:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_residual_rule_on_the_kronecker_lift(self, d):
+        """S inside C^d (x) K, asked block by block, against the residual
+        rule on the dense lift of K: S the kernel of V, its complement and
+        the lift of each chain member of the maps of ill_conditioned_corpus
+        at dim E = d, K each member of the range chain."""
+        verdicts, excluded = set(), 0
+        reps = [rep for rep in ill_conditioned_corpus(1500) if rep.dim_e == d]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for rep in reps:
+                chain, kernel = range_chain(rep), rep.kernel(DEFAULT_POLICY)
+                for s in (kernel, complement(kernel), *(lift_subspace(1, k, d) for k in chain)):
+                    for k in chain:
+                        got = _in_ampliation(s, k, d, DEFAULT_POLICY)
+                        assert got == contains_oracle(s, lift_subspace(1, k, d), DEFAULT_POLICY)
+                        verdicts.add(got)
+                        excluded += _dims_exclude(s.dim, d * k.dim, DEFAULT_POLICY)
+        assert verdicts == {True, False}
+        assert excluded  # some verdicts are decided by the dimension rule
 
 
 class TestAsMatrix:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from woldkit import structure, wold
 from woldkit.errors import (
     BudgetExceeded,
     NotContraction,
-    NotInvariant,
     NotLeftInvertible,
     PreconditionFailed,
 )
@@ -25,17 +25,16 @@ from woldkit.generate import (
     unilateral_spec,
     weighted_truncated_shift,
 )
-from woldkit.linalg import Subspace, complement, subspaces_equal
+from woldkit.linalg import RankWarning, Subspace, complement, intersect, subspaces_equal
 from woldkit.model import Representation, budget_horizon
 from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
-from woldkit.structure import GenInverse, default_horizon, is_biregular, range_chain
+from woldkit.structure import GenInverse, default_horizon, is_biregular, is_regular, range_chain
 from woldkit.wold import (
     cauchy_dual,
     check_intertwiner,
     check_purity_transfer,
     duality_check,
     generated_subspace,
-    invariant_to_wandering,
     is_pure_contraction,
     is_wandering,
     kernel_span_check,
@@ -46,7 +45,15 @@ from woldkit.wold import (
     wold_diagnostics,
 )
 
-from conftest import kernel_join_oracle, kernel_span_oracle
+from conftest import (
+    ill_conditioned_corpus,
+    kernel_join_oracle,
+    kernel_span_oracle,
+    lift_subspace,
+    lifted_regularity_oracle,
+    mixed_corpus,
+    wold_restriction_oracle,
+)
 
 
 def coord_space(total, cols):
@@ -135,7 +142,7 @@ class TestWoldDecompose:
         reps += [coisometry_rep(rng, 2, 2), left_invertible_rep(rng, 4)]
         for rep in reps:
             for horizon in (1, 3):
-                gi = GenInverse(rep, rep.pseudo_inverse())
+                gi = GenInverse(rep.pseudo_inverse())
                 flag = wold_diagnostics(rep, horizon).biregular
                 assert flag == is_biregular(rep, gi, horizon).holds
 
@@ -195,21 +202,44 @@ class TestWoldDecompose:
         assert wold_diagnostics(coisometry_rep(rng, 2, 3), 4).biregular  # N(S) = 0
 
     def test_coimage_is_read_off_the_svd_of_v(self, monkeypatch, rng):
-        # The domain of the restriction is E (x) R_inf met with R(V*).
-        seen = []
-        meet = wold.intersect
-        monkeypatch.setattr(wold, "intersect", lambda a, b, pol: seen.append(b) or meet(a, b, pol))
+        # The domain of the restriction is E (x) R_inf met with R(V*): the
+        # coordinates y of (I (x) R_inf) y in the kernel of K* (I (x) R_inf),
+        # K* the trailing rows of vh, equal the dense intersection.
+        seen, kernel = [], wold.null_space
+
+        def recorded(*args, **kwargs):
+            seen.append(kernel(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(wold, "null_space", recorded)
         for d in (1, 2, 3):
             reps = [generic_rep(rng, d, 3), rank_deficient_rep(rng, d, 3, 2)]
             reps += [rank_deficient_rep(rng, d, 4, 1), Representation(d, 3, np.zeros((3, 3 * d)))]
             for rep in reps:
                 seen.clear()
-                wold_diagnostics(rep, 2)
-                (coimage,) = seen
-                b = coimage.basis
-                assert coimage.dim == rep.ambient_domain - rep.kernel().dim
-                assert np.linalg.norm(b.conj().T @ b - np.eye(coimage.dim)) <= 1e-13
-                assert subspaces_equal(coimage, complement(rep.kernel()))
+                rinf = wold_diagnostics(rep, 2).generalized_range
+                (y,) = seen
+                lifted = lift_subspace(1, rinf, d)
+                dom = Subspace(rep.ambient_domain, lifted.basis @ y.basis)
+                assert subspaces_equal(dom, intersect(lifted, complement(rep.kernel())))
+
+    def test_verdicts_match_the_dense_lift(self):
+        """The restriction flags of wold_diagnostics and the regularity
+        verdicts equal the formulas that formed E (x) R_inf by a Kronecker
+        basis and met it with R(V*) in E (x) H, on ill-conditioned and
+        structured maps."""
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for rep in ill_conditioned_corpus(1500) + mixed_corpus(600):
+                flags = wold_diagnostics(rep, 4).as_dict()["flags"]
+                want = wold_restriction_oracle(rep)
+                assert {name: flags[name] for name in want} == want
+                report = is_regular(rep, horizon=6)
+                assert (report.strict, report.per_m) == lifted_regularity_oracle(rep, 6)
+                seen.update((name, value) for name, value in want.items())
+                seen.add(("regular", report.strict))
+        assert len(seen) == 10  # every verdict is seen both ways
 
     def test_unitary_map_restricts_to_a_unitary(self, rng):
         u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
@@ -359,30 +389,6 @@ class TestKernelSpanCheck:
     def test_depth_below_one_rejected(self, rng):
         with pytest.raises(ValueError):
             kernel_span_check(generic_rep(rng, 2, 2), 0)
-
-
-class TestInvariantToWandering:
-    def test_full_space_gives_wandering_space(self):
-        rep = truncated_shift_rep(4)
-        w = invariant_to_wandering(rep, Subspace.full(4))
-        assert subspaces_equal(w, wandering_space(rep))
-        assert subspaces_equal(generated_subspace(rep, w), Subspace.full(4))
-
-    def test_zero_space(self, rng):
-        rep = generic_rep(rng, 1, 3)
-        assert invariant_to_wandering(rep, Subspace.zero(3)).dim == 0
-
-    def test_tail_invariant_subspace(self):
-        rep = truncated_shift_rep(4)
-        k = coord_space(4, [2, 3])
-        w_k = invariant_to_wandering(rep, k)
-        assert subspaces_equal(w_k, coord_space(4, [2]))
-        assert subspaces_equal(generated_subspace(rep, w_k), k)
-
-    def test_non_invariant_rejected(self):
-        rep = truncated_shift_rep(4)
-        with pytest.raises(NotInvariant):
-            invariant_to_wandering(rep, coord_space(4, [1]))
 
 
 class TestCauchyDual:
