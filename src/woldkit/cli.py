@@ -268,11 +268,11 @@ _nonnegative_int = _int_at_least(0, "a non-negative integer")  # --seed, as nump
 
 def _tolerance(text: str) -> float:
     """An argparse type for the --tol-* options: a number that
-    TolerancePolicy accepts, else a usage error."""
+    TolerancePolicy accepts (finite and positive), else a usage error."""
     try:
         return TolerancePolicy(tau_rank=float(text)).tau_rank
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}") from None
 
 
 @functools.cache

@@ -10,6 +10,8 @@ re-projects onto the feasible cone through the polar factor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParams
@@ -245,11 +247,15 @@ def generate_named(kind: str, seed: int, params: dict[str, float]):
         return size
 
     def getf(key: str, default: float) -> float:
+        """A float parameter: every one of them is finite."""
         val = p.pop(key, default)
         try:
-            return float(val)
+            num = float(val)
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"parameter {key} must be a number, got {val!r}") from exc
+        if not math.isfinite(num):
+            raise InvalidParams(f"parameter {key} must be finite, got {val!r}")
+        return num
 
     if kind == "generic":
         out = generic_rep(rng, geti("d", 2), geti("m", 3))

@@ -80,8 +80,9 @@ class TolerancePolicy:
 
     def __post_init__(self) -> None:
         for name in ("tau_rank", "tau_orth", "tau_psd", "tau_sub"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def as_dict(self) -> dict:
         return {

@@ -24,10 +24,17 @@ one before by Greville's reverse-order law, from u and s of two
 consecutive levels of V's walk (structure.is_hyper_dagger); an invertible
 d = 1 map whose gamma(V)^n clears the rank cutoff of the last level needs
 no walk.  None of them builds a tall iterate.  wold_diagnostics forms no
-subspace of E (x) H.  With R an orthonormal basis of R_infinity, the
-reduction flag asks whether V* R_infinity lies in E (x) R_infinity through
-linalg._in_ampliation, V restricted to E (x) R_infinity is V (I_E (x) R),
-and the domain (E (x) R_infinity) meet R(V*) of the unitary restriction
+subspace of E (x) H and no m x m projector.  With B and R orthonormal
+bases of [W] and R_infinity, both split residuals are read off the
+cross-Gram B* R (_split_residuals): ||P_B P_R|| = ||B* R||, and
+||P_B + P_R - I|| is 1 when dim [W] + dim R_infinity < m and ||B* R||
+otherwise.  The dagger_equals_adjoint flag reads (V+ - V*) R off the
+memoized SVD V = u diag(s) vh of rank r (_adjoint_gap):
+V+ - V* = vh* diag(delta) u* with delta_i = 1/s_i - s_i below r and -s_i
+past it, and vh is unitary, so the column norms of (V+ - V*) R are those
+of delta (u* R).  The reduction flag asks whether V* R_infinity lies in
+E (x) R_infinity through linalg._in_ampliation, V restricted to
+E (x) R_infinity is V (I_E (x) R), and the domain (E (x) R_infinity) meet R(V*) of the unitary restriction
 is (I_E (x) R) y for y in the kernel of K* (I_E (x) R), K spanning ker V
 off the SVD of V.
 """
@@ -61,8 +68,8 @@ from .linalg import (
     complement,
     contains,
     null_space,
-    project,
     range_space,
+    spectral_norm,
     subspaces_equal,
 )
 from .model import (
@@ -217,6 +224,31 @@ class WoldResult:
         }
 
 
+def _split_residuals(s1: Subspace, s2: Subspace) -> tuple[float, float]:
+    """(||P1 + P2 - I||_2, ||P1 P2||_2) for two subspaces of C^m, of
+    dimensions b and r, off their b x r cross-Gram C = B1* B2.
+
+    ||P1 P2|| = ||B1 C B2*|| = ||C||, 0 when either space is {0}.  P1 + P2 - I
+    is 1 on s1 meet s2, -1 on s1^perp meet s2^perp, 0 on s1 meet s2^perp
+    and on s1^perp meet s2, and has eigenvalues +-cos(theta) on the plane
+    of each principal angle 0 < theta < pi/2.  So its norm is 1 when
+    b + r < m, where s1^perp meet s2^perp is not {0}, and ||C|| otherwise:
+    either s1 + s2 = C^m and s1^perp meet s2^perp = {0}, or s1 and s2
+    share a direction and both norms are 1.
+    """
+    prod_res = spectral_norm(s1.basis.conj().T @ s2.basis)
+    return (1.0 if s1.dim + s2.dim < s1.ambient_dim else prod_res), prod_res
+
+
+def _adjoint_gap(rep: Representation, x: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """Column norms of (V+ - V*) X, as those of delta (u* X) (module docstring)."""
+    u, s, _ = rep.svd()
+    r = rep._svd_rank(pol)
+    delta = -s
+    delta[:r] += 1.0 / s[:r]
+    return np.linalg.norm(delta[:, None] * (u.conj().T @ x), axis=0)
+
+
 def wold_diagnostics(
     rep: Representation,
     horizon: int,
@@ -228,7 +260,6 @@ def wold_diagnostics(
     """Compute the decomposition subspaces and every diagnostic, no gating."""
     d, m = rep.dim_e, rep.dim_h
     v = rep.matrix
-    vd = rep.pseudo_inverse(pol)
     reg = regularity if regularity is not None else is_regular(rep, pol, horizon)
 
     w = wandering_space(rep, pol)
@@ -236,11 +267,7 @@ def wold_diagnostics(
     bracket = generated_subspace(rep, w, pol)
     rinf = algebraic_core(rep, pol)
 
-    p_bw, p_ri = project(bracket), project(rinf)
-    eye_h = np.eye(m, dtype=np.complex128)
-    sum_res = float(np.linalg.norm(p_bw + p_ri - eye_h, 2))
-    # A zero projector makes the product exactly zero.
-    prod_res = float(np.linalg.norm(p_bw @ p_ri, 2)) if bracket.dim and rinf.dim else 0.0
+    sum_res, prod_res = _split_residuals(bracket, rinf)
     orthogonal = prod_res <= _FLAG_TOL
     spans_h = add(bracket, rinf, pol).dim == m
 
@@ -252,11 +279,7 @@ def wold_diagnostics(
         range_space(v.conj().T @ rinf.basis, pol, scale=rep.norm()), rinf, d, pol
     )
 
-    if rinf.dim:
-        gap = (vd - v.conj().T) @ rinf.basis
-        dagger_adjoint = float(np.max(np.linalg.norm(gap, axis=0))) <= _FLAG_TOL
-    else:
-        dagger_adjoint = True
+    dagger_adjoint = bool(np.all(_adjoint_gap(rep, rinf.basis, pol) <= _FLAG_TOL))
 
     # V on E (x) R_infinity is t = V (I (x) R), and R* t is its compression
     # b_full to R_infinity.  The domain (E (x) R_infinity) meet R(V*) of the
@@ -501,14 +524,14 @@ def reflection_witness(
         raise PreconditionFailed("wandering space is not orthogonal to K")
     if not contains(_forward_translate(rep, k, pol), k, pol):
         raise NotInvariant("K is not invariant under the representation")
-    p_k = project(k)
     depth = rep.dim_h + 2 if max_depth is None else max_depth
     for current in itertools.islice(_translates(mp_cauchy_dual(rep, pol), w, pol), depth + 1):
         if current.dim:
-            overlaps = np.linalg.norm(p_k @ current.basis, axis=0)
+            coords = k.basis.conj().T @ current.basis  # ||P_K c|| = ||K* c||
+            overlaps = np.linalg.norm(coords, axis=0)
             best = int(np.argmax(overlaps))
             if overlaps[best] > overlap_tol:
-                h1 = p_k @ current.basis[:, best]
+                h1 = k.basis @ coords[:, best]
                 return h1 / np.linalg.norm(h1)
     raise PreconditionFailed(
         "no forward translate of the wandering space meets K; generation fails"

@@ -51,6 +51,7 @@ from woldkit.structure import (
     is_regular,
     range_chain,
 )
+from woldkit.wold import generated_subspace
 
 
 def gaussian_rank(mat, tol: float = 1e-9) -> int:
@@ -247,6 +248,46 @@ def wold_restriction_oracle(rep, pol=DEFAULT_POLICY) -> dict:
         and small(t.conj().T @ t - np.eye(lifted.dim)),
         "fully_coisometric_restriction": small(b_full @ b_full.conj().T - np.eye(rinf.dim)),
     }
+
+
+def split_residuals_oracle(s1, s2) -> tuple[float, float]:
+    """(||P1 + P2 - I||_2, ||P1 P2||_2) from the two m x m projectors, the
+    product taken as 0.0 when either space is {0}."""
+    p1, p2 = project(s1), project(s2)
+    sum_res = float(np.linalg.norm(p1 + p2 - np.eye(s1.ambient_dim), 2))
+    prod_res = float(np.linalg.norm(p1 @ p2, 2)) if s1.dim and s2.dim else 0.0
+    return sum_res, prod_res
+
+
+def wold_split_oracle(rep, pol=DEFAULT_POLICY) -> dict:
+    """The split diagnostics of wold_diagnostics with m x m projectors and
+    V+ - V* formed densely: the residuals of split_residuals_oracle on [W]
+    and R_inf, the orthogonal flag from the product, spans_H from the add
+    join, and dagger_equals_adjoint from the column norms of
+    (V+ - V*) R_inf, all flags judged at 1e-8."""
+    bracket = generated_subspace(rep, rep.cokernel(pol), pol)
+    rinf = algebraic_core(rep, pol)
+    sum_res, prod_res = split_residuals_oracle(bracket, rinf)
+    gap = np.linalg.norm((rep.pseudo_inverse(pol) - rep.matrix.conj().T) @ rinf.basis, axis=0)
+    return {
+        "flags": {
+            "orthogonal": prod_res <= 1e-8,
+            "spans_H": add(bracket, rinf, pol).dim == rep.dim_h,
+            "dagger_equals_adjoint": bool(np.all(gap <= 1e-8)),
+        },
+        "residuals": {"projector_sum": sum_res, "projector_product": prod_res},
+    }
+
+
+def block_ranges_orthogonal_oracle(rep, pol=DEFAULT_POLICY) -> bool:
+    """The column blocks of V have pairwise orthogonal ranges, by a range
+    SVD of each block and the 2-norm of each cross-Gram against tau_sub."""
+    m = rep.dim_h
+    blocks = [range_space(rep.matrix[:, i * m : (i + 1) * m], pol) for i in range(rep.dim_e)]
+    return all(
+        spectral_norm(a.basis.conj().T @ b.basis) <= pol.tau_sub
+        for a, b in itertools.combinations(blocks, 2)
+    )
 
 
 def mixed_corpus(count: int, seed: int = 5) -> list[Representation]:

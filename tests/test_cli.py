@@ -93,7 +93,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--tol-rank", "0"), ("--tol-sub", "-1"), ("--tol-psd", "nan"), ("--tol-orth", "abc")],
+        [
+            ("--tol-rank", "0"),
+            ("--tol-sub", "-1"),
+            ("--tol-psd", "nan"),
+            ("--tol-orth", "abc"),
+            ("--tol-rank", "inf"),
+            ("--tol-sub", "1e400"),
+        ],
     )
     def test_a_bad_tolerance_is_a_usage_error(self, tmp_path, capsys, option, value):
         fixture = tmp_path / "shift.json"
@@ -102,7 +109,7 @@ class TestAnalyze:
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv, option, value)
             assert exc.value.code == 2
-            assert f"argument {option}: expected a positive number, got {value!r}" in capsys.readouterr().err
+            assert f"argument {option}: expected a finite positive number, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", ["abc", "0", "-5"])
     def test_a_bad_budget_is_one_error_line(self, tmp_path, capsys, monkeypatch, budget):
@@ -208,10 +215,15 @@ class TestGenerate:
         ("bilateral", "w_hi=0.5"),
         ("expansive", "top=0.5"),
         ("unilateral", "sigma_hi=0.5"),
+        ("concave", "perturbation=nan"),
+        ("bilateral", "w_hi=inf"),
+        ("unilateral", "sigma_hi=inf"),
+        ("left-invertible", "gamma_hi=inf"),
+        ("expansive", "top=inf"),
     ])
     def test_out_of_range_parameter_is_one_error_line(self, tmp_path, capsys, kind, param):
-        # A negative size or a range whose upper end is below its lower end
-        # exits 1 with one line, and writes nothing.
+        # A negative size, a range whose upper end is below its lower end or
+        # a non-finite float exits 1 with one line, and writes nothing.
         out = tmp_path / "x.json"
         assert run_cli("generate", kind, "--params", param, "--out", str(out)) == 1
         err = capsys.readouterr().err

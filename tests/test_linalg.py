@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -374,6 +375,14 @@ class TestTolerancePolicy:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             TolerancePolicy(tau_rank=0.0)
+
+    @pytest.mark.parametrize("name", ["tau_rank", "tau_orth", "tau_psd", "tau_sub"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_finiteness_enforced(self, name, value):
+        # An infinite tolerance would be written to a report as null, and
+        # the report would no longer reproduce its verdicts.
+        with pytest.raises(ValueError, match="finite"):
+            TolerancePolicy(**{name: value})
 
     def test_subspace_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):

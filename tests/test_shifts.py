@@ -9,6 +9,7 @@ from woldkit.linalg import null_space, psd_margin, range_space, subspaces_equal
 from woldkit.shifts import (
     BilateralSpec,
     UnilateralSpec,
+    _block_ranges_orthogonal,
     build_bilateral_shift,
     build_unilateral_shift,
     check_bilateral_weight_condition,
@@ -19,9 +20,10 @@ from woldkit.shifts import (
     z_product,
 )
 from woldkit.growth import check_growth
+from woldkit.model import Representation
 from woldkit.structure import generalized_range
 
-from conftest import minimal_scale_factor_oracle
+from conftest import block_ranges_orthogonal_oracle, minimal_scale_factor_oracle
 
 
 def scalar_weights(c, L):
@@ -320,6 +322,25 @@ class TestBilateralBuild:
         r1 = range_space(rep.matrix[:, :dim_h])
         r2 = range_space(rep.matrix[:, dim_h:])
         assert np.linalg.norm(r1.basis.conj().T @ r2.basis, 2) <= 1e-10
+
+    def test_block_ranges_read_off_the_row_support(self, rng):
+        # A bilateral shift is monomial, so its column blocks have
+        # orthogonal ranges iff no row of V is hit by two blocks: that
+        # equals the range-SVD rule on specs with zero and unit weights,
+        # and both say False on a map with one nonzero per column whose
+        # two blocks share a row.
+        for _ in range(60):
+            n, M = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            w = rng.choice(np.array([0.0, 1.0, 1.0 + rng.uniform()]), size=(n, 2 * M + 1))
+            for spec in (BilateralSpec(n=n, M=M, w=w), bilateral_spec(rng, n, M)):
+                rep = build_bilateral_shift(spec)[0]
+                assert _block_ranges_orthogonal(rep) == block_ranges_orthogonal_oracle(rep)
+                assert _block_ranges_orthogonal(rep)
+        v = np.zeros((3, 6), dtype=complex)
+        v[0, 0], v[1, 1], v[2, 3 + 1] = 1.0, 2.0, 1.0
+        v[0, 3 + 2] = 1.5  # V(e_1 (x) e_2) lies on e_0, as V(e_0 (x) e_0) does
+        shared = Representation(2, 3, v)
+        assert not _block_ranges_orthogonal(shared) and not block_ranges_orthogonal_oracle(shared)
 
     def test_stable_range_matches_reachability_oracle(self, rng):
         # Oracle: graph reachability on window indices, independent of SVD.

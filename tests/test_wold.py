@@ -19,13 +19,22 @@ from woldkit.generate import (
     expansive_rep,
     generic_rep,
     left_invertible_rep,
+    rand_unitary,
     rank_deficient_rep,
     shift_polynomial_pair,
     truncated_shift_rep,
     unilateral_spec,
     weighted_truncated_shift,
 )
-from woldkit.linalg import RankWarning, Subspace, complement, intersect, subspaces_equal
+from woldkit.linalg import (
+    DEFAULT_POLICY,
+    RankWarning,
+    Subspace,
+    _subspace,
+    complement,
+    intersect,
+    subspaces_equal,
+)
 from woldkit.model import Representation, budget_horizon
 from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
 from woldkit.structure import GenInverse, default_horizon, is_biregular, is_regular, range_chain
@@ -52,7 +61,9 @@ from conftest import (
     lift_subspace,
     lifted_regularity_oracle,
     mixed_corpus,
+    split_residuals_oracle,
     wold_restriction_oracle,
+    wold_split_oracle,
 )
 
 
@@ -241,6 +252,48 @@ class TestWoldDecompose:
                 seen.add(("regular", report.strict))
         assert len(seen) == 10  # every verdict is seen both ways
 
+    def test_split_matches_the_dense_projectors(self):
+        """Both residuals and the orthogonal, spans_H and dagger_equals_adjoint
+        flags equal the formulas that formed the m x m projectors of [W] and
+        R_inf and V+ - V*, and so do the column norms of (V+ - V*) X, on
+        structured and ill-conditioned maps and block-Wold sums."""
+        rng = np.random.default_rng(11)
+        reps = mixed_corpus(600) + ill_conditioned_corpus(300)
+        for _ in range(100):
+            reps.append(block_wold_rep(rng, int(rng.integers(1, 4)), int(rng.integers(0, 4)))[0])
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for rep in reps:
+                res = wold_diagnostics(rep, 4)
+                report, want = res.as_dict(), wold_split_oracle(rep)
+                assert {name: report["flags"][name] for name in want["flags"]} == want["flags"]
+                for name, value in want["residuals"].items():
+                    assert report["residuals"][name] == pytest.approx(value, rel=0, abs=1e-12)
+                dense = rep.pseudo_inverse() - rep.matrix.conj().T
+                scale = rep.norm() + 1.0 / rep.min_modulus()  # ||V*|| + ||V+||
+                for x in (res.generalized_range.basis, np.eye(rep.dim_h)):  # R_inf, then all of H
+                    gap = wold._adjoint_gap(rep, x, DEFAULT_POLICY)
+                    want_gap = np.linalg.norm(dense @ x, axis=0)
+                    np.testing.assert_allclose(gap, want_gap, rtol=1e-12, atol=1e-13 * scale)
+                seen.update(want["flags"].items())
+        # Both gated flags are seen both ways; H = [W] + R_inf holds exactly
+        # in finite dimension, so no map of these corpora fails spans_H.
+        gated = {(flag, value) for flag in ("orthogonal", "dagger_equals_adjoint") for value in (True, False)}
+        assert seen == gated | {("spans_H", True)}
+
+    def test_adjoint_gap_keeps_the_singular_values_past_the_rank(self, rng):
+        # V+ vanishes on a singular direction below the rank cutoff and V*
+        # does not, so (V+ - V*) u_i has norm s_i there, and 1/s_i - s_i
+        # above the cutoff.
+        u, w = rand_unitary(rng, 3), rand_unitary(rng, 3)
+        rep = Representation(1, 3, (u * [2.0, 1.0, 1e-11]) @ w)
+        assert rep._svd_rank(DEFAULT_POLICY) == 2
+        gap = wold._adjoint_gap(rep, u, DEFAULT_POLICY)
+        dense = np.linalg.norm((rep.pseudo_inverse() - rep.matrix.conj().T) @ u, axis=0)
+        np.testing.assert_allclose(gap, [1.5, 0.0, 1e-11], rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(gap, dense, rtol=1e-9, atol=1e-14)
+
     def test_unitary_map_restricts_to_a_unitary(self, rng):
         u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         res = wold_diagnostics(Representation(1, 5, u), 4)
@@ -269,6 +322,52 @@ class TestWoldDecompose:
     def test_uniqueness_note_follows_hyper_dagger(self):
         res = wold_decompose(truncated_shift_rep(4), horizon=3)
         assert "unique" in res.uniqueness_note
+
+
+class TestSplitResiduals:
+    """wold._split_residuals on synthetic pairs: no corpus map reaches
+    dim [W] + dim R_inf < m, since H = [W] + R_inf holds exactly in finite
+    dimension and only a rank decision can break it."""
+
+    @staticmethod
+    def pairs(rng):
+        for m in (2, 3, 5, 8):
+            q = rand_unitary(rng, m)
+
+            def span(*cols):
+                return _subspace(m, q[:, list(cols)])
+
+            for s in (Subspace.zero(m), Subspace.full(m), span(*range(m // 2))):
+                yield Subspace.zero(m), s
+                yield Subspace.full(m), s
+            for b in range(1, m):
+                yield span(*range(b)), span(*range(b, m))  # orthogonal, b + r = m
+                yield span(*range(b)), span(*range(b + 1, m))  # orthogonal, b + r < m
+                yield span(*range(b)), span(*range(b - 1, m))  # sharing q_(b-1), b + r > m
+                if b + 2 < m:
+                    yield span(*range(b)), span(b - 1, b)  # sharing q_(b-1), b + r < m
+                for r in range(1, m):  # in general position: sharing b + r - m directions
+                    yield (
+                        _subspace(m, rand_unitary(rng, m)[:, :b]),
+                        _subspace(m, rand_unitary(rng, m)[:, :r]),
+                    )
+
+    def test_matches_the_projector_formulas(self, rng):
+        kinds = set()
+        for s1, s2 in self.pairs(rng):
+            got, want = wold._split_residuals(s1, s2), split_residuals_oracle(s1, s2)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            product = "0" if want[1] <= 1e-12 else "1" if want[1] >= 1 - 1e-12 else "between"
+            kinds.add((int(np.sign(s1.dim + s2.dim - s1.ambient_dim)), product))
+        # b + r < m orthogonal, generic and sharing; b + r = m orthogonal
+        # and generic; b + r > m, where the two spaces always share
+        assert len(kinds) == 6
+
+    def test_zero_and_whole_space_split_exactly(self):
+        for m in (1, 4):
+            assert wold._split_residuals(Subspace.zero(m), Subspace.full(m)) == (0.0, 0.0)
+            assert wold._split_residuals(Subspace.full(m), Subspace.zero(m)) == (0.0, 0.0)
+            assert wold._split_residuals(Subspace.zero(m), Subspace.zero(m)) == (1.0, 0.0)
 
 
 class TestDuality:
