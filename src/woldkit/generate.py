@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParams
+from .linalg import spectral_norm
 from .model import Representation
 from .shifts import BilateralSpec, UnilateralSpec
 
@@ -185,7 +186,7 @@ def shift_polynomial_pair(
     for c in coeffs:
         a = a + c * power
         power = rep.matrix @ power
-    norm = np.linalg.norm(a, 2)
+    norm = spectral_norm(a)
     if norm > 0:
         scale = rng.choice([1.0, 0.9, 0.5])
         a = a * (scale * (1.0 - 1e-12) / norm)

@@ -53,11 +53,13 @@ from .errors import NotRegular
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _frozen,
     _psd_tolerance,
     as_matrix,
     is_psd,
     psd_margin,
     psd_sqrt,
+    spectral_norm,
 )
 from .model import (
     Representation,
@@ -107,11 +109,13 @@ class DefectOperator:
     matrix: np.ndarray
 
 
+@derived
 def defect_operator(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> DefectOperator:
-    """sqrt(V*V - V+V).  NotPSD propagates when gamma < 1 (difference indefinite)."""
+    """sqrt(V*V - V+V), memoized on rep per policy, with a read-only matrix.
+    NotPSD propagates when gamma < 1 (difference indefinite)."""
     v = rep.matrix
     diff = v.conj().T @ v - rep.pseudo_inverse(pol) @ v
-    return DefectOperator(matrix=psd_sqrt(diff, pol))
+    return DefectOperator(matrix=_frozen(psd_sqrt(diff, pol)))
 
 
 @dataclass(frozen=True)
@@ -519,7 +523,7 @@ def telescoping_residuals(
     rhs1 = np.zeros_like(lhs1)
     for i, (vi, vdi) in enumerate(levels[:n]):
         rhs1 = rhs1 + vi @ _lift(i, p_w, d) @ vdi
-    res1 = float(np.linalg.norm(lhs1 - rhs1, 2)) / max(1.0, float(np.linalg.norm(lhs1, 2)))
+    res1 = spectral_norm(lhs1 - rhs1) / max(1.0, spectral_norm(lhs1))
 
     dim_n = d**n * m
     lhs2 = np.eye(dim_n, dtype=np.complex128) - vdn @ vn
@@ -529,5 +533,5 @@ def telescoping_residuals(
         mid = _lift(n - i - 1, p_wd, d)
         right = _lift(n - i, vi, d)
         rhs2 = rhs2 + left @ mid @ right
-    res2 = float(np.linalg.norm(lhs2 - rhs2, 2)) / max(1.0, float(np.linalg.norm(lhs2, 2)))
+    res2 = spectral_norm(lhs2 - rhs2) / max(1.0, spectral_norm(lhs2))
     return res1, res2

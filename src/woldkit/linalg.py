@@ -10,6 +10,12 @@ Containment is one residual rule, _in_ampliation: whether S lies in
 C^d (x) K, asked block by block, so a subspace of E (x) H is tested
 against K without forming I_d (x) K; contains is its d = 1 case.
 
+spectral_norm is the one 2-norm kernel, the largest singular value.  A
+check that only compares a 2-norm with a threshold goes through
+_norm2_at_most (a fixed threshold) or _norm2_within (a threshold relative
+to another 2-norm), which decide from Frobenius norms when they can and
+give the verdict of the exact norms.
+
 Subspace(n, B) checks a caller's basis for orthonormality; the bases the
 package builds are orthonormal by construction, skip that check through
 _subspace, and are checked by the tests.
@@ -178,11 +184,13 @@ def reduced_min_modulus(a, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
 
 
 def spectral_norm(a) -> float:
-    """Matrix 2-norm that treats empty matrices as zero."""
+    """Matrix 2-norm that treats empty matrices as zero: the largest
+    singular value, from the LAPACK call np.linalg.norm(a, 2) makes, so
+    the bits are those of np.linalg.norm."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _norm2_at_most(a: np.ndarray, tol: float) -> bool:
@@ -199,6 +207,25 @@ def _norm2_at_most(a: np.ndarray, tol: float) -> bool:
     if frob > tol * math.sqrt(min(a.shape)) * (1.0 + 1e-10):
         return False
     return spectral_norm(a) <= tol
+
+
+def _norm2_within(r: np.ndarray, a: np.ndarray, rel: float, floor: float = 0.0) -> bool:
+    """spectral_norm(r) <= rel * max(floor, spectral_norm(a)), deciding from
+    the Frobenius norms of r and a when they can.
+
+    ||a||_F / sqrt(min(shape)) <= ||a||_2 <= ||a||_F brackets the
+    threshold, so r is decided by the screen of _norm2_at_most against the
+    low end of the bracket when it passes and against the high end when it
+    fails, each widened by a relative 1e-10.  Only between them is ||a||_2
+    taken, and r is left to _norm2_at_most against the exact threshold.
+    """
+    frob_r = float(np.linalg.norm(r))
+    frob_a = float(np.linalg.norm(a))
+    if frob_r <= rel * max(floor, frob_a / math.sqrt(max(1, min(a.shape)))) * (1.0 - 1e-10):
+        return True
+    if frob_r > rel * max(floor, frob_a) * math.sqrt(min(r.shape)) * (1.0 + 1e-10):
+        return False
+    return _norm2_at_most(r, rel * max(floor, spectral_norm(a)))
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -247,7 +274,7 @@ def psd_sqrt(a, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     if a.shape[0] == 0:
         return a.copy()
     w, u = np.linalg.eigh(hermitian_part(a))
-    if np.linalg.norm(a - a.conj().T, 2) > pol.tau_orth * max(1.0, -w[0], w[-1]) * 10.0:
+    if not _norm2_at_most(a - a.conj().T, pol.tau_orth * max(1.0, -w[0], w[-1]) * 10.0):
         raise NotPSD("matrix is not Hermitian to tolerance")
     if w[0] < -_psd_tolerance(w, pol):
         raise NotPSD(f"min eigenvalue {w[0]:.3e} below -tau_psd*scale")
@@ -277,7 +304,7 @@ class Subspace:
             raise DimensionMismatch("more basis columns than ambient dimension")
         if b.shape[1]:
             gram = b.conj().T @ b
-            if np.linalg.norm(gram - np.eye(b.shape[1]), 2) > 1e-7:
+            if not _norm2_at_most(gram - np.eye(b.shape[1]), 1e-7):
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", _frozen(b))
 

@@ -43,8 +43,20 @@ ker V* (the trailing left ones), the first space R(V) of the range chain,
 the factors of the growth pencil and the first level of _svd_levels.
 The same SVD, permuted, is the SVD of the Moore-Penrose dual (V+)*:
 wold.mp_cauchy_dual sets it through _with_svd, which with derived is the
-only writer of the memo.  Iterates, lifts and the dual are never
-memoized, since caching them would raise peak memory.  Concurrent first
+only writer of the memo.  derived also keys a memo on extra hashable
+arguments, and three objects that the Wold stage and the verify suites
+would otherwise rebuild are memoized that way: [W], the subspace
+generated by the wandering space (wold._generated_wandering), read by
+wold_diagnostics, duality_check and check_purity_transfer; the growth
+report of the Wold preconditions (wold._growth_report), keyed on its
+horizon min(horizon, budget_horizon) and the weight sequence, so that
+another horizon, weight sequence, policy or a WOLDKIT_BUDGET that moves
+that horizon builds it again; and the defect operator
+(growth.defect_operator), read at every depth of norm_partition_residual.
+Iterates and lifts are never memoized, since they grow with the level
+and caching them would raise peak memory.  Nor is the dual: it would hold
+an m x dm map and its dm x dm SVD factor to save under a millisecond of
+the wold suite.  A call that raises memoizes nothing.  Concurrent first
 use may build a value twice, with the same result, and a RankWarning
 fires on the first build only.
 """
@@ -70,6 +82,7 @@ from .linalg import (
     _rank,
     _subspace,
     as_matrix,
+    spectral_norm,
 )
 
 __all__ = [
@@ -104,14 +117,15 @@ def size_budget() -> int:
 
 
 def derived(fn):
-    """Memoize fn(rep, pol) on rep, once per function and TolerancePolicy."""
+    """Memoize fn(rep, pol, *key) on rep, once per function, TolerancePolicy
+    and hashable key; a call that raises stores nothing."""
 
     @functools.wraps(fn)
-    def build_once(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY):
-        key = (fn, pol)
-        if key not in rep._derived:
-            rep._derived[key] = fn(rep, pol)
-        return rep._derived[key]
+    def build_once(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY, *key):
+        memo_key = (fn, pol, *key)
+        if memo_key not in rep._derived:
+            rep._derived[memo_key] = fn(rep, pol, *key)
+        return rep._derived[memo_key]
 
     return build_once
 
@@ -353,7 +367,7 @@ def check_covariance(rep: Representation, tol: float = 1e-9) -> tuple[bool, dict
     eye_h = np.eye(rep.dim_h, dtype=np.complex128)
     for label in sorted(rep.sigma):
         lifted = np.kron(rep.phi[label], eye_h)
-        res = float(np.linalg.norm(v @ lifted - rep.sigma[label] @ v, 2))
+        res = spectral_norm(v @ lifted - rep.sigma[label] @ v)
         residuals[label] = res
         ok = ok and res <= tol * scale
     return ok, residuals

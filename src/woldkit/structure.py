@@ -43,7 +43,7 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _in_ampliation,
-    _norm2_at_most,
+    _norm2_within,
     _rank,
     _subspace,
     intersect,
@@ -384,7 +384,7 @@ def is_n_dagger(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLI
         return True
     lowered = iterated_pinv(rep, n, pol)  # ValueError for n < 1
     direct = pinv(iterate_map(rep, n), pol, scale=rep.norm() ** n)
-    return _norm2_at_most(lowered - direct, 1e-8 * max(1.0, spectral_norm(direct)))
+    return _norm2_within(lowered - direct, direct, 1e-8, 1.0)
 
 
 def _reverse_order_law(

@@ -8,7 +8,11 @@ restricted map, and the uniqueness note attached to the hyper-dagger
 property.  Precondition gates (regularity, modulus >= 1, growth
 feasibility) are evaluated up to a horizon so that hard truncations of
 well-behaved infinite operators are not rejected for boundary artifacts;
-the strict verdicts are always reported alongside.
+the strict verdicts are always reported alongside.  [W] and the growth
+report of the preconditions are memoized on the representation
+(_generated_wandering, _growth_report; see the model docstring), so
+duality_check after wold_decompose, or check_purity_transfer, builds
+neither again.
 
 generated_subspace, is_wandering, reflection_witness and the joins of
 kernel_span_check walk the forward translates of structure._translates.
@@ -55,13 +59,14 @@ from .errors import (
     NotLeftInvertible,
     PreconditionFailed,
 )
-from .growth import check_growth, gamma, gamma_at_least_one
+from .growth import GrowthReport, check_growth, gamma, gamma_at_least_one
 from .linalg import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
     _in_ampliation,
     _norm2_at_most,
+    _norm2_within,
     _subspace,
     add,
     as_matrix,
@@ -81,6 +86,7 @@ from .model import (
     _times_ampliation,
     _with_svd,
     budget_horizon,
+    derived,
     iterate_map,
 )
 from .structure import (
@@ -139,8 +145,7 @@ def is_wandering(
     for current in itertools.islice(_translates(rep, s, pol), 1, horizon + 1):
         if current.dim == 0:
             return True
-        cross = float(np.linalg.norm(s.basis.conj().T @ current.basis, 2))
-        if cross > pol.tau_sub:
+        if not _norm2_at_most(s.basis.conj().T @ current.basis, pol.tau_sub):
             return False
     return True
 
@@ -153,6 +158,12 @@ def generated_subspace(
         raise PreconditionFailed("subspace must live in H")
     joins = itertools.accumulate(_translates(rep, s, pol), functools.partial(add, pol=pol))
     return _stabilized_chain(joins)[-1]
+
+
+@derived
+def _generated_wandering(rep: Representation, pol: TolerancePolicy) -> Subspace:
+    """[W], the subspace generated by the wandering space, built once per policy."""
+    return generated_subspace(rep, wandering_space(rep, pol), pol)
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,7 @@ def wold_diagnostics(
 
     w = wandering_space(rep, pol)
     wd = co_wandering_space(rep, pol)
-    bracket = generated_subspace(rep, w, pol)
+    bracket = _generated_wandering(rep, pol)
     rinf = algebraic_core(rep, pol)
 
     sum_res, prod_res = _split_residuals(bracket, rinf)
@@ -332,6 +343,15 @@ def wold_diagnostics(
     )
 
 
+@derived
+def _growth_report(
+    rep: Representation, pol: TolerancePolicy, horizon: int, d_seq: tuple[float, ...] | None
+) -> GrowthReport:
+    """check_growth to the horizon for the weights d_seq (a tuple, or None
+    for the minimal weights), memoized per policy, horizon and weights."""
+    return check_growth(rep, None if d_seq is None else list(d_seq), horizon, pol=pol)
+
+
 def _check_preconditions(
     rep: Representation,
     d_seq: list[float] | None,
@@ -350,7 +370,7 @@ def _check_preconditions(
             f"reduced minimum modulus {gamma(rep, pol):.6g} is below one"
         )
     growth_h = min(horizon, budget_horizon(rep))
-    report = check_growth(rep, d_seq, growth_h, pol=pol)
+    report = _growth_report(rep, pol, growth_h, None if d_seq is None else tuple(d_seq))
     if not report.all_feasible:
         bad = [e.m for e in report.entries if not e.feasible]
         raise PreconditionFailed(f"growth condition infeasible at level(s) {bad}")
@@ -390,7 +410,7 @@ def duality_check(
     of the preconditions only.
     """
     _check_preconditions(rep, None, horizon, pol)
-    bracket = generated_subspace(rep, wandering_space(rep, pol), pol)
+    bracket = _generated_wandering(rep, pol)
     dual_core = algebraic_core(mp_cauchy_dual(rep, pol), pol)
     return subspaces_equal(bracket, complement(dual_core, pol), pol)
 
@@ -463,13 +483,12 @@ def mp_cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -
 
 
 def check_intertwiner(rep: Representation, a, tol: float = 1e-9) -> bool:
-    """A V = V (I_E (x) A) up to tol * |A| * |V|."""
+    """A V = V (I_E (x) A) up to tol * |V| * |A|."""
     a = as_matrix(a)
     if a.shape != (rep.dim_h, rep.dim_h):
         raise PreconditionFailed("intertwiner must act on H")
     v = rep.matrix
-    residual = float(np.linalg.norm(a @ v - _times_ampliation(v, a), 2))
-    return residual <= tol * float(np.linalg.norm(a, 2)) * rep.norm()
+    return _norm2_within(a @ v - _times_ampliation(v, a), a, tol * rep.norm())
 
 
 def is_pure_contraction(a, horizon: int = 50, tol: float = 1e-8) -> str:
@@ -484,7 +503,7 @@ def is_pure_contraction(a, horizon: int = 50, tol: float = 1e-8) -> str:
         raise NotContraction("purity is defined for square operators")
     if a.shape[0] == 0:
         return "pure"
-    norm = float(np.linalg.norm(a, 2))
+    norm = spectral_norm(a)
     if norm > 1.0 + 1e-10:
         raise NotContraction(f"operator norm {norm:.12g} exceeds one")
     rho = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.any() else 0.0
@@ -495,7 +514,7 @@ def is_pure_contraction(a, horizon: int = 50, tol: float = 1e-8) -> str:
     for n in range(1, max(1, horizon) + 1):
         current = a @ current @ a.conj().T
         if n >= horizon - 1:  # only the last two norms are read
-            norms.append(float(np.linalg.norm(current, 2)))
+            norms.append(spectral_norm(current))
     prev_norm, cur_norm = norms[-2:]
     if cur_norm <= tol:
         return "pure"
@@ -568,7 +587,7 @@ def check_purity_transfer(
     if w.dim == 0:
         raise PreconditionFailed("wandering space is trivial; compression undefined")
     full = Subspace.full(rep.dim_h)
-    if not subspaces_equal(generated_subspace(rep, w, pol), full, pol):
+    if not subspaces_equal(_generated_wandering(rep, pol), full, pol):
         raise PreconditionFailed("wandering space does not generate H")
     dual = mp_cauchy_dual(rep, pol)
     if not subspaces_equal(generated_subspace(dual, w, pol), full, pol):

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import woldkit
+from woldkit import verify
 from woldkit.cli import main
 from woldkit.generate import truncated_shift_rep
+from woldkit.linalg import pinv
 from woldkit.model import Representation, load_representation, save_representation
 from woldkit.shifts import load_shift_spec
+from woldkit.structure import GenInverse, make_generalized_inverse
 
 
 def run_cli(*argv):
@@ -245,6 +248,41 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "instance" in out
+
+    def test_a_failed_penrose_bound_reports_the_exact_residual(self, monkeypatch):
+        # A pseudoinverse scaled by 1 + 1e-6 breaks the first two identities.
+        drawn = []
+
+        def scaled_pinv(a, pol):
+            drawn.append((a, (1.0 + 1e-6) * pinv(a, pol)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(verify, "pinv", scaled_pinv)
+        result = verify.run_suite("penrose", count=3, seed=1)
+        assert result.failed == 3
+        for failure, (a, a_dag) in zip(result.failures, drawn):
+            p, q = a @ a_dag, a_dag @ a
+            worst = max(
+                float(np.linalg.norm(r, 2))
+                for r in (p @ a - a, q @ a_dag - a_dag, p - p.conj().T, q - q.conj().T)
+            )
+            scale = max(1.0, float(np.linalg.norm(a, 2)))
+            assert failure["message"] == f"penrose residual {worst:.3e} > 1e-9*{scale:.3e}"
+
+    def test_a_failed_inverse_bound_reports_the_exact_residual(self, monkeypatch):
+        # 2 S for a generalized inverse S breaks S V S = S at the first draw.
+        drawn = []
+
+        def doubled(rep, y, pol):
+            drawn.append((rep, 2.0 * make_generalized_inverse(rep, y, pol).matrix))
+            return GenInverse(matrix=drawn[-1][1])
+
+        monkeypatch.setattr(verify, "make_generalized_inverse", doubled)
+        result = verify.run_suite("generalized-inverse", count=4, seed=1)
+        assert result.failed == len(drawn) > 0
+        for failure, (rep, s) in zip(result.failures, drawn):
+            r = float(np.linalg.norm(s @ rep.matrix @ s - s, 2))
+            assert failure["message"] == f"S V S = S identity failed: {r:.3e}"
 
     def test_deterministic_output(self, capsys):
         assert run_cli("verify", "wold", "--count", "4", "--seed", "2") == 0

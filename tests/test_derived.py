@@ -1,6 +1,6 @@
-"""Objects of V memoized on the Representation: all read off one SVD of V,
-equal to the uncached linalg calls to round-off, built once per policy,
-and read-only."""
+"""Objects memoized on the Representation: those of V, all read off one SVD
+of V and equal to the uncached linalg calls to round-off, and [W] and the
+defect operator; each built once per policy and read-only."""
 
 import json
 import math
@@ -8,15 +8,25 @@ import math
 import numpy as np
 import pytest
 
+from woldkit import wold
 from woldkit.cli import main
-from woldkit.generate import generic_rep, left_invertible_rep, rank_deficient_rep
-from woldkit.growth import _singular_factors
+from woldkit.errors import NotPSD
+from woldkit.generate import (
+    generic_rep,
+    left_invertible_rep,
+    rand_unitary,
+    rank_deficient_rep,
+    truncated_shift_rep,
+)
+from woldkit.growth import _singular_factors, defect_operator
 from woldkit.linalg import (
     DEFAULT_POLICY,
+    Subspace,
     TolerancePolicy,
     null_space,
     pinv,
     project,
+    psd_sqrt,
     range_space,
     reduced_min_modulus,
     spectral_norm,
@@ -66,6 +76,11 @@ def test_builders_agree_with_uncached_calls(rng, kind):
     assert len(chain) == len(fresh_chain)
     for a, b in zip(chain, fresh_chain):
         _same_subspace(a, b)
+    if kind in ("left-invertible", "zero"):  # gamma >= 1: the defect exists
+        want = psd_sqrt(v.conj().T @ v - oracle @ v, pol)
+        assert np.linalg.norm(defect_operator(rep, pol).matrix - want, 2) <= 1e-12
+    bracket = wold.generated_subspace(rep, rep.cokernel(pol), pol)
+    _same_subspace(wold._generated_wandering(rep, pol), bracket)
     if kind == "zero":
         assert not rep.pseudo_inverse(pol).any() and rep.pseudo_inverse(pol).shape == (6, 3)
         assert math.isinf(rep.min_modulus(pol)) and rep.norm() == 0.0
@@ -121,6 +136,30 @@ def test_second_call_returns_same_object(rng):
     assert rep.kernel(pol) is rep.kernel(pol)
     assert rep.cokernel(pol) is rep.cokernel(pol)
     assert range_chain(rep, pol) is range_chain(rep, pol)
+    assert wold._generated_wandering(rep, pol) is wold._generated_wandering(rep, pol)
+    invertible = left_invertible_rep(rng, 3)
+    assert defect_operator(invertible) is defect_operator(invertible, pol)
+
+
+def test_generated_wandering_space_of_known_splits(rng):
+    # A shift block of length 4 next to a 3 x 3 unitary: [W] is the block.
+    v = np.zeros((7, 7), dtype=np.complex128)
+    v[:4, :4] = truncated_shift_rep(4).matrix
+    v[4:, 4:] = rand_unitary(rng, 3)
+    for rep, want in (
+        (truncated_shift_rep(4), Subspace.full(4)),
+        (generic_rep(rng, 2, 3), Subspace.zero(3)),
+        (Representation(1, 7, v), Subspace(7, np.eye(7)[:, :4])),
+    ):
+        _same_subspace(wold._generated_wandering(rep, DEFAULT_POLICY), want)
+
+
+def test_a_build_that_raises_stores_nothing():
+    rep = Representation(1, 1, np.array([[0.5]]))  # gamma < 1: V*V - V+V < 0
+    for _ in range(2):
+        with pytest.raises(NotPSD):
+            defect_operator(rep)
+    assert not any(key[0] is defect_operator.__wrapped__ for key in rep._derived)
 
 
 def test_entries_are_keyed_by_policy(rng):
@@ -141,6 +180,8 @@ def test_entries_are_keyed_by_policy(rng):
 def test_results_are_read_only(rng):
     rep = rank_deficient_rep(rng, 2, 3, 1)
     arrays = [rep.pseudo_inverse(), rep.kernel().basis, rep.cokernel().basis, *rep.svd()]
+    arrays += [wold._generated_wandering(rep, DEFAULT_POLICY).basis]
+    arrays += [defect_operator(left_invertible_rep(rng, 3)).matrix]
     chain = range_chain(rep)
     assert isinstance(chain, tuple)
     arrays += [space.basis for space in chain]

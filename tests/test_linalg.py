@@ -13,6 +13,7 @@ from woldkit.linalg import (
     _dims_exclude,
     _in_ampliation,
     _norm2_at_most,
+    _norm2_within,
     add,
     as_matrix,
     complement,
@@ -100,6 +101,13 @@ class TestPinvAndNorm:
         assert np.array_equal(pinv(a, scale=1e6), np.diag([1.0, 0.0]))
 
 
+def test_spectral_norm_has_the_bits_of_numpy_norm(rng):
+    for shape in ((1, 1), (4, 4), (3, 7), (7, 3)):
+        for a in (rand_c(rng, *shape), rand_c(rng, *shape).real, np.zeros(shape)):
+            assert spectral_norm(a) == float(np.linalg.norm(a, 2))
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
 class TestNorm2AtMost:
     """_norm2_at_most(a, tol) is the verdict spectral_norm(a) <= tol."""
 
@@ -136,6 +144,65 @@ class TestNorm2AtMost:
         for tol in (0.0, 1e-8):
             self.check(a, tol)
             assert _norm2_at_most(a, tol)
+
+
+class TestNorm2Within:
+    """_norm2_within(r, a, rel, floor) is the verdict
+    spectral_norm(r) <= rel * max(floor, spectral_norm(a))."""
+
+    @staticmethod
+    def matrices(rng):
+        low_rank = rand_c(rng, 5, 2) @ rand_c(rng, 2, 4)
+        return {
+            "square": rand_c(rng, 4, 4),
+            "wide": rand_c(rng, 3, 7),
+            "tall": rand_c(rng, 7, 3) * 1e-9,
+            "rank-deficient": low_rank,
+            "identity-like": 2e-9 * np.eye(5),
+            "zero": np.zeros((3, 4), dtype=np.complex128),
+            "empty": np.zeros((0, 3), dtype=np.complex128),
+        }
+
+    @staticmethod
+    def check(r, a, rel, floor):
+        want = spectral_norm(r) <= rel * max(floor, spectral_norm(a))
+        assert _norm2_within(r, a, rel, floor) == want
+        return want
+
+    @pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12, 1 - 1e-6, 1 + 1e-6])
+    def test_threshold_at_the_exact_norm(self, rng, factor):
+        # rel is chosen so that the threshold is factor * ||r||_2, with the
+        # scale set by ||a||_2 (floor 0 or below it) or by the floor.
+        mats = self.matrices(rng)
+        verdicts = set()
+        for r in mats.values():
+            two = spectral_norm(r)
+            for a in mats.values():
+                na = spectral_norm(a)
+                for floor in {0.0, 0.5 * na, 1.0, 2.0 * na + 1.0}:
+                    scale = max(floor, na)
+                    if scale == 0.0:
+                        self.check(r, a, 1.0, floor)
+                        continue
+                    verdicts.add(self.check(r, a, factor * two / scale, floor))
+        assert (False in verdicts) == (factor < 1)  # a zero r passes at rel = 0
+
+    def test_generic_sweep(self, rng):
+        for _ in range(60):
+            r = rand_c(rng, *rng.integers(1, 6, size=2)) * 10.0 ** rng.uniform(-12, 0)
+            a = rand_c(rng, *rng.integers(1, 6, size=2)) * 10.0 ** rng.uniform(-3, 3)
+            for rel in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+                for floor in (0.0, 1.0):
+                    self.check(r, a, rel, floor)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty(self, rng, shape):
+        empty = np.zeros(shape, dtype=np.complex128)
+        for floor in (0.0, 1.0):
+            assert self.check(empty, empty, 1e-9, floor)
+            assert self.check(empty, rand_c(rng, 3, 3), 1e-9, floor)
+            assert self.check(np.zeros((2, 2)), empty, 1e-9, floor)
+            assert self.check(rand_c(rng, 2, 2), empty, 1e-9, floor) is False
 
 
 def psd_oracle(a, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -30,6 +30,7 @@ from woldkit.linalg import (
     DEFAULT_POLICY,
     RankWarning,
     Subspace,
+    TolerancePolicy,
     _subspace,
     complement,
     intersect,
@@ -406,6 +407,67 @@ class TestDuality:
         # A coisometry's dual is surjective; a level n has 2^n * 3 columns.
         monkeypatch.setenv("WOLDKIT_BUDGET", "12")
         assert duality_check(coisometry_rep(np.random.default_rng(5), 2, 3))
+
+
+class TestMemoizedStages:
+    """wold_decompose and duality_check share [W] and the growth verdict of
+    the preconditions, memoized on the representation."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        real = getattr(wold, name)
+        monkeypatch.setattr(wold, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_decompose_then_duality_builds_each_once(self, rng, monkeypatch):
+        rep, _ = block_wold_rep(rng, n_shift=2, n_unitary=1)
+        growth = self.counted(monkeypatch, "check_growth")
+        joins = self.counted(monkeypatch, "generated_subspace")
+        result = wold_decompose(rep, horizon=3)
+        assert duality_check(rep, horizon=3)
+        assert len(growth) == 1 and len(joins) == 1
+        assert result.generated is wold._generated_wandering(rep, DEFAULT_POLICY)
+        assert subspaces_equal(result.generated, generated_subspace(rep, wandering_space(rep)))
+
+    def test_purity_transfer_reads_the_same_join(self, rng, monkeypatch):
+        rep, a = shift_polynomial_pair(rng)
+        joins = self.counted(monkeypatch, "generated_subspace")
+        check_purity_transfer(rep, a)
+        check_purity_transfer(rep, a)
+        # [W] of rep once, then the join under each call's own dual.
+        assert [call[0] is rep for call in joins] == [True, False, False]
+
+    def test_another_key_builds_the_growth_verdict_again(self, rng, monkeypatch):
+        # For a coisometry A = P, so every weight sequence is feasible; the
+        # levels have 2^n * 3 columns.
+        rep = coisometry_rep(rng, 2, 3)
+        growth = self.counted(monkeypatch, "check_growth")
+
+        def builds(**kwargs):
+            before = len(growth)
+            wold_decompose(rep, **kwargs)
+            return len(growth) - before
+
+        assert builds(horizon=3) == 1
+        assert builds(horizon=3) == 0
+        assert builds(horizon=2) == 1
+        assert builds(horizon=3, d_seq=[1.0, 1.0, 1.0]) == 1
+        assert builds(horizon=3, d_seq=[1.0, 1.0, 1.0]) == 0
+        assert builds(horizon=3, d_seq=[2.0, 2.0, 2.0]) == 1
+        assert builds(horizon=3, pol=TolerancePolicy(tau_rank=1e-9)) == 1
+        monkeypatch.setenv("WOLDKIT_BUDGET", "6")  # budget_horizon 1: the growth horizon moves
+        assert builds(horizon=3) == 1
+        assert [call[2] for call in growth] == [3, 2, 3, 3, 3, 1]
+
+    def test_an_infeasible_growth_verdict_raises_on_every_call(self, monkeypatch):
+        # V = 2 on C needs d_1 >= 1; the report is built once and read twice.
+        rep = Representation(1, 1, np.array([[2.0]]))
+        growth = self.counted(monkeypatch, "check_growth")
+        for _ in range(2):
+            with pytest.raises(PreconditionFailed, match="growth"):
+                wold_decompose(rep, d_seq=[0.0, 0.0], horizon=2)
+        assert len(growth) == 1
 
 
 class TestMoorePenroseDual:
