@@ -18,18 +18,21 @@ build each level one step from the one before: _map_levels (V_1, V_2,
 ...), _lower_levels (S^(1), S^(2), ...) and _svd_levels, the left
 singular vectors u and singular values s of V_1, V_2, ..., each read off
 the thin SVD of an m x dm core, so that no level is decomposed whole and
-the walk holds nothing larger than the core; _level_rank is the rank rule
-of a level.  (u, s) gives R(V_n), ker V_n* and V_n V_n* = u diag(s)^2 u*,
-which is all the level tests read: structure.is_hyper_dagger decides
-level n from level n - 1 on E (x) H.  _svd_levels can also start from a
-given first level F, walking V_{n-1} (I (x) F) with the same core.  A
-lowering iterate S^(n) is the adjoint of level n of the representation
-whose matrix is S*, so the kernels and norms of S^(n) are read off
-_svd_levels of that representation, and the biregularity levels read
-only s of two walks of it.  Every loop over levels consumes a walk, and
-iterate_map and iterate_lower are the n-th level of one.  _fits_budget is
-the one budget rule, asked before a level (its d^n m columns, or rows of
-S^(n)) or a shift's matrix is built.
+the walk holds nothing larger than the core.  A walk stops decomposing at
+its first repeated level: a level with the bits of the one before is its
+fixed point, and it yields that level from then on.  _level_rank is the
+rank rule of a level.  (u, s) gives R(V_n), ker V_n* and
+V_n V_n* = u diag(s)^2 u*, which is all the level tests read:
+structure.is_hyper_dagger decides level n from level n - 1 on E (x) H.
+_svd_levels can also start from a given first level F, walking
+V_{n-1} (I (x) F) with the same core.  A lowering iterate S^(n) is the
+adjoint of level n of the representation whose matrix is S*, so the
+kernels and norms of S^(n) are read off _svd_levels of that
+representation, and the biregularity levels read only s of two walks of
+it.  Every loop over levels consumes a walk, and iterate_map and
+iterate_lower are the n-th level of one.  _fits_budget is the one budget
+rule, asked before a level (its d^n m columns, or rows of S^(n)) or a
+shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -284,15 +287,30 @@ def _svd_levels(rep: Representation, first: np.ndarray | None = None):
     later level the thin SVD of the same core, so s holds the min(m, width)
     singular values of the core or of F (structure._biregular_levels walks
     F = V (I_E (x) Q), where F_n = V_n (I (x) Q)).
+
+    A level whose (u, s) has the bits of the level before is the walk's
+    fixed point: the core of the next level is then that of this one, bit
+    for bit, so every later level is this one.  From there the walk yields
+    the pair of the level before, the same object at every level, and
+    takes no further SVD; the budget is still checked at every level.
     """
     d, m = rep.dim_e, rep.dim_h
     u, s, _ = rep.svd() if first is None else np.linalg.svd(first, full_matrices=False)
-    s = s[:m]
+    level, fixed = (u, s[:m]), False
     for n in itertools.count(1):
         _require_budget(d**n * m, f"columns of V_{n}")
-        if n > 1:
-            u, s, _ = np.linalg.svd(_times_ampliation(rep.matrix, u * s), full_matrices=False)
-        yield u, s
+        if n > 1 and not fixed:
+            u, s = level
+            u_n, s_n, _ = np.linalg.svd(_times_ampliation(rep.matrix, u * s), full_matrices=False)
+            fixed = _same_bits(s_n, s) and _same_bits(u_n, u)
+            if not fixed:
+                level = (u_n, s_n)
+        yield level
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b hold the same shape, dtype and bits: -0.0 is not 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _level_rank(
@@ -379,8 +397,8 @@ def check_covariance(rep: Representation, tol: float = 1e-9) -> tuple[bool, dict
 
 
 def _encode_complex_list(a: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(a, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    # The float64 view of complex entries is their [re, im] pairs.
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 _JSON_NUMBERS = (int, float)
@@ -401,17 +419,20 @@ def _is_positive_int(x) -> bool:
 def _decode_complex_list(entries, rows: int, cols: int, *, name: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ShapeError(f"{name} must hold {rows * cols} [re, im] pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    for i, pair in enumerate(entries):
-        # Plain JSON pairs pass on their exact types; the others take _is_pair.
-        if not (
-            type(pair) is list and len(pair) == 2
-            and type(pair[0]) in _JSON_NUMBERS and type(pair[1]) in _JSON_NUMBERS
-            or _is_pair(pair)
-        ):
-            raise ParseError(f"{name}[{i}] is not an [re, im] number pair")
-    # One array conversion gives the bits of complex(float(re), float(im)).
+    numbers = itertools.chain.from_iterable
+    # Plain JSON pairs pass on set checks of their exact types; the others
+    # take _is_pair one by one, which names the first bad pair.
+    if not (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, numbers(entries))) <= set(_JSON_NUMBERS)
+    ):
+        for i, pair in enumerate(entries):
+            if not _is_pair(pair):
+                raise ParseError(f"{name}[{i}] is not an [re, im] number pair")
+    # float() of each number gives the bits of complex(float(re), float(im)).
     try:
-        pairs = np.array(entries, dtype=np.float64)
+        pairs = np.fromiter(numbers(entries), np.float64, count=2 * len(entries))
     except OverflowError:
         pairs = None
     if pairs is None or not np.isfinite(pairs).all():

@@ -467,15 +467,38 @@ def is_hyper_dagger(
     whose gamma(V)^top clears the rank cutoff of level top is decided
     without the walk (_powers_keep_full_rank), and takes no SVD past the
     one of V.
+
+    Level n depends on n only through the rank rules of levels n - 1 and
+    n.  Past its fixed point the walk yields one pair object at every
+    level, so a level whose two pairs are the objects of the last level
+    read, and whose two ranks are the same, holds without a read.  The
+    rules are still applied at every level, since their cutoffs move with
+    n; a level not read still raises the RankWarning of its rule.
     """
     top = min(horizon, budget_horizon(rep))
     if top > 1 and _powers_keep_full_rank(rep, top, pol):
         return True
-    levels = itertools.pairwise(itertools.islice(_svd_levels(rep), top))
-    return all(
-        _reverse_order_law(rep, n, previous, s_n, pol)
-        for n, (previous, (_, s_n)) in enumerate(levels, start=2)
-    )
+
+    def ranks(k, previous, s_k):
+        """The rank rules of levels k - 1 and k: level k depends on k only through them."""
+        return (
+            _level_rank(rep, k - 1, previous[1], pol, warn=False),
+            _level_rank(rep, k, s_k, pol, warn=False),
+        )
+
+    read = None  # n and the two pairs of the last level read
+    for n, (previous, current) in enumerate(
+        itertools.pairwise(itertools.islice(_svd_levels(rep), top)), start=2
+    ):
+        s_n = current[1]
+        if read and read[1] is previous and read[2] is current:
+            if ranks(read[0], previous, s_n) == ranks(n, previous, s_n):
+                _level_rank(rep, n, s_n, pol)  # the RankWarning of the level
+                continue
+        if not _reverse_order_law(rep, n, previous, s_n, pol):
+            return False
+        read = (n, previous, current)
+    return True
 
 
 def fixed_point_range_check(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from woldkit.errors import IdentityViolated
+from woldkit.errors import BudgetExceeded, IdentityViolated
 from woldkit.generate import (
     bilateral_spec,
     block_wold_rep,
@@ -37,10 +37,11 @@ from woldkit.linalg import (
 )
 from woldkit.model import (
     Representation,
-    _svd_levels,
+    _times_ampliation,
     budget_horizon,
     iterate_lower,
     iterate_map,
+    size_budget,
 )
 from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
 from woldkit.structure import (
@@ -317,13 +318,42 @@ def mixed_corpus(count: int, seed: int = 5) -> list[Representation]:
     return reps
 
 
+def svd_levels_oracle(rep, first=None):
+    """The walk of model._svd_levels with one thin SVD per core at every
+    level: (u, s) of level n from the SVD of the core V (I_E (x) u diag(s))
+    of level n - 1, formed by the same _times_ampliation, with no fixed
+    point; the budget is checked before each level."""
+    d, m = rep.dim_e, rep.dim_h
+    u, s, _ = rep.svd() if first is None else np.linalg.svd(first, full_matrices=False)
+    s = s[:m]
+    for n in itertools.count(1):
+        if d**n * m > size_budget():
+            raise BudgetExceeded(f"columns of V_{n}: {d**n * m} exceeds the size budget {size_budget()}")
+        if n > 1:
+            u, s, _ = np.linalg.svd(_times_ampliation(rep.matrix, u * s), full_matrices=False)
+        yield u, s
+
+
+def fixed_point_corpus(seed: int = 29) -> list[Representation]:
+    """Seeded maps whose SVD walks reach a fixed point, late, early or
+    never: bilateral shifts for n in {1, 2, 3} and M in 2..12, unilateral
+    shifts (d <= 2, L <= 3), the zero map, and the maps of mixed_corpus and
+    ill_conditioned_corpus."""
+    rng = np.random.default_rng(seed)
+    reps = [build_bilateral_shift(bilateral_spec(rng, n, big_m))[0] for n in (1, 2, 3) for big_m in range(2, 13)]
+    reps += [build_unilateral_shift(unilateral_spec(rng, d=d, L=big_l))[0] for d in (1, 2) for big_l in (1, 2, 3)]
+    reps.append(Representation(2, 3, np.zeros((3, 6))))
+    return reps + mixed_corpus(24) + ill_conditioned_corpus(40)
+
+
 def hyper_dagger_walk_oracle(rep, horizon, pol=DEFAULT_POLICY) -> bool:
-    """is_hyper_dagger by the walk alone: every level from 2 to the
-    clamped horizon decided from the one before by the reverse-order law,
-    with no certificate for invertible d = 1 maps.  Unlike the dense gap of
+    """is_hyper_dagger by the plain walk of svd_levels_oracle alone: every
+    level from 2 to the clamped horizon decided from the one before by the
+    reverse-order law, with no certificate for invertible d = 1 maps and no
+    reuse of a level already read.  Unlike the dense gap of
     n_dagger_oracle, it does not grow with cond(V)^n on invertible maps."""
     top = min(horizon, budget_horizon(rep))
-    levels = itertools.pairwise(itertools.islice(_svd_levels(rep), top))
+    levels = itertools.pairwise(itertools.islice(svd_levels_oracle(rep), top))
     return all(
         _reverse_order_law(rep, n, previous, s_n, pol)
         for n, (previous, (_, s_n)) in enumerate(levels, start=2)

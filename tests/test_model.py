@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from woldkit.errors import BudgetExceeded, ParseError, ShapeError
-from woldkit.generate import bilateral_spec, generic_rep, rank_deficient_rep, truncated_shift_rep
+from woldkit.generate import bilateral_spec, generate_named, generic_rep, rank_deficient_rep, truncated_shift_rep
 from woldkit.model import (
     Representation,
     _lower_levels,
@@ -19,12 +19,17 @@ from woldkit.model import (
     iterate_lower,
     iterate_map,
     _decode_complex_list,
+    _encode_complex_list,
+    _is_pair,
+    canonical_json,
     load_representation,
     representation_from_dict,
     representation_to_dict,
     save_representation,
 )
 from woldkit.shifts import build_bilateral_shift
+
+from conftest import fixed_point_corpus, svd_levels_oracle
 
 
 def rand_c(rng, r, c):
@@ -259,6 +264,69 @@ class TestSvdLevels:
         assert peak < 8 * d * m * m * 16
 
 
+def walk_levels(walk, top):
+    """The first top levels of a walk, and the message of the BudgetExceeded
+    that stops it before them (None if none does)."""
+    levels = []
+    try:
+        for level in itertools.islice(walk, top):
+            levels.append(level)
+    except BudgetExceeded as exc:
+        return levels, str(exc)
+    return levels, None
+
+
+def bilateral_window():
+    """The bilateral n = 2, M = 8 instance of generate at seed 1."""
+    return build_bilateral_shift(generate_named("bilateral", 1, {"n": "2", "M": "8"}))[0]
+
+
+class TestSvdLevelsFixedPoint:
+    """A walk stops decomposing at its first repeated level; the plain walk
+    of svd_levels_oracle, one thin SVD per core, is the oracle bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::woldkit.linalg.RankWarning")
+    def test_levels_are_the_plain_walk_bit_for_bit(self):
+        fixed = 0
+        for rep in fixed_point_corpus():
+            r = rep._svd_rank()
+            firsts = [None] + ([_times_ampliation(rep.matrix, rep.svd()[0][:, :r])] if r else [])
+            for first in firsts:
+                levels, stop = walk_levels(_svd_levels(rep, first), 10)
+                want, want_stop = walk_levels(svd_levels_oracle(rep, first), 10)
+                assert len(levels) == len(want) >= 1 and stop == want_stop
+                for (u, s), (u_o, s_o) in zip(levels, want):
+                    assert u.shape == u_o.shape and u.tobytes() == u_o.tobytes()
+                    assert s.shape == s_o.shape and s.tobytes() == s_o.tobytes()
+                fixed += any(a is b for a, b in itertools.pairwise(levels))
+        assert fixed >= 40  # the corpus reaches fixed points, not only the plain walk
+
+    def test_no_svd_past_the_first_repeated_level(self, monkeypatch):
+        # Levels 3 and 4 of the window hold the same bits: (1 x9, 0 x8).
+        rep = bilateral_window()
+        rep.svd()
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        taken = []
+        levels = []
+        for level in itertools.islice(_svd_levels(rep), 8):
+            levels.append(level)
+            taken.append(len(calls))
+        assert taken == [0, 1, 2, 3, 3, 3, 3, 3]
+        assert np.array_equal(levels[2][1], [1.0] * 9 + [0.0] * 8)
+        assert all(level is levels[2] for level in levels[3:])
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 4, 5, 7])
+    def test_budget_raises_at_the_same_level(self, monkeypatch, top):
+        rep = bilateral_window()
+        monkeypatch.setenv("WOLDKIT_BUDGET", str(2**top * 17))
+        levels, message = walk_levels(_svd_levels(rep), 12)
+        want, want_message = walk_levels(svd_levels_oracle(rep), 12)
+        assert len(levels) == len(want) == top
+        assert message == want_message == f"columns of V_{top + 1}: {2 ** (top + 1) * 17} exceeds the size budget {2**top * 17}"
+
+
 class TestCovariance:
     def test_empty_generator_lists(self, rng):
         ok, residuals = check_covariance(generic_rep(rng, 2, 2))
@@ -336,7 +404,79 @@ def decode_loop_oracle(entries, rows, cols):
     return np.array([complex(float(re), float(im)) for re, im in entries]).reshape(rows, cols)
 
 
+def decode_pairs_oracle(entries, rows, cols, name="V"):
+    """The per-pair decoding: _is_pair on each entry in order, then one
+    np.array conversion, and the first overflowing or non-finite pair named."""
+    for i, pair in enumerate(entries):
+        if not _is_pair(pair):
+            raise ParseError(f"{name}[{i}] is not an [re, im] number pair")
+    for i, pair in enumerate(entries):
+        try:
+            finite = all(math.isfinite(float(x)) for x in pair)
+        except OverflowError:
+            raise ParseError(f"{name}[{i}] has an integer too large for a double") from None
+        if not finite:
+            raise ParseError(f"{name}[{i}] has a non-finite entry")
+    return np.array(entries, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+def encode_loop_oracle(a):
+    """The encoding [float(re), float(im)] of each entry, one by one."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=np.complex128).reshape(-1)]
+
+
+class Pair(list):
+    """A list subclass: a valid pair that the plain-type checks do not pass."""
+
+
+def decoded(decode, entries):
+    """decode(entries) as its bits, or the message of its ParseError."""
+    try:
+        return decode(entries, 1, len(entries), name="V").tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
 class TestDecode:
+    EXACT = [0, -0.0, 2**53 + 1, 2**63, 2**64 + 1, 10**300]
+
+    @pytest.mark.parametrize("value", EXACT)
+    def test_both_paths_convert_the_same_bits(self, value):
+        plain = [[1.5, 0.0], [value, value], [-value, 2.0]]
+        checked = [Pair(plain[0]), *plain[1:]]  # takes the per-pair checks
+        want = np.array([complex(float(re), float(im)) for re, im in plain]).tobytes()
+        assert decoded(_decode_complex_list, plain) == decoded(_decode_complex_list, checked) == want
+        assert decoded(decode_pairs_oracle, plain) == want
+
+    @pytest.mark.parametrize("make", [list, Pair])
+    def test_integer_too_large_on_both_paths(self, make):
+        entries = [make([1.0, 0.0]), [0, 10**400]]
+        assert decoded(_decode_complex_list, entries) == "V[1] has an integer too large for a double"
+        assert decoded(decode_pairs_oracle, entries) == "V[1] has an integer too large for a double"
+
+    @pytest.mark.parametrize("bad", [[True, 1], ["1", 2], [1, 2, 3], [[1, 2]], Pair([1, 2]), Pair([True, 2])])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_both_paths_judge_a_pair_alike(self, bad, at):
+        for first in (list, Pair):
+            entries = [first([1.0, 0.0]), [2, 3], [0.5, -0.0], [4.0, 5]]
+            entries[at] = bad
+            assert decoded(_decode_complex_list, entries) == decoded(decode_pairs_oracle, entries)
+
+    def test_encoding_is_the_loop_byte_for_byte(self, rng):
+        tiny = np.finfo(float).smallest_subnormal
+        matrices = [
+            rand_c(rng, 7, 14) * 10.0 ** rng.integers(-300, 300, (7, 14)),
+            np.array([[0.0, -0.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), -0.0j, 1.0]]),
+            np.array([[tiny, -tiny, complex(tiny, -3 * tiny)], [complex(-0.0, tiny), 2.2250738585072014e-308, 5e-320]]),
+        ]
+        for a in matrices:
+            got = canonical_json(_encode_complex_list(a))
+            assert got == canonical_json(encode_loop_oracle(a))
+            assert np.array_equal(_decode_complex_list(json.loads(got), *a.shape, name="V"), a)
+        rep = Representation(1, 2, matrices[1][:, :2])
+        want = {"dim_E": 1, "dim_H": 2, "V": encode_loop_oracle(rep.matrix)}
+        assert canonical_json(representation_to_dict(rep)) == canonical_json(want)
+
     def test_fast_path_is_bitwise_the_loop(self, rng):
         values = list(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40))
         values += [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 3, -7, 0, 2**70, -(2**60)]

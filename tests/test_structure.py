@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from woldkit.errors import NotRegular
+from woldkit import growth
+from woldkit.errors import BudgetExceeded, NotRegular
 from woldkit.generate import (
     bilateral_spec,
     coisometry_rep,
     concave_rep,
+    generate_named,
     generic_rep,
     left_invertible_rep,
     rand_complex,
@@ -19,6 +21,7 @@ from woldkit.generate import (
     truncated_shift_rep,
     unilateral_spec,
 )
+from woldkit.growth import gamma_power_bound_check
 from woldkit.linalg import (
     DEFAULT_POLICY,
     RankWarning,
@@ -40,6 +43,7 @@ from woldkit.model import (
     Representation,
     _level_rank,
     _svd_levels,
+    budget_horizon,
     iterate_lower,
     iterate_map,
     representation_from_dict,
@@ -69,6 +73,7 @@ from woldkit.wold import generated_subspace, mp_cauchy_dual
 from conftest import (
     chain_corpus,
     contains_oracle,
+    fixed_point_corpus,
     hyper_dagger_walk_oracle,
     ill_conditioned_corpus,
     invertible_corpus,
@@ -76,6 +81,7 @@ from conftest import (
     lifted_regularity_oracle,
     range_translates,
     regularity_oracle,
+    svd_levels_oracle,
     two_tie_chain_oracle,
 )
 
@@ -868,6 +874,81 @@ class TestInvertibleCertificate:
         # structure and model both call it as np.linalg.svd.
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         assert is_hyper_dagger(rep, 8)
+
+
+def _outcome_and_warnings(decide, rep, pol):
+    """decide(fresh copy of rep, pol), as plain data, with the set of
+    RankWarning messages it raised: a Subspace as its basis bits, an
+    exception as its type and message."""
+    fresh = Representation(rep.dim_e, rep.dim_h, rep.matrix)
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always", RankWarning)
+        try:
+            out = decide(fresh, pol)
+        except (BudgetExceeded, NotRegular) as exc:
+            out = (type(exc).__name__, str(exc))
+    if isinstance(out, Subspace):
+        out = (out.dim, out.basis.shape, out.basis.tobytes())
+    return out, {str(r.message) for r in records if issubclass(r.category, RankWarning)}
+
+
+class TestWalkFixedPoint:
+    """Every reader of _svd_levels gives what it gives on the plain walk of
+    svd_levels_oracle, which never reuses a level, with the same RankWarning
+    messages.  The level cutoffs grow with (d ||V||)^n, so at the larger
+    tau_rank a walk past its fixed point has levels whose rank rule warns
+    or drops the rank."""
+
+    READERS = {
+        "is_hyper_dagger": lambda rep, pol: is_hyper_dagger(rep, 10, pol),
+        "biregular_levels": lambda rep, pol: list(
+            _biregular_levels(
+                Representation(rep.dim_e, rep.dim_h, rep.pseudo_inverse(pol).conj().T),
+                min(8, budget_horizon(rep)),
+                pol,
+            )
+        ),
+        "generalized_range": generalized_range,
+        "gamma_power_bound_check": lambda rep, pol: gamma_power_bound_check(rep, 10, pol),
+    }
+
+    @pytest.mark.parametrize("tau_rank", [1e-10, 1e-6, 1e-4, 1e-3])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_readers_match_the_plain_walk(self, monkeypatch, reader, tau_rank):
+        decide, pol = self.READERS[reader], TolerancePolicy(tau_rank=tau_rank)
+        got = [_outcome_and_warnings(decide, rep, pol) for rep in fixed_point_corpus()]
+        for module in (structure, growth):
+            monkeypatch.setattr(module, "_svd_levels", svd_levels_oracle)
+        want = [_outcome_and_warnings(decide, rep, pol) for rep in fixed_point_corpus()]
+        assert got == want
+
+    @pytest.mark.filterwarnings("ignore::woldkit.linalg.RankWarning")
+    def test_hyper_dagger_matches_its_walk_oracle(self):
+        for rep in fixed_point_corpus():
+            if not structure._powers_keep_full_rank(rep, min(10, budget_horizon(rep)), DEFAULT_POLICY):
+                assert _verdict_and_warnings(is_hyper_dagger, rep, 10, DEFAULT_POLICY) == (
+                    _verdict_and_warnings(hyper_dagger_walk_oracle, rep, 10, DEFAULT_POLICY)
+                )
+
+    def test_a_bilateral_window_reads_three_levels(self, monkeypatch):
+        # Levels 3 to 8 of the n = 2, M = 8 window hold the same bits, so
+        # levels 5 to 8 repeat level 4's pair of levels and its ranks.
+        rep = build_bilateral_shift(generate_named("bilateral", 1, {"n": "2", "M": "8"}))[0]
+        rep.svd()
+        calls = {"svd": 0, "law": 0}
+        svd, law = np.linalg.svd, structure._reverse_order_law
+
+        def counted(key, fn):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        monkeypatch.setattr(structure, "_reverse_order_law", counted("law", law))
+        assert is_hyper_dagger(rep, 8)
+        assert calls == {"svd": 6, "law": 3}
 
 
 class TestFixedPointAndInvariance:
