@@ -21,18 +21,18 @@ the thin SVD of an m x dm core, so that no level is decomposed whole and
 the walk holds nothing larger than the core.  A walk stops decomposing at
 its first repeated level: a level with the bits of the one before is its
 fixed point, and it yields that level from then on.  _level_rank is the
-rank rule of a level.  (u, s) gives R(V_n), ker V_n* and
-V_n V_n* = u diag(s)^2 u*, which is all the level tests read:
-structure.is_hyper_dagger decides level n from level n - 1 on E (x) H.
-_svd_levels can also start from a given first level F, walking
-V_{n-1} (I (x) F) with the same core.  A lowering iterate S^(n) is the
-adjoint of level n of the representation whose matrix is S*, so the
-kernels and norms of S^(n) are read off _svd_levels of that
-representation, and the biregularity levels read only s of two walks of
-it.  Every loop over levels consumes a walk, and iterate_map and
-iterate_lower are the n-th level of one.  _fits_budget is the one budget
-rule, asked before a level (its d^n m columns, or rows of S^(n)) or a
-shift's matrix is built.
+rank rule of a level.  (u, s) gives V_n V_n* = u diag(s)^2 u*, which
+is all the level tests read: structure.is_hyper_dagger decides level n
+from level n - 1 on E (x) H, and growth.gamma_power_bound_check reads s;
+they are the only readers of the walk.  A range R(V_n) is read off the
+range chain instead (structure.range_chain, one rank rule per step):
+generalized_range, the biregularity levels and the kernels ker V+^(n) of
+wold.kernel_span_check read it.  A lowering iterate S^(n) is the adjoint
+of level n of the representation whose matrix is S*, so its kernel is
+read off the range chain of that representation.  Every loop over
+levels consumes a walk, and iterate_map and iterate_lower are the n-th
+level of one.  _fits_budget is the one budget rule, asked before a level
+(its d^n m columns, or rows of S^(n)) or a shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -271,7 +271,7 @@ def _map_levels(rep: Representation):
         yield vn
 
 
-def _svd_levels(rep: Representation, first: np.ndarray | None = None):
+def _svd_levels(rep: Representation):
     """Yield (u, s) with V_n V_n* = u diag(s)^2 u* for n = 1, 2, ...: u is
     m x m unitary and s the m singular values of V_n in descending order,
     so that V_n = u diag(s) w* for an isometry w that is never formed.
@@ -282,12 +282,6 @@ def _svd_levels(rep: Representation, first: np.ndarray | None = None):
     SVD of C gives u and s of level n, and no array grows with the level.
     The budget is checked before each level, as for the level itself.
 
-    Given an m x k matrix F in first, the walk is that of
-    F_n = V_{n-1} (I (x) F) instead: level 1 is the thin SVD of F, and each
-    later level the thin SVD of the same core, so s holds the min(m, width)
-    singular values of the core or of F (structure._biregular_levels walks
-    F = V (I_E (x) Q), where F_n = V_n (I (x) Q)).
-
     A level whose (u, s) has the bits of the level before is the walk's
     fixed point: the core of the next level is then that of this one, bit
     for bit, so every later level is this one.  From there the walk yields
@@ -295,7 +289,7 @@ def _svd_levels(rep: Representation, first: np.ndarray | None = None):
     takes no further SVD; the budget is still checked at every level.
     """
     d, m = rep.dim_e, rep.dim_h
-    u, s, _ = rep.svd() if first is None else np.linalg.svd(first, full_matrices=False)
+    u, s, _ = rep.svd()
     level, fixed = (u, s[:m]), False
     for n in itertools.count(1):
         _require_budget(d**n * m, f"columns of V_{n}")

@@ -4,7 +4,10 @@ The decreasing range chain R(V_1) >= R(V_2) >= ... stabilizes in finite
 dimensions; its limit R_infinity is the generalized range, and
 range_chain returns R(V_1), ..., R_infinity: its length is the
 stabilization index; it steps each member inside the one before
-(_nested_ranges).  Every other chain of forward translates is the one
+(_nested_ranges).  The chain is the one rank decision for every range of
+a level: generalized_range and algebraic_core are its limit, and
+readers of R(V_n) for a dual or an adjoint read the chain of that
+representation.  Every other chain of forward translates is the one
 walk _translates, and every subspace chain stops by the one rule of
 _stabilized_chain, at its first repeated dimension.  Regularity asks that the
 kernel of the map sits inside E (x) R_infinity, which
@@ -17,17 +20,16 @@ to the horizon.  Reports carry both verdicts.
 
 Two level properties, the hyper-dagger property (V+^(n) = (V_n)+) and
 biregularity (E^(x)n (x) N(S) inside R(S^(n))), are decided level by
-level off SVD walks, and neither builds a level.  Level n of V is one
-factor times the ampliation of level n - 1, so, given that level n - 1
-holds, the hyper-dagger level is a test on E (x) H that reads u and s of
-the walk (Greville's reverse-order law), and asks that the rank rule of
+level, and neither builds a level.  Level n of V is one factor times the
+ampliation of level n - 1, so, given that level n - 1 holds, the
+hyper-dagger level is a test on E (x) H that reads u and s of the SVD
+walk (Greville's reverse-order law), and asks that the rank rule of
 level n keeps the rank that its factors give; is_n_dagger keeps the dense
 test of one level.  An invertible d = 1 map is hyper-dagger without the
 walk when gamma(V)^n clears the rank cutoff of its last level
-(s_min(V^n) >= gamma(V)^n).  A biregularity level is a rank identity:
-the kernel of level n of S* lies in E^(x)n (x) R(S*) iff restricting the
-level to that subspace lowers its rank by the codimension, and both ranks
-are read off s of two walks of S*, one of them started on R(S*).
+(s_min(V^n) >= gamma(V)^n).  A biregularity level is a dimension
+identity on the range chain of the representation A whose matrix is S*:
+level m holds iff dim R(A_m) - dim R(A_(m+1)) = d^m dim N(S).
 """
 
 from __future__ import annotations
@@ -150,15 +152,9 @@ def stabilization_index(rep: Representation, pol: TolerancePolicy = DEFAULT_POLI
 
 
 def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
-    """Intersection of all iterated ranges, computed from explicit iterates.
-
-    Reads R(V_n) off the SVD of each level, which _svd_levels builds from
-    an m x dm core, and stops by the rule of _stabilized_chain; raises
-    BudgetExceeded if the chain reaches a level past the size budget first.
-    """
-    levels = enumerate(_svd_levels(rep), start=1)
-    ranges = (_subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)]) for n, (u, s) in levels)
-    return _stabilized_chain(ranges)[-1]
+    """Intersection of all iterated ranges R(V_n): the limit of range_chain,
+    the same object as algebraic_core."""
+    return range_chain(rep, pol)[-1]
 
 
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -166,8 +162,9 @@ def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -
 
     The iteration K_0 = H, K_{j+1} = V(E (x) K_j) is the range chain from
     K_1 = R(V) on; range_chain ends only where V(E (x) K) = K: at a member
-    whose next one has its dimension, or at a member {0} or H.
-    The core equals generalized_range; the range-structure suite checks it.
+    whose next one has its dimension, or at a member {0} or H.  The core is
+    generalized_range; the range-structure suite checks it against the
+    range of the dense iterate one level past the chain.
     """
     return range_chain(rep, pol)[-1]
 
@@ -317,7 +314,7 @@ def is_biregular(
     Defined for regular representations (NotRegular otherwise, judged at
     the same horizon).  per_m holds prefix verdicts: per_m is False from
     the first failing level on, and holds is the verdict for all levels up
-    to the horizon.  The levels are read off two SVD walks of the
+    to the horizon.  The levels are read off the range chain of the
     representation whose matrix is S* (see _biregular_levels).  The
     verdict is recorded per generalized inverse; it is not aggregated
     across different S.
@@ -329,38 +326,22 @@ def is_biregular(
 
 
 def _biregular_levels(adjoint: Representation, top: int, pol: TolerancePolicy):
-    """Yield, for m = 1..top, whether E^(x)k (x) N(S) lies in R(S^(k)) for
+    """Iterate, for m = 1..top, whether E^(x)k (x) N(S) lies in R(S^(k)) for
     every k <= m, where adjoint is the representation A whose matrix is S*.
 
     S^(m) = A_m*, so R(S^(m)) = N(A_m)^perp, and level m holds iff N(A_m)
-    lies in X = E^(x)m (x) R(S*).  For a map T and a subspace X,
-    rank T - rank T|_X = dim N(T) - dim (N(T) meet X), which is at most
-    codim X with equality iff N(T) lies in X; here codim X = d^m dim N(S).
-    With Q = u[:, :r] of adjoint.svd() spanning R(S*) = R(A) and N(S) the
-    cokernel of A, T|_X is A_m (I (x) Q) = A (I_E (x) A_{m-1} (I (x) Q)):
-    the walk of _svd_levels started at A (I_E (x) Q).  So level m compares
-    the rank rules of level m (the shape of A_m and the cutoff anchored at
-    ||S||^m) on s of the two walks, each read off an m x dm core.  A
-    trivial N(S) decides every level, and since rank A_m <= dim H, a level
-    with d^m dim N(S) > dim H fails without a read.  No regularity gate;
-    the walks go only as deep as the deepest level read.
+    lies in X = E^(x)m (x) R(A), whose codimension is d^m dim N(S).  For a
+    map T and a subspace X, rank T - rank T|_X = codim X - (dim N(T) -
+    dim (N(T) meet X)), which equals codim X iff N(T) lies in X.  With T =
+    A_m, R(T|_X) = A_m (E^(x)m (x) R(A)) = R(A_(m+1)), so level m holds iff
+    dim R(A_m) - dim R(A_(m+1)) = d^m dim N(S): two members of the range
+    chain of A, which is R(A_n) from its length on.  No regularity gate.
     """
-    d, dim_h = adjoint.dim_e, adjoint.dim_h
-    r = adjoint._svd_rank(pol)
-    if r == dim_h:  # N(S) = 0
-        yield from itertools.repeat(True, top)
-        return
-    restricted = _times_ampliation(adjoint.matrix, adjoint.svd()[0][:, :r])
-    walks = zip(_svd_levels(adjoint), _svd_levels(adjoint, restricted))
-    holds = True
-    for m in range(1, top + 1):
-        codim = d**m * (dim_h - r)
-        holds = holds and codim <= dim_h
-        if holds:
-            (_, s), (_, s_q) = next(walks)
-            rank_q = _level_rank(adjoint, m, s_q, pol, warn=False)
-            holds = _level_rank(adjoint, m, s, pol) - rank_q == codim
-        yield holds
+    dims = [space.dim for space in range_chain(adjoint, pol)]
+    kernel = adjoint.dim_h - dims[0]  # dim N(S)
+    ranks = dims + [dims[-1]] * top  # dim R(A_n) at n - 1: the limit past the chain
+    levels = (ranks[m - 1] - ranks[m] == adjoint.dim_e**m * kernel for m in range(1, top + 1))
+    return itertools.accumulate(levels, min)  # prefix verdicts
 
 
 def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

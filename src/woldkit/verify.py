@@ -37,11 +37,19 @@ from .linalg import (
     _coordinate_subspace,
     _norm2_within,
     pinv,
+    range_space,
     reduced_min_modulus,
     spectral_norm,
     subspaces_equal,
 )
-from .model import Representation, _lower_levels, _map_levels, canonical_json, representation_to_dict
+from .model import (
+    Representation,
+    _lower_levels,
+    _map_levels,
+    canonical_json,
+    iterate_map,
+    representation_to_dict,
+)
 from .shifts import (
     UnilateralSpec,
     build_bilateral_shift,
@@ -52,12 +60,13 @@ from .shifts import (
 from .structure import (
     algebraic_core,
     fixed_point_range_check,
-    generalized_range,
     inverse_invariance_check,
     is_biregular,
+    is_hyper_dagger,
     is_regular,
     kernel_intersection_identity,
     make_generalized_inverse,
+    range_chain,
 )
 from .wold import (
     check_purity_transfer,
@@ -340,8 +349,10 @@ def suite_growth_forms(count: int, seed: int, pol: TolerancePolicy) -> SuiteResu
 
 
 def suite_range_structure(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
-    """Core/range agreement, fixed-point description, inverse invariance,
-    and kernel-span containments."""
+    """The algebraic core against the range of the dense iterate one level
+    past the range chain (which catches a chain that stopped early),
+    fixed-point description, inverse invariance, and kernel-span
+    containments."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("range-structure")
     for i in range(count):
@@ -351,10 +362,10 @@ def suite_range_structure(count: int, seed: int, pol: TolerancePolicy) -> SuiteR
             rep = _mixed_rep(rng, d_max=2, m_max=4)
         doc = representation_to_dict(rep)
         ok, msg = True, ""
-        core = algebraic_core(rep, pol)
-        rinf = generalized_range(rep, pol)
-        if not subspaces_equal(core, rinf, pol):
-            ok, msg = False, "algebraic core differs from generalized range"
+        n = len(range_chain(rep, pol)) + 1
+        dense = range_space(iterate_map(rep, n), pol, scale=rep.norm() ** n)
+        if not subspaces_equal(algebraic_core(rep, pol), dense, pol):
+            ok, msg = False, f"algebraic core differs from the range of V_{n}"
         if ok:
             first, second = kernel_span_check(rep, 2, pol)
             if not first or second is False:
@@ -447,7 +458,9 @@ def suite_shift_growth(count: int, seed: int, pol: TolerancePolicy) -> SuiteResu
 
 def suite_bilateral_structure(count: int, seed: int, pol: TolerancePolicy) -> SuiteResult:
     """Windowed bilateral shifts: kernel layout, boundary regularity,
-    orthogonal component ranges, and a completed pipeline."""
+    orthogonal component ranges, and a completed pipeline.  The two fixed
+    records also check the hyper-dagger property to level 2 M + 2, past the
+    transient of the window, so that the SVD walk reaches its fixed point."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("bilateral-structure")
     specs = [gen.bilateral_spec(rng, n=1, M=3), gen.bilateral_spec(rng, n=2, M=3)]
@@ -455,7 +468,7 @@ def suite_bilateral_structure(count: int, seed: int, pol: TolerancePolicy) -> Su
         specs.append(
             gen.bilateral_spec(rng, n=int(rng.integers(1, 3)), M=3, w_hi=float(rng.uniform(1.0, 2.0)))
         )
-    for spec in specs:
+    for i, spec in enumerate(specs):
         doc = shift_spec_to_dict(spec)
         rep, _ = build_bilateral_shift(spec)
         dim_h = rep.dim_h
@@ -479,6 +492,8 @@ def suite_bilateral_structure(count: int, seed: int, pol: TolerancePolicy) -> Su
         checks["boundary labels present"] = any(
             "[boundary]" in key for key in report.assertions
         ) and report.as_dict()["regularity"]["label"] == "boundary"
+        if i < 2:
+            checks["hyper dagger past the transient"] = is_hyper_dagger(rep, 2 * spec.M + 2, pol)
         bad = [k for k, v in checks.items() if not v]
         res.record(not bad, f"failed: {', '.join(bad)}" if bad else "", doc)
     return res

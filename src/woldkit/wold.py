@@ -18,17 +18,17 @@ generated_subspace, is_wandering, reflection_witness and the joins of
 kernel_span_check walk the forward translates of structure._translates.
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
-that of V.  So the biregular flag compares, level by level, the ranks of
-V'_n on E^(x)n (x) H and on E^(x)n (x) R(V') off the singular values of
-two SVD walks of V' (structure._biregular_levels), duality_check reads
-the join of the kernels ker V+^(n) = R(V'_n)^perp as the complement of
-the range chain of V', and kernel_span_check reads ker V+^(n) off level
-n of the walk of V'.  The hyper_dagger flag decides each level from the
-one before by Greville's reverse-order law, from u and s of two
-consecutive levels of V's walk (structure.is_hyper_dagger); an invertible
-d = 1 map whose gamma(V)^n clears the rank cutoff of the last level needs
-no walk.  None of them builds a tall iterate.  wold_diagnostics forms no
-subspace of E (x) H and no m x m projector.  With B and R orthonormal
+that of V.  All three readers of those iterates read the one range chain
+of V': the biregular flag compares the dimensions of its consecutive
+members (structure._biregular_levels), duality_check reads the join of
+the kernels ker V+^(n) = R(V'_n)^perp as the complement of its limit, and
+kernel_span_check reads ker V+^(n) as the complement of its member n.
+The hyper_dagger flag decides each level from the one before by
+Greville's reverse-order law, from u and s of two consecutive levels of
+V's SVD walk (structure.is_hyper_dagger); an invertible d = 1 map whose
+gamma(V)^n clears the rank cutoff of the last level needs no walk.  None
+of them builds a tall iterate.  wold_diagnostics forms no subspace of
+E (x) H and no m x m projector.  With B and R orthonormal
 bases of [W] and R_infinity, both split residuals are read off the
 cross-Gram B* R (_split_residuals): ||P_B P_R|| = ||B* R||, and
 ||P_B + P_R - I|| is 1 when dim [W] + dim R_infinity < m and ||B* R||
@@ -67,7 +67,6 @@ from .linalg import (
     _in_ampliation,
     _norm2_at_most,
     _norm2_within,
-    _subspace,
     add,
     as_matrix,
     complement,
@@ -79,10 +78,8 @@ from .linalg import (
 )
 from .model import (
     Representation,
-    _level_rank,
     _lift,
     _lower_levels,
-    _svd_levels,
     _times_ampliation,
     _with_svd,
     budget_horizon,
@@ -99,6 +96,7 @@ from .structure import (
     default_horizon,
     is_hyper_dagger,
     is_regular,
+    range_chain,
 )
 
 __all__ = [
@@ -326,7 +324,7 @@ def wold_diagnostics(
         isometric_restriction=isometric,
         fully_coisometric_restriction=fully_coisometric,
         # The hyper-dagger clamp, but level 1 is always read: it is not
-        # vacuous here, and it raises BudgetExceeded if S itself is too wide.
+        # vacuous here.
         biregular=all(
             _biregular_levels(
                 mp_cauchy_dual(rep, pol), min(horizon, max(budget_horizon(rep), 1)), pol
@@ -422,16 +420,17 @@ def kernel_span_check(
 
     First: ker of the n-fold iterated pseudoinverse lies in the join of
     forward translates of W.  With V' = mp_cauchy_dual(rep),
-    ker V+^(n) = R(V'_n)^perp is read off level n of the dual's SVD walk
-    with the rank rule of that level, and the join is the sum of the first
-    n items of _translates(rep, W).  Second (regular representations only,
-    otherwise None): ker(V_n) equals the join of lifted-pseudoinverse
-    images of the co-wandering space.
+    ker V+^(n) = R(V'_n)^perp is the complement of member n of the range
+    chain of V' (its limit from the chain's length on), and the join is the
+    sum of the first n items of _translates(rep, W).  Second (regular
+    representations only, otherwise None): ker(V_n) equals the join of
+    lifted-pseudoinverse images of the co-wandering space.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     d, m = rep.dim_e, rep.dim_h
-    dual = mp_cauchy_dual(rep, pol)
-    u, s = next(itertools.islice(_svd_levels(dual), n - 1, None))  # ValueError for n < 1
-    ker1 = _subspace(m, u[:, _level_rank(dual, n, s, pol) :])
+    chain = range_chain(mp_cauchy_dual(rep, pol), pol)
+    ker1 = complement(chain[min(n, len(chain)) - 1], pol)
     translates = itertools.islice(_translates(rep, wandering_space(rep, pol), pol), n)
     first = contains(ker1, functools.reduce(functools.partial(add, pol=pol), translates), pol)
 

@@ -318,13 +318,13 @@ def mixed_corpus(count: int, seed: int = 5) -> list[Representation]:
     return reps
 
 
-def svd_levels_oracle(rep, first=None):
+def svd_levels_oracle(rep):
     """The walk of model._svd_levels with one thin SVD per core at every
     level: (u, s) of level n from the SVD of the core V (I_E (x) u diag(s))
     of level n - 1, formed by the same _times_ampliation, with no fixed
     point; the budget is checked before each level."""
     d, m = rep.dim_e, rep.dim_h
-    u, s, _ = rep.svd() if first is None else np.linalg.svd(first, full_matrices=False)
+    u, s, _ = rep.svd()
     s = s[:m]
     for n in itertools.count(1):
         if d**n * m > size_budget():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,13 +9,19 @@ import numpy as np
 import pytest
 
 import woldkit
-from woldkit import verify
+from woldkit import structure, verify
 from woldkit.cli import main
 from woldkit.generate import truncated_shift_rep
-from woldkit.linalg import pinv
-from woldkit.model import Representation, load_representation, save_representation
+from woldkit.linalg import DEFAULT_POLICY, pinv
+from woldkit.model import (
+    Representation,
+    _svd_levels,
+    budget_horizon,
+    load_representation,
+    save_representation,
+)
 from woldkit.shifts import load_shift_spec
-from woldkit.structure import GenInverse, make_generalized_inverse
+from woldkit.structure import GenInverse, is_hyper_dagger, make_generalized_inverse
 
 
 def run_cli(*argv):
@@ -283,6 +290,36 @@ class TestVerify:
         for failure, (rep, s) in zip(result.failures, drawn):
             r = float(np.linalg.norm(s @ rep.matrix @ s - s, 2))
             assert failure["message"] == f"S V S = S identity failed: {r:.3e}"
+
+    def test_range_structure_catches_a_chain_that_stopped_early(self, monkeypatch):
+        # The suite compares the algebraic core with the range of the dense
+        # iterate one level past the chain: a chain cut to [R(V)] is caught.
+        chain = structure.range_chain
+
+        def first_member(rep, pol=DEFAULT_POLICY):
+            return chain(rep, pol)[:1]
+
+        monkeypatch.setattr(structure, "range_chain", first_member)
+        monkeypatch.setattr(verify, "range_chain", first_member)
+        result = verify.run_suite("range-structure", count=25, seed=1)
+        assert result.failed
+        assert {f["message"] for f in result.failures} == {"algebraic core differs from the range of V_2"}
+
+    @pytest.mark.parametrize("seed", [1, 7, 10, 2800])
+    def test_bilateral_structure_reads_hyper_dagger_past_a_walk_fixed_point(self, monkeypatch, seed):
+        # The two fixed records read the hyper-dagger property to level
+        # 2 M + 2, and at least one of their SVD walks repeats a level there.
+        horizons, repeats = [], []
+
+        def traced(rep, horizon, pol):
+            horizons.append(horizon)
+            levels = list(itertools.islice(_svd_levels(rep), min(horizon, budget_horizon(rep))))
+            repeats.append(any(a is b for a, b in itertools.pairwise(levels)))
+            return is_hyper_dagger(rep, horizon, pol)
+
+        monkeypatch.setattr(verify, "is_hyper_dagger", traced)
+        assert verify.run_suite("bilateral-structure", count=5, seed=seed).ok
+        assert horizons == [8, 8] and any(repeats)
 
     def test_deterministic_output(self, capsys):
         assert run_cli("verify", "wold", "--count", "4", "--seed", "2") == 0

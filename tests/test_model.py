@@ -289,16 +289,13 @@ class TestSvdLevelsFixedPoint:
     def test_levels_are_the_plain_walk_bit_for_bit(self):
         fixed = 0
         for rep in fixed_point_corpus():
-            r = rep._svd_rank()
-            firsts = [None] + ([_times_ampliation(rep.matrix, rep.svd()[0][:, :r])] if r else [])
-            for first in firsts:
-                levels, stop = walk_levels(_svd_levels(rep, first), 10)
-                want, want_stop = walk_levels(svd_levels_oracle(rep, first), 10)
-                assert len(levels) == len(want) >= 1 and stop == want_stop
-                for (u, s), (u_o, s_o) in zip(levels, want):
-                    assert u.shape == u_o.shape and u.tobytes() == u_o.tobytes()
-                    assert s.shape == s_o.shape and s.tobytes() == s_o.tobytes()
-                fixed += any(a is b for a, b in itertools.pairwise(levels))
+            levels, stop = walk_levels(_svd_levels(rep), 10)
+            want, want_stop = walk_levels(svd_levels_oracle(rep), 10)
+            assert len(levels) == len(want) >= 1 and stop == want_stop
+            for (u, s), (u_o, s_o) in zip(levels, want):
+                assert u.shape == u_o.shape and u.tobytes() == u_o.tobytes()
+                assert s.shape == s_o.shape and s.tobytes() == s_o.tobytes()
+            fixed += any(a is b for a, b in itertools.pairwise(levels))
         assert fixed >= 40  # the corpus reaches fixed points, not only the plain walk
 
     def test_no_svd_past_the_first_repeated_level(self, monkeypatch):

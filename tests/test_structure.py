@@ -28,7 +28,6 @@ from woldkit.linalg import (
     Subspace,
     TolerancePolicy,
     _rank_cutoff,
-    _subspace,
     add,
     complement,
     contains,
@@ -79,6 +78,7 @@ from conftest import (
     invertible_corpus,
     lift_subspace,
     lifted_regularity_oracle,
+    mixed_corpus,
     range_translates,
     regularity_oracle,
     svd_levels_oracle,
@@ -123,6 +123,17 @@ class TestGeneralizedRange:
         for earlier, later in zip(chain, chain[1:]):
             assert contains(later, earlier)
         assert subspaces_equal(chain[-1], generalized_range(rep))
+
+    def test_is_the_algebraic_core_and_the_limit_of_the_range_chain(self, rng):
+        # One rank decision per range: no level walk of its own, so the
+        # generalized range is the same object as the core, on
+        # ill-conditioned maps too, where a rule on the dense levels differed.
+        reps = [generic_rep(rng, 2, 3), truncated_shift_rep(4)]
+        reps += [representation_from_dict(ILL_CONDITIONED_DOC), *ill_conditioned_corpus(300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for rep in reps:
+                assert generalized_range(rep) is algebraic_core(rep) is range_chain(rep)[-1]
 
 
 class TestSubspaceChains:
@@ -326,8 +337,8 @@ class TestFirstTieAgainstTheTwoTieRule:
     """Every chain stops at its first repeated dimension.  The rule that
     confirmed a tie by one more read (conftest) is the oracle, on the walk
     of fresh translates for the range chain: the members span its members
-    up to its stable index, bit-equal ones for the joins and the levels
-    of generalized_range, and the regularity reports are equal."""
+    up to its stable index, bit-equal ones for the joins, generalized_range
+    is the limit of the range chain, and the regularity reports are equal."""
 
     @staticmethod
     def limit_of_same_members(members, spaces, bitwise=True):
@@ -354,13 +365,7 @@ class TestFirstTieAgainstTheTwoTieRule:
 
             limit = self.limit_of_same_members(_stabilized_chain(joins()), joins())
             assert np.array_equal(generated_subspace(rep, w).basis, limit.basis)
-
-            def ranges():
-                levels = enumerate(_svd_levels(rep), start=1)
-                return (_subspace(rep.dim_h, u[:, : _level_rank(rep, n, s, pol)]) for n, (u, s) in levels)
-
-            limit = self.limit_of_same_members(_stabilized_chain(ranges()), ranges())
-            assert np.array_equal(generalized_range(rep).basis, limit.basis)
+            assert generalized_range(rep) is range_chain(rep)[-1]
             for horizon in (1, 2, 3, None):
                 assert is_regular(rep, horizon=horizon) == regularity_oracle(rep, horizon)
             lengths.add(len(range_chain(rep)))
@@ -473,8 +478,7 @@ class TestBiRegularity:
         """_biregular_levels on the representation of S* against the prefix
         verdicts of the dense oracle; returns the verdicts and how many levels
         the dimensions left undecided."""
-        adjoint = Representation(d, s.shape[1], s.conj().T)
-        got = list(_biregular_levels(adjoint, top, DEFAULT_POLICY))
+        got = chain_levels(s, d, top)
         assert got == list(itertools.accumulate(biregular_levels_oracle(s, d, top), min))
         k, m = null_space(s).dim, s.shape[1]
         undecided = sum(1 for n in range(1, top + 1) if 0 < d**n * k <= m)
@@ -501,7 +505,7 @@ class TestBiRegularity:
                 seen.update(got)
                 undecided += read
         assert seen == {True, False}
-        assert undecided  # some level was read off the walk
+        assert undecided  # some level is not decided by the dimensions alone
 
     def test_moore_penrose_kernel_and_norm_from_the_svd_of_v(self, rng):
         # For S = V+ the representation of S* is the Moore-Penrose dual, whose
@@ -523,23 +527,26 @@ class TestBiRegularity:
             got = list(_biregular_levels(dual, 3, DEFAULT_POLICY))
             assert got == list(itertools.accumulate(biregular_levels_oracle(s, rep.dim_e, 3), min))
 
-    def test_rank_of_a_level_reads_its_shape(self):
+    def test_a_weight_below_a_level_cutoff_is_kept_by_the_chain(self):
         # S removes the first letter of a word over d = 2 letters, with weight
         # eps on words of length one, so eps is a singular value of S, S^(2)
-        # and S^(3), which maps the words of length 3 onto E^(x)3 (x) N(S).
-        # The cutoff 1e-10 * ||S||^n * max(shape) keeps eps at levels 1 and 2
-        # and drops it at level 3 (1.2e-8 for 120 rows); the cutoff of the
-        # 15 x 30 core would keep it there too.
+        # and S^(3), which maps the words of length 3 onto E^(x)3 (x) N(S):
+        # level n holds iff n <= 3.  The chain decides each rank on its
+        # r x dr core and keeps eps; the dense oracle anchors its cutoff at
+        # 1e-10 * ||S||^n * max(shape), 1.2e-8 for the 120 rows of S^(3),
+        # and drops eps there.
         s = word_removal(2, 3, [8e-9, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankWarning)
-            got, read = self.assert_levels_match_the_oracle(s, 2, 4)
-        assert got == [True, True, False, False] and read == 3
+            assert chain_levels(s, 2, 4) == [True, True, True, False]
+            assert biregular_levels_oracle(s, 2, 4) == [True, True, False, False]
 
     def test_recursion_matches_the_oracle_prefix_on_a_seeded_corpus(self, monkeypatch, rng):
-        # Level m compares the ranks of level m of S* on all of E^(x)m (x) H
-        # and on E^(x)m (x) R(S*); maps of every rank at d = 1, 2, 3, each with
-        # S = V+ and a random generalized inverse.  No level is built.
+        # Level m compares the ranks of level m of A = S* on all of
+        # E^(x)m (x) H and on E^(x)m (x) R(A), which are dim R(A_m) and
+        # dim R(A_(m+1)) on the range chain of A; maps of every rank at
+        # d = 1, 2, 3, each with S = V+ and a random generalized inverse.
+        # No level is built.
         reps = [
             rank_deficient_rep(rng, d, m, r)
             for d in (1, 2, 3)
@@ -561,20 +568,33 @@ class TestBiRegularity:
         assert first_failures == {None, 1, 2, 3, 4}
         assert undecided
 
-    @pytest.mark.parametrize("eps, want", [(4e-9, [True, False, False, False]), (2e-8, [True, True, True, False])])
-    def test_a_rank_rule_that_disagrees_with_the_factors_is_decided_by_the_level(self, monkeypatch, eps, want):
+    @pytest.mark.parametrize(
+        "eps, dense", [(4e-9, [True, False, False, False]), (2e-8, [True, True, True, False])]
+    )
+    def test_a_rank_rule_that_disagrees_with_the_factors_is_decided_by_the_chain(
+        self, monkeypatch, eps, dense
+    ):
         # Word removal with weight eps on the words of length one, next to an
-        # injective block with singular values 1, 1, eps.  eps lies between
-        # the cutoffs of levels 1 and 2 (4e-9) or 2 and 3 (2e-8), so the rule
-        # of that level drops a singular value that the product of the kept
-        # factors has.  The rank identity reads both ranks with the rule of
-        # the level itself, so it agrees with the dense oracle there too,
-        # and no level is built.
+        # injective block with singular values 1, 1, eps: level n holds iff
+        # n <= 3.  eps lies between the cutoffs of the dense levels 1 and 2
+        # (4e-9) or 2 and 3 (2e-8), so at 4e-9 the rule of level 2 drops a
+        # singular value that the product of the kept factors has.  The chain
+        # steps one factor at a time and keeps it at both, and no level is
+        # built.
         monkeypatch.setattr(structure, "iterate_map", no_level_is_built)
+        s = beside_injective_block(eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankWarning)
-            got, _ = self.assert_levels_match_the_oracle(beside_injective_block(eps), 2, 4)
-        assert got == want
+            got = chain_levels(s, 2, 4)
+            assert biregular_levels_oracle(s, 2, 4) == dense
+        assert got == [True, True, True, False]
+
+    # The near-cutoff maps on which the chain and the dense oracle differ:
+    # word removal, alone and beside_injective_block, with one weight eps at
+    # any word length, for these (d, length, eps).  On each the chain gives
+    # the exact verdict, level n holds iff n <= length, and the dense rule
+    # of a level drops eps one level early.
+    CHAIN_EXACT_WHERE_THE_LEVEL_RULE_IS_NOT = {(2, 3, 1e-8), (3, 2, 1e-8), (3, 3, 1e-7)}
 
     def test_rank_identity_matches_the_oracle_near_every_cutoff(self, monkeypatch, rng):
         # Part 1: word removal with one weight eps at one word length, alone
@@ -582,32 +602,97 @@ class TestBiRegularity:
         # rank-deficient maps whose nonzero singular values fall geometrically
         # from 1 to 1e-6, each with S = V+ and a random generalized inverse.
         # Both put singular values of S^(n) near the cutoffs of the levels.
+        # The oracle decides every map but those pinned above.
         monkeypatch.setattr(structure, "iterate_map", no_level_is_built)
         maps = []
         for d, length in ((2, 2), (2, 3), (3, 2), (3, 3)):
             for at, eps in itertools.product(range(length), np.geomspace(1e-12, 1e-6, 7)):
                 words = word_removal(d, length, [eps if k == at else 1.0 for k in range(length)])
-                maps += [(words, d), (beside_injective_block(eps, words, d), d)]
+                pinned = any(
+                    (d, length) == (pd, plength) and np.isclose(eps, peps, rtol=1e-9, atol=0.0)
+                    for pd, plength, peps in self.CHAIN_EXACT_WHERE_THE_LEVEL_RULE_IS_NOT
+                )
+                exact = [n <= length for n in range(1, 5)] if pinned else None
+                maps += [(words, d, exact), (beside_injective_block(eps, words, d), d, exact)]
         for d, m in itertools.product((1, 2, 3), (3, 4, 5)):
             for rank in range(1, m):
                 spectrum = np.geomspace(1.0, 1e-6, rank)
                 v = (rand_unitary(rng, m)[:, :rank] * spectrum) @ rand_unitary(rng, d * m)[:rank]
                 rep = Representation(d, m, v)
                 for y in (np.zeros((d * m, m)), rand_complex(rng, d * m, m)):
-                    maps.append((make_generalized_inverse(rep, y).matrix, d))
-        verdicts, undecided = set(), 0
+                    maps.append((make_generalized_inverse(rep, y).matrix, d, None))
+        verdicts, undecided, pinned = set(), 0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankWarning)
-            for s, d in maps:
-                got, read = self.assert_levels_match_the_oracle(s, d, 4)
+            for s, d, exact in maps:
+                if exact is None:
+                    got, read = self.assert_levels_match_the_oracle(s, d, 4)
+                    undecided += read
+                else:
+                    got = chain_levels(s, d, 4)
+                    assert got == exact
+                    assert list(itertools.accumulate(biregular_levels_oracle(s, d, 4), min)) != got
+                    pinned += 1
                 verdicts.add(tuple(got))
-                undecided += read
         assert {got.count(True) for got in verdicts} >= {0, 1, 2, 3}
-        assert undecided
+        assert undecided and pinned == 16 and len(maps) == 194
+
+    def test_chain_identity_matches_the_oracle_on_the_corpora(self, rng):
+        # No disagreement away from the cutoffs: every map of mixed_corpus and
+        # chain_corpus, with S = V+ and a random generalized inverse.
+        reps = mixed_corpus(600) + [rep for d in (1, 2, 3) for rep in chain_corpus(d)]
+        verdicts = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for rep in reps:
+                for y in (np.zeros((rep.ambient_domain, rep.dim_h)),
+                          rand_complex(rng, rep.ambient_domain, rep.dim_h)):
+                    s = make_generalized_inverse(rep, y).matrix
+                    verdicts.add(tuple(self.assert_levels_match_the_oracle(s, rep.dim_e, 4)[0]))
+        assert {got.count(True) for got in verdicts} >= {0, 1, 2, 3, 4}
+
+    @pytest.mark.filterwarnings("ignore::woldkit.linalg.RankWarning")
+    @pytest.mark.parametrize("eps", [1e-7, 1e-6])
+    def test_word_removal_with_one_small_weight_is_exact(self, eps):
+        # Level n of word removal up to length L holds iff n <= L, whatever
+        # word length carries the weight eps, alone and beside an injective
+        # block.
+        for d, length in itertools.product((2, 3), (2, 3)):
+            for at in range(length):
+                words = word_removal(d, length, [eps if k == at else 1.0 for k in range(length)])
+                for s in (words, beside_injective_block(eps, words, d)):
+                    assert chain_levels(s, d, 4) == [n <= length for n in range(1, 5)], (d, length, at)
+
+    def test_levels_are_the_chain_dimension_identity(self, monkeypatch, rng):
+        # Level m holds iff dim R(A_m) - dim R(A_(m+1)) = d^m dim N(S), with
+        # R(A_n) the limit of the chain of A past its length; no SVD walk.
+        def no_walk(*_):
+            raise AssertionError("an SVD walk was taken")
+
+        monkeypatch.setattr(structure, "_svd_levels", no_walk)
+        reps = mixed_corpus(60) + [rep for d in (1, 2, 3) for rep in chain_corpus(d)]
+        for rep in reps:
+            s = make_generalized_inverse(rep, rand_complex(rng, rep.ambient_domain, rep.dim_h)).matrix
+            adjoint = Representation(rep.dim_e, rep.dim_h, s.conj().T)
+            chain = range_chain(adjoint)
+
+            def dim(n):
+                return chain[min(n, len(chain)) - 1].dim
+
+            holds, want = True, []
+            for m in range(1, 7):
+                holds = holds and dim(m) - dim(m + 1) == rep.dim_e**m * (rep.dim_h - dim(1))
+                want.append(holds)
+            assert list(_biregular_levels(adjoint, 6, DEFAULT_POLICY)) == want
 
 
 def no_level_is_built(*_):
     raise AssertionError("a level was built")
+
+
+def chain_levels(s, d, top):
+    """The verdicts of _biregular_levels for S: H -> E (x) H at dim E = d."""
+    return list(_biregular_levels(Representation(d, s.shape[1], s.conj().T), top, DEFAULT_POLICY))
 
 
 def beside_injective_block(eps, words=None, d=2):
@@ -897,7 +982,8 @@ class TestWalkFixedPoint:
     svd_levels_oracle, which never reuses a level, with the same RankWarning
     messages.  The level cutoffs grow with (d ||V||)^n, so at the larger
     tau_rank a walk past its fixed point has levels whose rank rule warns
-    or drops the rank."""
+    or drops the rank.  generalized_range and the biregular levels read
+    the range chain and no walk, so neither moves with it."""
 
     READERS = {
         "is_hyper_dagger": lambda rep, pol: is_hyper_dagger(rep, 10, pol),

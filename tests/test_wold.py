@@ -6,7 +6,6 @@ import pytest
 
 from woldkit import structure, wold
 from woldkit.errors import (
-    BudgetExceeded,
     NotContraction,
     NotLeftInvertible,
     PreconditionFailed,
@@ -33,7 +32,9 @@ from woldkit.linalg import (
     TolerancePolicy,
     _subspace,
     complement,
+    contains,
     intersect,
+    range_space,
     subspaces_equal,
 )
 from woldkit.model import Representation, budget_horizon
@@ -159,25 +160,26 @@ class TestWoldDecompose:
                 assert flag == is_biregular(rep, gi, horizon).holds
 
     def test_biregular_and_hyper_dagger_read_the_same_top_level(self, monkeypatch, rng):
-        # This shift is biregular up to level 3 with dim ker V* = 1, so its
-        # flag reads every level n with 2^n <= 15; a budget of 4 * 15 columns
-        # stops all three walks at level 2: the two of the biregular flag
-        # (of S* and of S* restricted to E (x) R(S*)) and that of V.
+        # This shift is biregular up to level 3 with dim ker V* = 1, and
+        # level 4 fails (2^4 > 15 = dim H).  A budget of 4 * 15 columns
+        # clamps both flags to level 2: the biregular flag reads levels 1
+        # and 2 off the range chain of the dual, and the one SVD walk, that
+        # of the hyper_dagger flag, stops at level 2.
         rep = build_unilateral_shift(unilateral_spec(rng, d=2, L=3))[0]
+        assert not wold_diagnostics(rep, 4).biregular
         monkeypatch.setenv("WOLDKIT_BUDGET", str(4 * 15))
         deepest = []
         walk = structure._svd_levels
 
-        def counted(r, first=None):
-            index = len(deepest)
+        def counted(r):
             deepest.append(0)
-            for level in walk(r, first):
-                deepest[index] += 1
+            for level in walk(r):
+                deepest[-1] += 1
                 yield level
 
         monkeypatch.setattr(structure, "_svd_levels", counted)
         assert wold_diagnostics(rep, 4).biregular  # raises no BudgetExceeded
-        assert deepest == [2, 2, 2]
+        assert deepest == [2]
 
     def test_flags_build_no_level_sized_array(self, monkeypatch, rng):
         # Unilateral d = 2, L = 6: dim H = 127 and both flags read levels up
@@ -207,10 +209,15 @@ class TestWoldDecompose:
         assert max(peaks.values()) < 16e6
 
     def test_biregular_reads_level_one_when_no_level_fits(self, monkeypatch, rng):
-        # d * m = 6 columns exceed the budget, so budget_horizon is 0.
+        # d * m = 6 columns exceed the budget, so budget_horizon is 0; the
+        # flag still reads level 1, E (x) N(S) inside R(S) for S = V+, off
+        # the range chain of the dual, which needs no budget.
+        rep = rank_deficient_rep(rng, 2, 3, 2)
+        level_one = contains(lift_subspace(1, rep.cokernel(), 2), range_space(rep.pseudo_inverse()))
         monkeypatch.setenv("WOLDKIT_BUDGET", "5")
-        with pytest.raises(BudgetExceeded):  # N(S) is not 0: level 1 is read
-            wold_diagnostics(rank_deficient_rep(rng, 2, 3, 2), 4)
+        assert budget_horizon(rep) == 0
+        assert wold_diagnostics(rep, 4).biregular == level_one  # raises no BudgetExceeded
+        assert not level_one  # dim E (x) N(S) = 2 = dim R(S), and R(S) is generic
         assert wold_diagnostics(coisometry_rep(rng, 2, 3), 4).biregular  # N(S) = 0
 
     def test_coimage_is_read_off_the_svd_of_v(self, monkeypatch, rng):
@@ -550,6 +557,16 @@ class TestKernelSpanCheck:
     def test_depth_below_one_rejected(self, rng):
         with pytest.raises(ValueError):
             kernel_span_check(generic_rep(rng, 2, 2), 0)
+
+    def test_first_containment_holds_on_ill_conditioned_maps(self):
+        # ker V+^(n) = R(V'_n)^perp, the complement of member n of the range
+        # chain of the dual V', lies in the join of the first n translates
+        # of W: a theorem, read True on every map of the corpus.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            for i, rep in enumerate(ill_conditioned_corpus(300)):
+                for n in (1, 2, 3):
+                    assert kernel_span_check(rep, n)[0], (i, n)
 
 
 class TestCauchyDual:
