@@ -21,11 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import InvalidParams, ParseError, ShapeError, WoldkitError
 from .generate import generate_named
-from .growth import check_growth, gamma, gamma_at_least_one
+from .growth import gamma, gamma_at_least_one
 from .linalg import DEFAULT_POLICY, RankWarning, TolerancePolicy
 from .model import (
     Representation,
-    budget_horizon,
     canonical_json,
     check_covariance,
     parse_json_file,
@@ -34,9 +33,9 @@ from .model import (
     size_budget,
 )
 from .shifts import save_shift_spec, shift_pipeline, shift_spec_from_dict
-from .structure import default_horizon, is_regular
+from .structure import is_regular  # noqa: F401 -- kept bound here for perfbench's tracer test
 from .verify import SUITES, run_suite
-from .wold import wold_diagnostics
+from .wold import _growth_report, _regularity_report, _wold_result, horizon_plan
 
 __all__ = ["main"]
 
@@ -67,11 +66,9 @@ def _policy_from_args(args) -> TolerancePolicy:
 
 
 def _analyze_representation(rep: Representation, pol: TolerancePolicy, horizon: int | None):
-    report: dict = {}
+    plan = horizon_plan(rep, pol, horizon, "analyze")
+    report: dict = {"horizon": plan.regularity}
     exit_code = 0
-    if horizon is None:
-        horizon = default_horizon(rep, pol)
-    report["horizon"] = horizon
 
     if rep.sigma:
         holds, residuals = check_covariance(rep)
@@ -79,7 +76,7 @@ def _analyze_representation(rep: Representation, pol: TolerancePolicy, horizon: 
     else:
         report["covariance"] = {"holds": True, "residuals": {}, "note": "no generators listed"}
 
-    reg = is_regular(rep, pol, horizon)
+    reg = _regularity_report(rep, pol, plan.regularity)
     g = gamma(rep, pol)
     report["regularity"] = {
         "strict": reg.strict,
@@ -97,18 +94,16 @@ def _analyze_representation(rep: Representation, pol: TolerancePolicy, horizon: 
         report["wold"] = {"skipped": reason}
         return report, 2
 
-    growth = check_growth(rep, None, min(horizon, budget_horizon(rep), 6), pol=pol)
+    growth = _growth_report(rep, pol, plan.growth, None)
     report["growth"] = growth.as_dict()
     if not reg.holds_at_horizon:
-        report["wold"] = {"skipped": f"regularity fails up to horizon {horizon}"}
+        report["wold"] = {"skipped": f"regularity fails up to horizon {plan.regularity}"}
         exit_code = 2
     elif not growth.all_feasible:
         report["wold"] = {"skipped": "growth condition infeasible at some level"}
         exit_code = 2
     else:
-        result = wold_diagnostics(rep, horizon, pol, regularity=reg,
-                                  growth_feasible=growth.all_feasible)
-        report["wold"] = result.as_dict()
+        report["wold"] = _wold_result(rep, pol, plan, growth.all_feasible).as_dict()
     return report, exit_code
 
 

@@ -47,21 +47,26 @@ the factors of the growth pencil and the first level of _svd_levels.
 The same SVD, permuted, is the SVD of the Moore-Penrose dual (V+)*:
 wold.mp_cauchy_dual sets it through _with_svd, which with derived is the
 only writer of the memo.  derived also keys a memo on extra hashable
-arguments, and three objects that the Wold stage and the verify suites
-would otherwise rebuild are memoized that way: [W], the subspace
-generated by the wandering space (wold._generated_wandering), read by
-wold_diagnostics, duality_check and check_purity_transfer; the growth
-report of the Wold preconditions (wold._growth_report), keyed on its
-horizon min(horizon, budget_horizon) and the weight sequence, so that
-another horizon, weight sequence, policy or a WOLDKIT_BUDGET that moves
-that horizon builds it again; and the defect operator
-(growth.defect_operator), read at every depth of norm_partition_residual.
-Iterates and lifts are never memoized, since they grow with the level
-and caching them would raise peak memory.  Nor is the dual: it would hold
-an m x dm map and its dm x dm SVD factor to save under a millisecond of
-the wold suite.  A call that raises memoizes nothing.  Concurrent first
-use may build a value twice, with the same result, and a RankWarning
-fires on the first build only.
+arguments, and the objects that the stages and the verify suites would
+otherwise rebuild are memoized that way: the horizon plan
+(wold.horizon_plan), keyed on the requested horizon, the entry point and
+the size budget; the regularity report of the stages
+(wold._regularity_report), keyed on its horizon; the growth report of
+the stages (wold._growth_report), keyed on the plan's growth horizon and
+the weight sequence, so that another horizon, weight sequence, policy or
+a WOLDKIT_BUDGET that moves that horizon builds it again; [W], the
+subspace generated by the wandering space (wold._generated_wandering),
+read by the Wold stage, duality_check and check_purity_transfer; the
+range chain of the Moore-Penrose dual (wold._dual_range_chain), read by
+the biregular flag, duality_check and kernel_span_check; and the defect
+operator (growth.defect_operator), read at every depth of
+norm_partition_residual.  Iterates and lifts are never memoized, since
+they grow with the level and caching them would raise peak memory.  Nor
+is the dual itself: it would hold an m x dm map and its dm x dm SVD
+factor to save under a millisecond of the wold suite; its range chain,
+whose members are at most m x m, is.  A call that raises memoizes
+nothing.  Concurrent first use may build a value twice, with the same
+result, and a RankWarning fires on the first build only.
 """
 
 from __future__ import annotations
@@ -237,10 +242,11 @@ def _lift(k: int, a: np.ndarray, d: int) -> np.ndarray:
     return np.kron(np.eye(d**k, dtype=np.complex128), a)
 
 
-def _fits_budget(size: int) -> bool:
+def _fits_budget(size: int, budget: int | None = None) -> bool:
     """Whether a level (or a shift's matrix) of this many columns fits the
-    size budget; for a lowering iterate the count is its rows."""
-    return size <= size_budget()
+    size budget (size_budget() unless given); for a lowering iterate the
+    count is its rows."""
+    return size <= (size_budget() if budget is None else budget)
 
 
 def _require_budget(size: int, what: str) -> None:
@@ -249,12 +255,15 @@ def _require_budget(size: int, what: str) -> None:
         raise BudgetExceeded(f"{what}: {size} exceeds the size budget {size_budget()}")
 
 
-def budget_horizon(rep: Representation) -> int:
-    """Largest n <= 64 whose level V_n fits the size budget."""
+def budget_horizon(rep: Representation, budget: int | None = None) -> int:
+    """Largest n <= 64 whose level V_n fits the size budget: budget, or
+    size_budget() read once when it is None."""
+    if budget is None:
+        budget = size_budget()
     if rep.dim_e == 1:  # every level has dim_h columns
-        return 64 if _fits_budget(rep.dim_h) else 0
+        return 64 if _fits_budget(rep.dim_h, budget) else 0
     n = 0
-    while n < 64 and _fits_budget(rep.dim_e ** (n + 1) * rep.dim_h):
+    while n < 64 and _fits_budget(rep.dim_e ** (n + 1) * rep.dim_h, budget):
         n += 1
     return n
 

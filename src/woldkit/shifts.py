@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .growth import GrowthReport, _Level, _pencil, check_growth, gamma
+from .growth import GrowthReport, _Level, _pencil, gamma
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -42,12 +42,11 @@ from .model import (
     _is_positive_int,
     _require_budget,
     _times_ampliation,
-    budget_horizon,
     canonical_json,
     parse_json_file,
 )
-from .structure import _in_lifted_ranges, is_regular
-from .wold import WoldResult, wold_diagnostics
+from .structure import _in_lifted_ranges
+from .wold import WoldResult, _growth_report, _regularity_report, _wold_result, horizon_plan
 
 __all__ = [
     "UnilateralSpec",
@@ -487,10 +486,10 @@ def shift_pipeline(
     else:
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
-    reg = is_regular(rep, pol, horizon)
-    growth = check_growth(rep, None, min(horizon, 4, budget_horizon(rep)), pol=pol)
-    wold = wold_diagnostics(rep, horizon, pol, regularity=reg,
-                            growth_feasible=growth.all_feasible)
+    plan = horizon_plan(rep, pol, horizon, "shift")
+    reg = _regularity_report(rep, pol, plan.regularity)
+    growth = _growth_report(rep, pol, plan.growth, None)
+    wold = _wold_result(rep, pol, plan, growth.all_feasible)
     weight_holds = weight_report is not None and weight_report.holds
 
     if isinstance(spec, UnilateralSpec):
@@ -507,7 +506,7 @@ def shift_pipeline(
         note = "verdicts evaluated on depths within the truncation; the top level maps to zero"
     else:
         kind = "bilateral"
-        regular_boundary = _structural_kernel_regular(spec, rep, horizon, pol)
+        regular_boundary = _structural_kernel_regular(spec, rep, plan.regularity, pol)
         assertions = {
             "structural_kernel_in_lifted_stable_ranges [boundary]": regular_boundary,
             "component_ranges_orthogonal": _block_ranges_orthogonal(rep),
@@ -525,7 +524,7 @@ def shift_pipeline(
         gamma=gamma(rep, pol),
         regular_strict=reg.strict,
         regular_boundary=regular_boundary,
-        boundary_horizon=horizon,
+        boundary_horizon=plan.regularity,
         growth=growth,
         weight_report=weight_report,
         weight_error=weight_error,

@@ -321,13 +321,14 @@ def is_biregular(
     """
     require_regular(rep, pol, horizon)
     adjoint = Representation(rep.dim_e, rep.dim_h, gi.matrix.conj().T)
-    levels = _biregular_levels(adjoint, horizon, pol)
+    levels = _biregular_levels(range_chain(adjoint, pol), rep.dim_e, horizon)
     return BiRegularityReport(horizon=horizon, per_m=dict(zip(range(1, horizon + 1), levels)))
 
 
-def _biregular_levels(adjoint: Representation, top: int, pol: TolerancePolicy):
+def _biregular_levels(chain: tuple[Subspace, ...], d: int, top: int):
     """Iterate, for m = 1..top, whether E^(x)k (x) N(S) lies in R(S^(k)) for
-    every k <= m, where adjoint is the representation A whose matrix is S*.
+    every k <= m, where chain is the range chain of the representation A
+    whose matrix is S*, and d = dim E.
 
     S^(m) = A_m*, so R(S^(m)) = N(A_m)^perp, and level m holds iff N(A_m)
     lies in X = E^(x)m (x) R(A), whose codimension is d^m dim N(S).  For a
@@ -337,10 +338,10 @@ def _biregular_levels(adjoint: Representation, top: int, pol: TolerancePolicy):
     dim R(A_m) - dim R(A_(m+1)) = d^m dim N(S): two members of the range
     chain of A, which is R(A_n) from its length on.  No regularity gate.
     """
-    dims = [space.dim for space in range_chain(adjoint, pol)]
-    kernel = adjoint.dim_h - dims[0]  # dim N(S)
+    dims = [space.dim for space in chain]
+    kernel = chain[0].ambient_dim - dims[0]  # dim N(S)
     ranks = dims + [dims[-1]] * top  # dim R(A_n) at n - 1: the limit past the chain
-    levels = (ranks[m - 1] - ranks[m] == adjoint.dim_e**m * kernel for m in range(1, top + 1))
+    levels = (ranks[m - 1] - ranks[m] == d**m * kernel for m in range(1, top + 1))
     return itertools.accumulate(levels, min)  # prefix verdicts
 
 
@@ -440,7 +441,16 @@ def _powers_keep_full_rank(rep: Representation, top: int, pol: TolerancePolicy) 
 def is_hyper_dagger(
     rep: Representation, horizon: int, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
-    """n-dagger for every n up to the horizon (clamped to the size budget).
+    """n-dagger for every n up to min(horizon, budget_horizon(rep)).
+
+    The Wold stage reads its top level off its horizon plan
+    (wold.horizon_plan) and calls _hyper_dagger_up_to with it.
+    """
+    return _hyper_dagger_up_to(rep, min(horizon, budget_horizon(rep)), pol)
+
+
+def _hyper_dagger_up_to(rep: Representation, top: int, pol: TolerancePolicy) -> bool:
+    """n-dagger for every n up to top.
 
     Level 1 always holds, and each later level is decided given the one
     before by _reverse_order_law, from (u, s) of two consecutive levels of
@@ -456,7 +466,6 @@ def is_hyper_dagger(
     rules are still applied at every level, since their cutoffs move with
     n; a level not read still raises the RankWarning of its rule.
     """
-    top = min(horizon, budget_horizon(rep))
     if top > 1 and _powers_keep_full_rank(rep, top, pol):
         return True
 

@@ -8,24 +8,32 @@ restricted map, and the uniqueness note attached to the hyper-dagger
 property.  Precondition gates (regularity, modulus >= 1, growth
 feasibility) are evaluated up to a horizon so that hard truncations of
 well-behaved infinite operators are not rejected for boundary artifacts;
-the strict verdicts are always reported alongside.  [W] and the growth
-report of the preconditions are memoized on the representation
-(_generated_wandering, _growth_report; see the model docstring), so
+the strict verdicts are always reported alongside.
+
+horizon_plan decides the horizon of every stage for the three entry
+points that run them: analyze, shifts.shift_pipeline, and wold_decompose
+with duality_check.  Each stage is defined once and reads its horizon
+from the plan: regularity (_regularity_report), growth (_growth_report)
+and the Wold stage (_wold_result).  The first two are memoized on the
+representation (see the model docstring), and so are [W] and the range
+chain of the dual (_generated_wandering, _dual_range_chain), so
 duality_check after wold_decompose, or check_purity_transfer, builds
-neither again.
+none of them again.  The entry points keep their gates, messages and
+output formats.
 
 generated_subspace, is_wandering, reflection_witness and the joins of
 kernel_span_check walk the forward translates of structure._translates.
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
 that of V.  All three readers of those iterates read the one range chain
-of V': the biregular flag compares the dimensions of its consecutive
-members (structure._biregular_levels), duality_check reads the join of
+of V', memoized on V (_dual_range_chain): the biregular flag compares
+the dimensions of its consecutive members (structure._biregular_levels),
+duality_check reads the join of
 the kernels ker V+^(n) = R(V'_n)^perp as the complement of its limit, and
 kernel_span_check reads ker V+^(n) as the complement of its member n.
 The hyper_dagger flag decides each level from the one before by
 Greville's reverse-order law, from u and s of two consecutive levels of
-V's SVD walk (structure.is_hyper_dagger); an invertible d = 1 map whose
+V's SVD walk (structure._hyper_dagger_up_to); an invertible d = 1 map whose
 gamma(V)^n clears the rank cutoff of the last level needs no walk.  None
 of them builds a tall iterate.  wold_diagnostics forms no subspace of
 E (x) H and no m x m projector.  With B and R orthonormal
@@ -85,16 +93,17 @@ from .model import (
     budget_horizon,
     derived,
     iterate_map,
+    size_budget,
 )
 from .structure import (
     RegularityReport,
     _biregular_levels,
     _forward_translate,
+    _hyper_dagger_up_to,
     _stabilized_chain,
     _translates,
     algebraic_core,
     default_horizon,
-    is_hyper_dagger,
     is_regular,
     range_chain,
 )
@@ -104,6 +113,8 @@ __all__ = [
     "co_wandering_space",
     "is_wandering",
     "generated_subspace",
+    "HorizonPlan",
+    "horizon_plan",
     "WoldResult",
     "wold_decompose",
     "wold_diagnostics",
@@ -162,6 +173,78 @@ def generated_subspace(
 def _generated_wandering(rep: Representation, pol: TolerancePolicy) -> Subspace:
     """[W], the subspace generated by the wandering space, built once per policy."""
     return generated_subspace(rep, wandering_space(rep, pol), pol)
+
+
+@dataclass(frozen=True)
+class HorizonPlan:
+    """The horizon each stage reads: regularity (also the horizon of the
+    Wold report), growth, and the top levels of the biregular and
+    hyper_dagger flags."""
+
+    regularity: int
+    growth: int
+    biregular: int
+    hyper_dagger: int
+
+
+_GROWTH_CAPS = {"analyze": 6, "shift": 4, "wold": math.inf}
+
+
+def horizon_plan(
+    rep: Representation, pol: TolerancePolicy, requested: int | None, entry: str
+) -> HorizonPlan:
+    """The horizons of the stages run by one entry point: "analyze" (a
+    representation file), "shift" (shifts.shift_pipeline, which requests
+    spec.L or spec.M) or "wold" (wold_decompose, duality_check and
+    wold_diagnostics).
+
+    The regularity horizon h is the requested one, else default_horizon.
+    With b = budget_horizon, the last level that fits the size budget:
+    growth reads min(h, b), capped at 6 levels for "analyze" and 4 for
+    "shift"; hyper_dagger reads min(h, b); the biregular flag reads
+    min(h, max(b, 1)), since level 1 of the dual's range chain builds
+    nothing wider than m x dm.  WOLDKIT_BUDGET is read once per call, and
+    the plan is memoized on rep per policy, request, entry and budget.
+    """
+    return _horizon_plan(rep, pol, requested, entry, size_budget())
+
+
+@derived
+def _horizon_plan(
+    rep: Representation, pol: TolerancePolicy, requested: int | None, entry: str, budget: int
+) -> HorizonPlan:
+    h = default_horizon(rep, pol) if requested is None else requested
+    levels = budget_horizon(rep, budget)
+    return HorizonPlan(
+        regularity=h,
+        growth=min(h, levels, _GROWTH_CAPS[entry]),
+        biregular=min(h, max(levels, 1)),
+        hyper_dagger=min(h, levels),
+    )
+
+
+@derived
+def _regularity_report(rep: Representation, pol: TolerancePolicy, horizon: int) -> RegularityReport:
+    """The regularity stage: is_regular to the horizon, memoized per policy
+    and horizon."""
+    return is_regular(rep, pol, horizon)
+
+
+@derived
+def _growth_report(
+    rep: Representation, pol: TolerancePolicy, horizon: int, d_seq: tuple[float, ...] | None
+) -> GrowthReport:
+    """The growth stage: check_growth to the horizon for the weights d_seq
+    (a tuple, or None for the minimal weights), memoized per policy,
+    horizon and weights."""
+    return check_growth(rep, None if d_seq is None else list(d_seq), horizon, pol=pol)
+
+
+@derived
+def _dual_range_chain(rep: Representation, pol: TolerancePolicy) -> tuple[Subspace, ...]:
+    """range_chain of mp_cauchy_dual(rep), memoized on rep per policy: its
+    members are at most m x m, while the dual itself is not memoized."""
+    return range_chain(mp_cauchy_dual(rep, pol), pol)
 
 
 @dataclass(frozen=True)
@@ -263,13 +346,25 @@ def wold_diagnostics(
     horizon: int,
     pol: TolerancePolicy = DEFAULT_POLICY,
     *,
-    regularity: RegularityReport | None = None,
     growth_feasible: bool = True,
 ) -> WoldResult:
-    """Compute the decomposition subspaces and every diagnostic, no gating."""
+    """Compute the decomposition subspaces and every diagnostic, no gating.
+
+    The horizons are those of horizon_plan(rep, pol, horizon, "wold"): the
+    regularity verdicts are read to the horizon, the hyper_dagger flag to
+    min(horizon, budget_horizon) and the biregular flag to
+    min(horizon, max(budget_horizon, 1)).
+    """
+    return _wold_result(rep, pol, horizon_plan(rep, pol, horizon, "wold"), growth_feasible)
+
+
+def _wold_result(
+    rep: Representation, pol: TolerancePolicy, plan: HorizonPlan, growth_feasible: bool
+) -> WoldResult:
+    """The Wold stage: wold_diagnostics at the horizons of the plan."""
     d, m = rep.dim_e, rep.dim_h
     v = rep.matrix
-    reg = regularity if regularity is not None else is_regular(rep, pol, horizon)
+    reg = _regularity_report(rep, pol, plan.regularity)
 
     w = wandering_space(rep, pol)
     wd = co_wandering_space(rep, pol)
@@ -323,31 +418,16 @@ def wold_diagnostics(
         dagger_equals_adjoint=dagger_adjoint,
         isometric_restriction=isometric,
         fully_coisometric_restriction=fully_coisometric,
-        # The hyper-dagger clamp, but level 1 is always read: it is not
-        # vacuous here.
-        biregular=all(
-            _biregular_levels(
-                mp_cauchy_dual(rep, pol), min(horizon, max(budget_horizon(rep), 1)), pol
-            )
-        ),
-        hyper_dagger=is_hyper_dagger(rep, horizon, pol),
+        biregular=all(_biregular_levels(_dual_range_chain(rep, pol), d, plan.biregular)),
+        hyper_dagger=_hyper_dagger_up_to(rep, plan.hyper_dagger, pol),
         proj_sum_residual=sum_res,
         proj_product_residual=prod_res,
         gamma=gamma(rep, pol),
         regular_strict=reg.strict,
         regular_at_horizon=reg.holds_at_horizon,
         growth_feasible=growth_feasible,
-        horizon=horizon,
+        horizon=plan.regularity,
     )
-
-
-@derived
-def _growth_report(
-    rep: Representation, pol: TolerancePolicy, horizon: int, d_seq: tuple[float, ...] | None
-) -> GrowthReport:
-    """check_growth to the horizon for the weights d_seq (a tuple, or None
-    for the minimal weights), memoized per policy, horizon and weights."""
-    return check_growth(rep, None if d_seq is None else list(d_seq), horizon, pol=pol)
 
 
 def _check_preconditions(
@@ -355,24 +435,21 @@ def _check_preconditions(
     d_seq: list[float] | None,
     horizon: int | None,
     pol: TolerancePolicy,
-) -> tuple[RegularityReport, int]:
-    if horizon is None:
-        horizon = default_horizon(rep, pol)
-    reg = is_regular(rep, pol, horizon)
-    if not reg.holds_at_horizon:
+) -> HorizonPlan:
+    plan = horizon_plan(rep, pol, horizon, "wold")
+    if not _regularity_report(rep, pol, plan.regularity).holds_at_horizon:
         raise PreconditionFailed(
-            f"regularity: kernel not contained in E (x) R(V_m) for all m <= {horizon}"
+            f"regularity: kernel not contained in E (x) R(V_m) for all m <= {plan.regularity}"
         )
     if not gamma_at_least_one(rep, pol):
         raise PreconditionFailed(
             f"reduced minimum modulus {gamma(rep, pol):.6g} is below one"
         )
-    growth_h = min(horizon, budget_horizon(rep))
-    report = _growth_report(rep, pol, growth_h, None if d_seq is None else tuple(d_seq))
+    report = _growth_report(rep, pol, plan.growth, None if d_seq is None else tuple(d_seq))
     if not report.all_feasible:
         bad = [e.m for e in report.entries if not e.feasible]
         raise PreconditionFailed(f"growth condition infeasible at level(s) {bad}")
-    return reg, horizon
+    return plan
 
 
 def wold_decompose(
@@ -389,8 +466,7 @@ def wold_decompose(
     flags are computed honestly and may be false: the growth hypothesis
     involves a divergence that a finite truncation can never certify.
     """
-    reg, horizon = _check_preconditions(rep, d_seq, horizon, pol)
-    return wold_diagnostics(rep, horizon, pol, regularity=reg)
+    return _wold_result(rep, pol, _check_preconditions(rep, d_seq, horizon, pol), True)
 
 
 def duality_check(
@@ -409,7 +485,7 @@ def duality_check(
     """
     _check_preconditions(rep, None, horizon, pol)
     bracket = _generated_wandering(rep, pol)
-    dual_core = algebraic_core(mp_cauchy_dual(rep, pol), pol)
+    dual_core = _dual_range_chain(rep, pol)[-1]
     return subspaces_equal(bracket, complement(dual_core, pol), pol)
 
 
@@ -429,7 +505,7 @@ def kernel_span_check(
     if n < 1:
         raise ValueError("n must be at least 1")
     d, m = rep.dim_e, rep.dim_h
-    chain = range_chain(mp_cauchy_dual(rep, pol), pol)
+    chain = _dual_range_chain(rep, pol)
     ker1 = complement(chain[min(n, len(chain)) - 1], pol)
     translates = itertools.islice(_translates(rep, wandering_space(rep, pol), pol), n)
     first = contains(ker1, functools.reduce(functools.partial(add, pol=pol), translates), pol)

@@ -84,6 +84,38 @@ class TestAnalyze:
             assert run_cli("analyze", str(spec), "--out", str(out)) == 0
             assert json.loads(out.read_text())["pipeline"]["growth"]["horizon"] == 1
 
+    @pytest.mark.parametrize("budget, growth_horizon", [("15", 0), ("25", 1)])
+    def test_representation_growth_at_the_budget_edge(self, tmp_path, monkeypatch, budget, growth_horizon):
+        # d = 2, m = 10: level 1 has 20 columns, so a budget of 15 admits no
+        # level and one of 25 admits level 1.  The biregular flag still
+        # reads level 1, and the regularity horizon is not clamped.
+        spec = tmp_path / "generic.json"
+        assert run_cli("generate", "generic", "--seed", "1", "--params", "d=2", "m=10", "--out", str(spec)) == 0
+        monkeypatch.setenv("WOLDKIT_BUDGET", budget)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(spec), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["horizon"] == report["wold"]["horizon"] == 8
+        assert report["growth"]["horizon"] == growth_horizon
+        assert {k for k, v in report["wold"]["flags"].items() if v} == {
+            "biregular", "growth_feasible", "hyper_dagger", "orthogonal", "reduces",
+            "regular_at_horizon", "regular_strict", "spans_H",
+        }
+
+    @pytest.mark.parametrize("budget, growth_horizon", [("30", 2), (None, 3)])
+    def test_bilateral_growth_at_the_budget_edge(self, tmp_path, monkeypatch, budget, growth_horizon):
+        # n = 2, M = 3: dim H = 7, and level n has 2^n * 7 columns, so a
+        # budget of 30 admits levels 1 and 2; the shift caps growth at M = 3.
+        spec = tmp_path / "bilateral.json"
+        assert run_cli("generate", "bilateral", "--seed", "1", "--params", "n=2", "M=3", "--out", str(spec)) == 0
+        if budget is None:
+            monkeypatch.delenv("WOLDKIT_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("WOLDKIT_BUDGET", budget)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(spec), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["pipeline"]["growth"]["horizon"] == growth_horizon
+
 
     @pytest.mark.parametrize(
         "doc",

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from woldkit.errors import BudgetExceeded, ParseError, ShapeError
+from woldkit import model
+from woldkit.errors import BudgetExceeded, InvalidParams, ParseError, ShapeError
 from woldkit.generate import bilateral_spec, generate_named, generic_rep, rank_deficient_rep, truncated_shift_rep
 from woldkit.model import (
     Representation,
@@ -184,6 +185,35 @@ class TestWalks:
         assert budget_horizon(rep) == 0
         with pytest.raises(BudgetExceeded):
             next(_map_levels(rep))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 7, 10])
+    def test_budget_horizon_reads_the_budget_once(self, monkeypatch, d, m):
+        real = model.size_budget
+
+        def per_level_reads(rep):
+            """The level loop that read WOLDKIT_BUDGET at every level."""
+            if rep.dim_e == 1:
+                return 64 if rep.dim_h <= real() else 0
+            n = 0
+            while n < 64 and rep.dim_e ** (n + 1) * rep.dim_h <= real():
+                n += 1
+            return n
+
+        reads = []
+        monkeypatch.setattr(model, "size_budget", lambda: reads.append(1) or real())
+        rep = Representation(d, m, np.zeros((m, d * m)))
+        exact = {d**n * m for n in range(1, 64) if d**n * m <= 10**6}
+        budgets = set(range(1, 100)) | exact | {b - 1 for b in exact if b > 1} | {b + 1 for b in exact} | {10**6}
+        for budget in sorted(budgets):
+            monkeypatch.setenv("WOLDKIT_BUDGET", str(budget))
+            reads.clear()
+            want = per_level_reads(rep)
+            assert budget_horizon(rep) == want and len(reads) == 1
+            assert budget_horizon(rep, budget) == want and len(reads) == 1
+        monkeypatch.setenv("WOLDKIT_BUDGET", "0")
+        with pytest.raises(InvalidParams, match="WOLDKIT_BUDGET must be a positive integer"):
+            budget_horizon(rep)
 
 
 class TestSvdLevels:

@@ -524,7 +524,7 @@ class TestBiRegularity:
             assert subspaces_equal(dual.cokernel(), null_space(s))
             assert subspaces_equal(dual.cokernel(), rep.cokernel())
             assert dual.norm() == pytest.approx(float(np.linalg.norm(s, 2)), rel=1e-12, abs=0.0)
-            got = list(_biregular_levels(dual, 3, DEFAULT_POLICY))
+            got = list(_biregular_levels(range_chain(dual), rep.dim_e, 3))
             assert got == list(itertools.accumulate(biregular_levels_oracle(s, rep.dim_e, 3), min))
 
     def test_a_weight_below_a_level_cutoff_is_kept_by_the_chain(self):
@@ -683,7 +683,7 @@ class TestBiRegularity:
             for m in range(1, 7):
                 holds = holds and dim(m) - dim(m + 1) == rep.dim_e**m * (rep.dim_h - dim(1))
                 want.append(holds)
-            assert list(_biregular_levels(adjoint, 6, DEFAULT_POLICY)) == want
+            assert list(_biregular_levels(chain, rep.dim_e, 6)) == want
 
 
 def no_level_is_built(*_):
@@ -692,7 +692,7 @@ def no_level_is_built(*_):
 
 def chain_levels(s, d, top):
     """The verdicts of _biregular_levels for S: H -> E (x) H at dim E = d."""
-    return list(_biregular_levels(Representation(d, s.shape[1], s.conj().T), top, DEFAULT_POLICY))
+    return list(_biregular_levels(range_chain(Representation(d, s.shape[1], s.conj().T)), d, top))
 
 
 def beside_injective_block(eps, words=None, d=2):
@@ -989,9 +989,9 @@ class TestWalkFixedPoint:
         "is_hyper_dagger": lambda rep, pol: is_hyper_dagger(rep, 10, pol),
         "biregular_levels": lambda rep, pol: list(
             _biregular_levels(
-                Representation(rep.dim_e, rep.dim_h, rep.pseudo_inverse(pol).conj().T),
+                range_chain(Representation(rep.dim_e, rep.dim_h, rep.pseudo_inverse(pol).conj().T), pol),
+                rep.dim_e,
                 min(8, budget_horizon(rep)),
-                pol,
             )
         ),
         "generalized_range": generalized_range,

@@ -1,10 +1,12 @@
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from woldkit import structure, wold
+from woldkit import model, structure, verify, wold
+from woldkit.cli import main
 from woldkit.errors import (
     NotContraction,
     NotLeftInvertible,
@@ -12,6 +14,7 @@ from woldkit.errors import (
 )
 from woldkit.generate import (
     bilateral_spec,
+    generate_named,
     block_wold_rep,
     coisometry_rep,
     concave_rep,
@@ -41,11 +44,13 @@ from woldkit.model import Representation, budget_horizon
 from woldkit.shifts import build_bilateral_shift, build_unilateral_shift
 from woldkit.structure import GenInverse, default_horizon, is_biregular, is_regular, range_chain
 from woldkit.wold import (
+    HorizonPlan,
     cauchy_dual,
     check_intertwiner,
     check_purity_transfer,
     duality_check,
     generated_subspace,
+    horizon_plan,
     is_pure_contraction,
     is_wandering,
     kernel_span_check,
@@ -201,7 +206,7 @@ class TestWoldDecompose:
 
             return run
 
-        monkeypatch.setattr(wold, "is_hyper_dagger", traced("hyper_dagger", wold.is_hyper_dagger))
+        monkeypatch.setattr(wold, "_hyper_dagger_up_to", traced("hyper_dagger", wold._hyper_dagger_up_to))
         monkeypatch.setattr(wold, "_biregular_levels", traced("biregular", wold._biregular_levels))
         res = wold_diagnostics(rep, default_horizon(rep))
         assert res.hyper_dagger and res.horizon > budget_horizon(rep) == 7
@@ -475,6 +480,120 @@ class TestMemoizedStages:
             with pytest.raises(PreconditionFailed, match="growth"):
                 wold_decompose(rep, d_seq=[0.0, 0.0], horizon=2)
         assert len(growth) == 1
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every woldkit module that binds it."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("woldkit"):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestHorizonPlan:
+    """horizon_plan decides every stage horizon of analyze, the shift
+    pipeline and wold_decompose, once per representation."""
+
+    @staticmethod
+    def nine_expressions(rep, requested, entry):
+        """The stage horizons as the entry points decided them before the plan."""
+        if entry == "shift":
+            h = requested  # spec.L or spec.M
+            growth = min(h, 4, budget_horizon(rep))
+        else:  # --horizon or the wold_decompose argument, else the default
+            h = default_horizon(rep) if requested is None else requested
+            growth = min(h, budget_horizon(rep), 6) if entry == "analyze" else min(h, budget_horizon(rep))
+        return HorizonPlan(
+            regularity=h,
+            growth=growth,
+            biregular=min(h, max(budget_horizon(rep), 1)),
+            hyper_dagger=min(h, budget_horizon(rep)),
+        )
+
+    def test_matches_the_nine_expressions(self, monkeypatch):
+        # (representation, entry, requested horizon); a shift spec requests
+        # its own L or M.
+        cases = [(rep, entry, requested) for rep in mixed_corpus(60)
+                 for entry in ("analyze", "wold") for requested in (None, 1, 3, 12)]
+        for kind in ("generic", "left-invertible", "expansive", "concave", "unilateral", "bilateral"):
+            for seed in (1, 2, 3):
+                out = generate_named(kind, seed, {})
+                if kind == "unilateral":
+                    cases += [(build_unilateral_shift(out)[0], "shift", h) for h in (out.L, 1, 3, 12)]
+                elif kind == "bilateral":
+                    cases += [(build_bilateral_shift(out)[0], "shift", h) for h in (out.M, 1, 3, 12)]
+                else:
+                    cases += [(out, entry, h) for entry in ("analyze", "wold") for h in (None, 1, 3, 12)]
+        clamped = {"growth": set(), "biregular": set(), "hyper_dagger": set()}
+        for budget in (None, "200", "40", "15"):
+            if budget is None:
+                monkeypatch.delenv("WOLDKIT_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("WOLDKIT_BUDGET", budget)
+            for rep, entry, requested in cases:
+                plan = horizon_plan(rep, DEFAULT_POLICY, requested, entry)
+                assert plan == self.nine_expressions(rep, requested, entry)
+                for stage, seen in clamped.items():
+                    seen.add(getattr(plan, stage) < plan.regularity)
+        assert all(seen == {True, False} for seen in clamped.values())
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        return {
+            "default_horizon": count_calls(monkeypatch, structure, "default_horizon"),
+            "budget_horizon": count_calls(monkeypatch, model, "budget_horizon"),
+            "is_regular": count_calls(monkeypatch, structure, "is_regular"),
+            "chains": count_calls(monkeypatch, structure, "_nested_ranges"),
+        }
+
+    @pytest.mark.parametrize("kind, params", [
+        ("generic", {"d": "2", "m": "4"}),
+        ("concave", {}),
+        ("unilateral", {}),
+        ("bilateral", {"n": "2", "M": "3"}),
+    ])
+    def test_one_call_of_each_rule_per_analyze(self, tmp_path, capsys, counts, kind, params):
+        instance = tmp_path / "instance.json"
+        assert main(["generate", kind, "--seed", "1", "--params", *(f"{k}={v}" for k, v in params.items()),
+                     "--out", str(instance)]) == 0
+        for horizon in ([], ["--horizon", "5"]):
+            for calls in counts.values():
+                calls.clear()
+            assert main(["analyze", str(instance), *horizon]) in (0, 2)
+            assert len(counts["default_horizon"]) <= 1 and len(counts["budget_horizon"]) == 1
+            assert len(counts["is_regular"]) == 1
+            capsys.readouterr()
+
+    def test_one_call_of_each_rule_per_wold_decompose(self, rng, counts):
+        wold_decompose(coisometry_rep(rng, 2, 3))
+        assert [len(counts[k]) for k in ("default_horizon", "budget_horizon", "is_regular")] == [1, 1, 1]
+
+    def test_a_verify_wold_record_builds_each_stage_once(self, counts):
+        # Each record runs wold_decompose and duality_check at horizon 3:
+        # one plan, one regularity report, and the range chains of V and of
+        # its Moore-Penrose dual.
+        assert verify.run_suite("wold", count=6, seed=7).ok
+        assert {k: len(v) for k, v in counts.items()} == {
+            "default_horizon": 0, "budget_horizon": 6, "is_regular": 6, "chains": 12,
+        }
+
+    def test_the_dual_chain_is_built_once_for_its_three_readers(self, rng, counts):
+        rep, _ = block_wold_rep(rng, n_shift=1, n_unitary=1)
+        wold_diagnostics(rep, 3)
+        chain = wold._dual_range_chain(rep, DEFAULT_POLICY)
+        assert duality_check(rep, horizon=3)
+        kernel_span_check(rep, 2)
+        assert len(counts["chains"]) == 2  # V's and the dual's
+        assert wold._dual_range_chain(rep, DEFAULT_POLICY) is chain
+        assert [space.dim for space in chain] == [space.dim for space in range_chain(mp_cauchy_dual(rep))]
 
 
 class TestMoorePenroseDual:
