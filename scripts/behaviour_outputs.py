@@ -4,7 +4,7 @@ Usage: python scripts/behaviour_outputs.py OUT
        python scripts/behaviour_outputs.py --compare OLD NEW
 
 Runs the woldkit of this checkout (its src/ directory goes first on the
-path) in one process and writes 137 files under OUT:
+path) in one process and writes 141 output files under OUT:
 
 - for each analyzed instance, NAME.report.json (the `analyze --out` report)
   and NAME.out (stdout, stderr and the exit code);
@@ -13,9 +13,12 @@ path) in one process and writes 137 files under OUT:
 
 The analyzed instances are the generic-growth, bilateral-window and
 injective-wide pools of perfbench at seeds 1 and 3 (instance seeds 100*s+i,
-i = 0..4, at the benchmark sizes) and every `generate` kind at seeds 1-6
-with default parameters.  They are generated under OUT/instances and
-analyzed by that path relative to OUT, because reports embed the input path.
+i = 0..4, at the benchmark sizes), every `generate` kind at seeds 1-6
+with default parameters, and two files that list generator images, one
+covariant pair and one that is not (see _covariance_instances), so that
+the report's covariance section is compared too.  They are written under
+OUT/instances and analyzed by that path relative to OUT, because reports
+embed the input path.
 
 BLAS is pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS are set to 1 before numpy is imported), as perfbench pins
@@ -58,8 +61,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
+import numpy as np  # noqa: E402
+
 from perfbench.checks import compare  # noqa: E402
 from woldkit import cli  # noqa: E402
+from woldkit.generate import rand_complex  # noqa: E402
+from woldkit.model import Representation, save_representation  # noqa: E402
 
 POOLS = {
     "generic-growth": ("generic", ["d=2", "m=10"]),
@@ -71,6 +78,7 @@ POOL_SIZE = 5
 KINDS = ("generic", "left-invertible", "expansive", "concave", "unilateral", "bilateral")
 KIND_SEEDS = range(1, 7)
 VERIFY_SEEDS = (0, 1, 2, 3, 2800)
+COVARIANCE_SEED = 1
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -92,6 +100,30 @@ def _instances() -> list[tuple[str, str, int, list[str]]]:
         for seed in KIND_SEEDS:
             items.append((f"{kind}-{seed}", kind, seed, []))
     return items
+
+
+def _covariance_instances() -> dict[str, Representation]:
+    """A covariant pair and the same pair with sigma doubled, built from a
+    seeded RNG, since no `generate` kind lists generator images: V =
+    [V_1 | s V_1] on C^2 (x) C^4 for a Gaussian V_1 and the Householder
+    reflection s = I - 2 x x*, with sigma(a) = s and phi(a) the swap of
+    E, so that V (phi(a) (x) I) = [s V_1 | V_1] = s V."""
+    rng = np.random.default_rng(COVARIANCE_SEED)
+    v1 = rand_complex(rng, 4, 4)
+    x = rand_complex(rng, 4, 1)
+    s = np.eye(4) - 2.0 * (x @ x.conj().T) / np.vdot(x, x).real
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    v = np.hstack([v1, s @ v1])
+    return {
+        f"covariant-{COVARIANCE_SEED}": Representation(2, 4, v, sigma={"a": s}, phi={"a": swap}),
+        f"not-covariant-{COVARIANCE_SEED}": Representation(2, 4, v, sigma={"a": 2.0 * s}, phi={"a": swap}),
+    }
+
+
+def _analyze(name: str, path: str) -> None:
+    """Write NAME.report.json and NAME.out of `analyze PATH`."""
+    code, out, err = _run(["analyze", path, "--out", f"{name}.report.json"])
+    Path(f"{name}.out").write_text(f"{out}--- stderr\n{err}--- exit {code}\n")
 
 
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -203,8 +235,12 @@ def main(argv=None) -> int:
         code, _, err = _run(["generate", kind, "--seed", str(seed), "--out", path, "--params", *params])
         if code:
             raise SystemExit(f"generate {name} failed: {err}")
-        code, out, err = _run(["analyze", path, "--out", f"{name}.report.json"])
-        Path(f"{name}.out").write_text(f"{out}--- stderr\n{err}--- exit {code}\n")
+        _analyze(name, path)
+        written += 2
+    for name, rep in _covariance_instances().items():
+        path = f"instances/{name}.json"
+        save_representation(rep, path)
+        _analyze(name, path)
         written += 2
     for seed in VERIFY_SEEDS:
         code, out, err = _run(["verify", "all", "--count", "25", "--seed", str(seed)])

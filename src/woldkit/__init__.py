@@ -4,8 +4,8 @@ Models a completely bounded covariant pair on finite-dimensional spaces
 as the single matrix of the map E (x) H -> H and computes its structural
 objects: Moore-Penrose inverses, reduced minimum modulus, regularity and
 algebraic cores, generalized inverses, growth conditions, Wold-type
-decompositions, Cauchy duals and intertwiner purity, and truncated
-weighted unilateral/bilateral shifts.
+decompositions, the Moore-Penrose dual and intertwiner purity, and
+truncated weighted unilateral/bilateral shifts.
 """
 
 __version__ = "0.1.0"
@@ -17,9 +17,7 @@ from .errors import (
     IdentityViolated,
     InvalidParams,
     NotContraction,
-    NotInvariant,
     NotInvertible,
-    NotLeftInvertible,
     NotPSD,
     NotRegular,
     ParseError,
@@ -64,29 +62,23 @@ from .shifts import (
     load_shift_spec,
     save_shift_spec,
     shift_pipeline,
-    z_product,
 )
 from .structure import (
     GenInverse,
     RegularityReport,
     algebraic_core,
-    generalized_range,
     is_biregular,
     is_hyper_dagger,
-    is_n_dagger,
     is_regular,
-    iterated_pinv,
     make_generalized_inverse,
 )
 from .wold import (
     WoldResult,
-    cauchy_dual,
     check_intertwiner,
     check_purity_transfer,
     duality_check,
     generated_subspace,
     is_pure_contraction,
-    is_wandering,
     kernel_span_check,
     wandering_space,
     wold_decompose,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import sys
 import warnings
@@ -148,38 +149,57 @@ def _print_analysis_summary(report: dict) -> None:
             print(f"  warning: {w}")
 
 
+def _load_input(path):
+    """The instance in the file at path: a shift spec when its JSON object
+    has a "kind" field, else a Representation.
+
+    A JSON tree has no reference cycles, but that of a wide instance holds
+    one list per matrix entry, all alive while they are decoded, and the
+    cyclic collector would scan them again and again and move them to its
+    oldest generation.  It is paused until the tree is dropped, then left
+    as the caller had it.  A bad WOLDKIT_BUDGET fails once the file
+    parses, before it is decoded.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = parse_json_file(path)
+        size_budget()
+        if "kind" in data:
+            return shift_spec_from_dict(data, source=str(path))
+        return representation_from_dict(data, source=str(path))
+    finally:
+        data = None
+        if enabled:
+            gc.enable()
+
+
 def cmd_analyze(args) -> int:
     pol = _policy_from_args(args)
-    try:
-        data = parse_json_file(args.input)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report: dict = {
-        "tool": {"name": "woldkit", "version": __version__},
-        "tolerances": pol.as_dict(),
-        "budget": size_budget(),
-    }
     caught: list[str] = []
     try:
+        instance = _load_input(args.input)
+        report: dict = {
+            "tool": {"name": "woldkit", "version": __version__},
+            "tolerances": pol.as_dict(),
+            "budget": size_budget(),
+        }
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always", RankWarning)
-            if "kind" in data:
-                spec = shift_spec_from_dict(data, source=str(args.input))
-                pipe = shift_pipeline(spec, pol)
-                report["input"] = {"path": str(args.input), "kind": pipe.kind}
-                report["pipeline"] = pipe.as_dict()
-                exit_code = 0
-            else:
-                rep = representation_from_dict(data, source=str(args.input))
+            if isinstance(instance, Representation):
                 report["input"] = {
                     "path": str(args.input),
                     "kind": "representation",
-                    "dim_E": rep.dim_e,
-                    "dim_H": rep.dim_h,
+                    "dim_E": instance.dim_e,
+                    "dim_H": instance.dim_h,
                 }
-                body, exit_code = _analyze_representation(rep, pol, args.horizon)
+                body, exit_code = _analyze_representation(instance, pol, args.horizon)
                 report.update(body)
+            else:
+                pipe = shift_pipeline(instance, pol)
+                report["input"] = {"path": str(args.input), "kind": pipe.kind}
+                report["pipeline"] = pipe.as_dict()
+                exit_code = 0
             caught = sorted({str(r.message) for r in records if issubclass(r.category, RankWarning)})
     except (ParseError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,14 +33,6 @@ class NotRegular(WoldkitError):
     """Operation requires a regular representation."""
 
 
-class NotLeftInvertible(WoldkitError):
-    """Operation requires an injective representation map."""
-
-
-class NotInvariant(WoldkitError):
-    """The supplied subspace is not invariant under the representation."""
-
-
 class NotContraction(WoldkitError):
     """Operator norm exceeds one beyond tolerance."""
 

@@ -5,8 +5,8 @@ of shape m x (d*m) with d = dim E and m = dim H.  Tensor indices follow a
 fixed left-to-right Kronecker ordering: index(xi (x) h) = index(xi) * m +
 index(h), so I_{E^(x)k} (x) A is realized exactly as kron(I_{d^k}, A).
 Products never form that lift.  _times_ampliation is the one step
-a (I_D (x) x): each column block of a times x.  The level walks, z_product,
-the weight products of the unilateral weight condition, the forward
+a (I_D (x) x): each column block of a times x.  The level walks, the
+weight products of the unilateral weight condition, the forward
 translate V(E (x) S) and check_intertwiner take it.  _lift, the one place
 that forms the ampliation, is left for the check functions that need the
 lifted operator itself: kernel_intersection_identity, kernel_span_check,
@@ -26,13 +26,13 @@ is all the level tests read: structure.is_hyper_dagger decides level n
 from level n - 1 on E (x) H, and growth.gamma_power_bound_check reads s;
 they are the only readers of the walk.  A range R(V_n) is read off the
 range chain instead (structure.range_chain, one rank rule per step):
-generalized_range, the biregularity levels and the kernels ker V+^(n) of
+the algebraic core, the biregularity levels and the kernels ker V+^(n) of
 wold.kernel_span_check read it.  A lowering iterate S^(n) is the adjoint
 of level n of the representation whose matrix is S*, so its kernel is
 read off the range chain of that representation.  Every loop over
-levels consumes a walk, and iterate_map and iterate_lower are the n-th
-level of one.  _fits_budget is the one budget rule, asked before a level
-(its d^n m columns, or rows of S^(n)) or a shift's matrix is built.
+levels consumes a walk, and iterate_map is the n-th level of one.
+_fits_budget is the one budget rule, asked before a level (its d^n m
+columns, or rows of S^(n)) or a shift's matrix is built.
 
 The coefficient algebra is the scalars; optional labeled generator images
 exist only so the covariance identity is an executable check.
@@ -99,7 +99,6 @@ __all__ = [
     "budget_horizon",
     "Representation",
     "iterate_map",
-    "iterate_lower",
     "check_covariance",
     "save_representation",
     "load_representation",
@@ -365,31 +364,23 @@ def _times_ampliation(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(rows, blocks * width)
 
 
-def iterate_lower(s, d: int, n: int) -> np.ndarray:
-    """n-fold lowering iterate of a map S: H -> E (x) H.
-
-    S^(n) = (I_{E^(x)n-1} (x) S) ... (I_E (x) S) S, of shape (d^n * m) x m:
-    the n-th level of _lower_levels.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return next(itertools.islice(_lower_levels(s, d), n - 1, None))
-
-
 def check_covariance(rep: Representation, tol: float = 1e-9) -> tuple[bool, dict[str, float]]:
     """Verify V (phi(a) (x) I_H) = sigma(a) V for every listed generator.
 
     Returns (holds, residuals-by-label); vacuously true for empty lists.
+    A label holds when its residual is at most
+    tol * ||V|| * max(1, ||phi(a)||, ||sigma(a)||), the scale of the
+    round-off of both products.
     """
     v = rep.matrix
-    scale = max(1.0, rep.norm())
     residuals: dict[str, float] = {}
     ok = True
     eye_h = np.eye(rep.dim_h, dtype=np.complex128)
     for label in sorted(rep.sigma):
-        lifted = np.kron(rep.phi[label], eye_h)
-        res = spectral_norm(v @ lifted - rep.sigma[label] @ v)
+        phi, sigma = rep.phi[label], rep.sigma[label]
+        res = spectral_norm(v @ np.kron(phi, eye_h) - sigma @ v)
         residuals[label] = res
+        scale = rep.norm() * max(1.0, spectral_norm(phi), spectral_norm(sigma))
         ok = ok and res <= tol * scale
     return ok, residuals
 

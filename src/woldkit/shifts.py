@@ -52,7 +52,6 @@ __all__ = [
     "UnilateralSpec",
     "BilateralSpec",
     "build_unilateral_shift",
-    "z_product",
     "UnilateralConditionReport",
     "check_unilateral_weight_condition",
     "build_bilateral_shift",
@@ -134,18 +133,6 @@ def build_unilateral_shift(spec: UnilateralSpec) -> tuple[Representation, dict]:
     return Representation(d, total, v), info
 
 
-def z_product(spec: UnilateralSpec, n: int) -> np.ndarray:
-    """Ordered weight product Z_n (I (x) Z_{n-1}) ... (I^(n-1) (x) Z_1)."""
-    if n < 0 or n > spec.L:
-        raise ShapeError(f"product depth must lie in 0..L={spec.L}")
-    if n == 0:
-        return np.eye(1, dtype=np.complex128)
-    out = np.array(spec.Z[n - 1])
-    for j in range(1, n):
-        out = _times_ampliation(out, spec.Z[n - j - 1])
-    return out
-
-
 @dataclass(frozen=True)
 class UnilateralConditionReport:
     k_max: int
@@ -189,8 +176,9 @@ def check_unilateral_weight_condition(
 ) -> UnilateralConditionReport:
     """Operator inequality on weight products, per pair (k, n).
 
-    With Z^(m) = z_product(spec, m), the weight product of the pair is
-    Y = Z^(k+n) (I (x) Z^(n))^{-1}, and the checked inequality is
+    With the ordered weight product
+    Z^(m) = Z_m (I (x) Z_{m-1}) ... (I^(m-1) (x) Z_1), the weight product
+    of the pair is Y = Z^(k+n) (I (x) Z^(n))^{-1}, and the checked inequality is
     Y*Y - I <= d_k (I^(k-1) (x) (Y_1*Y_1) - I), Y_1 the k = 1 product.
 
     Y needs no inverse: Z^(k+n) = Y_{k,n} (I_{d^k} (x) Z^(n)) with

@@ -5,12 +5,12 @@ dimensions; its limit R_infinity is the generalized range, and
 range_chain returns R(V_1), ..., R_infinity: its length is the
 stabilization index; it steps each member inside the one before
 (_nested_ranges).  The chain is the one rank decision for every range of
-a level: generalized_range and algebraic_core are its limit, and
-readers of R(V_n) for a dual or an adjoint read the chain of that
-representation.  Every other chain of forward translates is the one
-walk _translates, and every subspace chain stops by the one rule of
-_stabilized_chain, at its first repeated dimension.  Regularity asks that the
-kernel of the map sits inside E (x) R_infinity, which
+a level: algebraic_core is its limit, and readers of R(V_n) for a dual or
+an adjoint read the chain of that representation.  Every other chain of
+forward translates is the one walk _translates, and every subspace chain
+stops by the one rule of _stabilized_chain, at its first repeated
+dimension.  Regularity asks that the kernel of the map sits inside
+E (x) R_infinity, which
 linalg._in_ampliation tests block by block, without the lift.  Because
 the strict condition is destroyed by hard truncation of an otherwise regular
 operator (the truncation boundary injects kernel vectors the untruncated
@@ -24,8 +24,7 @@ level, and neither builds a level.  Level n of V is one factor times the
 ampliation of level n - 1, so, given that level n - 1 holds, the
 hyper-dagger level is a test on E (x) H that reads u and s of the SVD
 walk (Greville's reverse-order law), and asks that the rank rule of
-level n keeps the rank that its factors give; is_n_dagger keeps the dense
-test of one level.  An invertible d = 1 map is hyper-dagger without the
+level n keeps the rank that its factors give.  An invertible d = 1 map is hyper-dagger without the
 walk when gamma(V)^n clears the rank cutoff of its last level
 (s_min(V^n) >= gamma(V)^n).  A biregularity level is a dimension
 identity on the range chain of the representation A whose matrix is S*:
@@ -45,12 +44,11 @@ from .linalg import (
     Subspace,
     TolerancePolicy,
     _in_ampliation,
-    _norm2_within,
     _rank,
     _subspace,
     intersect,
     null_space,
-    pinv,
+    pinv,  # noqa: F401 -- kept bound here for perfbench's tracer test
     range_space,
     spectral_norm,
     subspaces_equal,
@@ -65,13 +63,10 @@ from .model import (
     _times_ampliation,
     budget_horizon,
     derived,
-    iterate_lower,
-    iterate_map,
 )
 
 __all__ = [
     "range_chain",
-    "generalized_range",
     "stabilization_index",
     "algebraic_core",
     "default_horizon",
@@ -82,8 +77,6 @@ __all__ = [
     "make_generalized_inverse",
     "BiRegularityReport",
     "is_biregular",
-    "iterated_pinv",
-    "is_n_dagger",
     "is_hyper_dagger",
     "fixed_point_range_check",
     "inverse_invariance_check",
@@ -151,20 +144,15 @@ def stabilization_index(rep: Representation, pol: TolerancePolicy = DEFAULT_POLI
     return len(range_chain(rep, pol))
 
 
-def generalized_range(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
-    """Intersection of all iterated ranges R(V_n): the limit of range_chain,
-    the same object as algebraic_core."""
-    return range_chain(rep, pol)[-1]
-
-
 def algebraic_core(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Greatest subspace K with V(E (x) K) = K, by greatest-fixed-point iteration.
 
     The iteration K_0 = H, K_{j+1} = V(E (x) K_j) is the range chain from
     K_1 = R(V) on; range_chain ends only where V(E (x) K) = K: at a member
     whose next one has its dimension, or at a member {0} or H.  The core is
-    generalized_range; the range-structure suite checks it against the
-    range of the dense iterate one level past the chain.
+    the generalized range, the intersection of all R(V_n); the
+    range-structure suite checks it against the range of the dense iterate
+    one level past the chain.
     """
     return range_chain(rep, pol)[-1]
 
@@ -343,30 +331,6 @@ def _biregular_levels(chain: tuple[Subspace, ...], d: int, top: int):
     ranks = dims + [dims[-1]] * top  # dim R(A_n) at n - 1: the limit past the chain
     levels = (ranks[m - 1] - ranks[m] == d**m * kernel for m in range(1, top + 1))
     return itertools.accumulate(levels, min)  # prefix verdicts
-
-
-def iterated_pinv(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The n-fold lowering iterate built from the Moore-Penrose inverse."""
-    return iterate_lower(rep.pseudo_inverse(pol), rep.dim_e, n)
-
-
-def is_n_dagger(rep: Representation, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff the iterated pseudoinverse equals the pseudoinverse of the
-    iterate at level n alone: ||V+^(n) - (V_n)+||_2 <= 1e-8 max(1, ||(V_n)+||_2).
-
-    The dense test: both d^n m x m matrices are built, (V_n)+ with the rank
-    rule of the level anchored at ||V||^n.  is_hyper_dagger decides the
-    same levels in order without them.  On an invertible map the gap is
-    round-off of about cond(V)^n eps, so at high levels of an
-    ill-conditioned one (cond ~ 70 at n = 5) it can exceed the threshold
-    where the reverse-order law holds exactly: this test is not the oracle
-    of is_hyper_dagger there.
-    """
-    if n == 1:
-        return True
-    lowered = iterated_pinv(rep, n, pol)  # ValueError for n < 1
-    direct = pinv(iterate_map(rep, n), pol, scale=rep.norm() ** n)
-    return _norm2_within(lowered - direct, direct, 1e-8, 1.0)
 
 
 def _reverse_order_law(

@@ -21,8 +21,8 @@ duality_check after wold_decompose, or check_purity_transfer, builds
 none of them again.  The entry points keep their gates, messages and
 output formats.
 
-generated_subspace, is_wandering, reflection_witness and the joins of
-kernel_span_check walk the forward translates of structure._translates.
+generated_subspace and the joins of kernel_span_check walk the forward
+translates of structure._translates.
 The iterates V+^(n) of the pseudoinverse are the adjoints of the levels
 of the Moore-Penrose dual V' = (V+)*, whose SVD mp_cauchy_dual reads off
 that of V.  All three readers of those iterates read the one range chain
@@ -53,7 +53,6 @@ off the SVD of V.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -61,12 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotContraction,
-    NotInvariant,
-    NotLeftInvertible,
-    PreconditionFailed,
-)
+from .errors import NotContraction, PreconditionFailed
 from .growth import GrowthReport, check_growth, gamma, gamma_at_least_one
 from .linalg import (
     DEFAULT_POLICY,
@@ -98,7 +92,6 @@ from .model import (
 from .structure import (
     RegularityReport,
     _biregular_levels,
-    _forward_translate,
     _hyper_dagger_up_to,
     _stabilized_chain,
     _translates,
@@ -111,7 +104,6 @@ from .structure import (
 __all__ = [
     "wandering_space",
     "co_wandering_space",
-    "is_wandering",
     "generated_subspace",
     "HorizonPlan",
     "horizon_plan",
@@ -120,11 +112,9 @@ __all__ = [
     "wold_diagnostics",
     "duality_check",
     "kernel_span_check",
-    "cauchy_dual",
     "mp_cauchy_dual",
     "check_intertwiner",
     "is_pure_contraction",
-    "reflection_witness",
     "PurityTransferReport",
     "check_purity_transfer",
 ]
@@ -140,23 +130,6 @@ def wandering_space(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) 
 def co_wandering_space(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """ker(V) inside E (x) H: the complement of the pseudoinverse's range."""
     return rep.kernel(pol)
-
-
-def is_wandering(
-    rep: Representation,
-    s: Subspace,
-    horizon: int = 8,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> bool:
-    """S orthogonal to all its forward translates V_n(E^(x)n (x) S), n <= horizon."""
-    if s.ambient_dim != rep.dim_h:
-        raise PreconditionFailed("subspace must live in H")
-    for current in itertools.islice(_translates(rep, s, pol), 1, horizon + 1):
-        if current.dim == 0:
-            return True
-        if not _norm2_at_most(s.basis.conj().T @ current.basis, pol.tau_sub):
-            return False
-    return True
 
 
 def generated_subspace(
@@ -525,23 +498,11 @@ def kernel_span_check(
     return first, subspaces_equal(ker_n, join2, pol)
 
 
-def cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Representation:
-    """V (V*V)^{-1}, defined for injective maps (NotLeftInvertible otherwise).
-
-    For injective V this is (V+)*, so it is mp_cauchy_dual behind the
-    injectivity gate, with the same SVD; it keeps the generator images of rep.
-    """
-    if rep.kernel(pol).dim:
-        raise NotLeftInvertible("representation map has a nontrivial kernel")
-    dual = mp_cauchy_dual(rep, pol)
-    return _with_svd(dataclasses.replace(dual, sigma=rep.sigma, phi=rep.phi), dual.svd())
-
-
 def mp_cauchy_dual(rep: Representation, pol: TolerancePolicy = DEFAULT_POLICY) -> Representation:
     """Pseudoinverse-based dual: the adjoint of the Moore-Penrose inverse.
 
-    Coincides with cauchy_dual for injective maps and stays defined for
-    maps whose kernel comes from hard truncation.  Its svd() is set from
+    Coincides with the Cauchy dual V (V*V)^{-1} for injective maps and
+    stays defined for maps whose kernel comes from hard truncation.  Its svd() is set from
     the SVD V = u diag(s) vh of rank r, so nothing decomposes the dual:
     (V+)* = u[:, p] diag(1/s[r-1], ..., 1/s[0], 0, ...) vh[q], where p and
     q reverse the first r indices and keep the others (the zero map keeps
@@ -596,40 +557,6 @@ def is_pure_contraction(a, horizon: int = 50, tol: float = 1e-8) -> str:
     if prev_norm - cur_norm <= tol:
         return "not_pure"
     return "undecided"
-
-
-def reflection_witness(
-    rep: Representation,
-    k: Subspace,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-    max_depth: int | None = None,
-    overlap_tol: float = 1e-7,
-) -> np.ndarray:
-    """A nonzero h in K whose adjoint image lands in E (x) K^perp.
-
-    Requires K invariant with the wandering space inside K^perp; the
-    witness is found along forward translates of W under the
-    pseudoinverse-based dual, at the first depth meeting K.
-    """
-    w = wandering_space(rep, pol)
-    if w.dim == 0:
-        raise PreconditionFailed("wandering space is trivial")
-    if not contains(w, complement(k, pol), pol):
-        raise PreconditionFailed("wandering space is not orthogonal to K")
-    if not contains(_forward_translate(rep, k, pol), k, pol):
-        raise NotInvariant("K is not invariant under the representation")
-    depth = rep.dim_h + 2 if max_depth is None else max_depth
-    for current in itertools.islice(_translates(mp_cauchy_dual(rep, pol), w, pol), depth + 1):
-        if current.dim:
-            coords = k.basis.conj().T @ current.basis  # ||P_K c|| = ||K* c||
-            overlaps = np.linalg.norm(coords, axis=0)
-            best = int(np.argmax(overlaps))
-            if overlaps[best] > overlap_tol:
-                h1 = k.basis @ coords[:, best]
-                return h1 / np.linalg.norm(h1)
-    raise PreconditionFailed(
-        "no forward translate of the wandering space meets K; generation fails"
-    )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from woldkit.model import (
     Representation,
     _times_ampliation,
     budget_horizon,
-    iterate_lower,
     iterate_map,
     size_budget,
 )
@@ -118,6 +117,33 @@ def minimal_scale_factor_oracle(q, g) -> float:
     return max(0.0, float(np.linalg.eigvalsh((t + t.conj().T) / 2.0)[-1]))
 
 
+def lowering_oracle(s, d: int, n: int) -> np.ndarray:
+    """The lowering iterate S^(n) = (I_{d^(n-1)} (x) S) ... (I_d (x) S) S of
+    S: H -> E (x) H, of shape d^n m x m, with every lift formed by np.kron:
+    the dense form of model._lower_levels."""
+    s = np.asarray(s, dtype=np.complex128)
+    out = s
+    for k in range(1, n):
+        out = np.kron(np.eye(d**k, dtype=np.complex128), s) @ out
+    return out
+
+
+def iterated_pinv_oracle(rep, n: int, pol=DEFAULT_POLICY) -> np.ndarray:
+    """V+^(n), the dense lowering iterate of the Moore-Penrose inverse."""
+    return lowering_oracle(rep.pseudo_inverse(pol), rep.dim_e, n)
+
+
+def wandering_oracle(rep, s, horizon: int = 8, pol=DEFAULT_POLICY) -> bool:
+    """Whether S is orthogonal to V_n(E^(x)n (x) S) for n = 1..horizon, each
+    translate the range of the dense iterate times the kron-lifted basis of
+    S, and orthogonality judged by the 2-norm of the cross-Gram at tau_sub."""
+    for n in range(1, horizon + 1):
+        translate = range_space(iterate_map(rep, n) @ lift_subspace(n, s, rep.dim_e).basis, pol)
+        if s.dim and translate.dim and np.linalg.norm(s.basis.conj().T @ translate.basis, 2) > pol.tau_sub:
+            return False
+    return True
+
+
 def kernel_join_oracle(rep, pol=DEFAULT_POLICY):
     """The join of the kernels of the iterated pseudoinverse V+^(n) for
     n <= min(max(budget_horizon, 1), m + 2), each from a full SVD of the
@@ -127,7 +153,7 @@ def kernel_join_oracle(rep, pol=DEFAULT_POLICY):
     nd = 1.0 / rep.min_modulus(pol)  # ||V+||_2; 0 for the zero map
     joined = Subspace.zero(rep.dim_h)
     for n in range(1, min(max(budget_horizon(rep), 1), rep.dim_h + 2) + 1):
-        kernel_n = null_space(iterate_lower(vd, rep.dim_e, n), pol, scale=nd**n)
+        kernel_n = null_space(lowering_oracle(vd, rep.dim_e, n), pol, scale=nd**n)
         joined = add(joined, kernel_n, pol)
     return joined
 
@@ -143,7 +169,7 @@ def kernel_span_oracle(rep, n, pol=DEFAULT_POLICY):
     nd = 1.0 / rep.min_modulus(pol)  # ||V+||_2; 0 for the zero map
     w, wd = rep.cokernel(pol), rep.kernel(pol)
     lowered = [np.eye(m, dtype=np.complex128)]
-    lowered += [iterate_lower(rep.pseudo_inverse(pol), d, k) for k in range(1, n + 1)]
+    lowered += [iterated_pinv_oracle(rep, k, pol) for k in range(1, n + 1)]
 
     ker1 = null_space(lowered[n], pol, scale=nd**n)
     join1 = Subspace.zero(m)

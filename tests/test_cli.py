@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import woldkit
-from woldkit import structure, verify
+from woldkit import cli, structure, verify
 from woldkit.cli import main
 from woldkit.generate import truncated_shift_rep
 from woldkit.linalg import DEFAULT_POLICY, pinv
@@ -18,6 +19,7 @@ from woldkit.model import (
     _svd_levels,
     budget_horizon,
     load_representation,
+    representation_to_dict,
     save_representation,
 )
 from woldkit.shifts import load_shift_spec
@@ -26,6 +28,21 @@ from woldkit.structure import GenInverse, is_hyper_dagger, make_generalized_inve
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def swap_pair_doc(sigma_factor=1.0, phi_label="a"):
+    """The file of V = [V_1 | s V_1] on C^2 (x) C^2, V_1 = diag(1, 0) and s
+    the swap of H, with sigma(a) = sigma_factor s and phi(a) = the swap of
+    E: V (phi(a) (x) I) = [s V_1 | V_1] = s V, and V has orthonormal rows,
+    so doubling sigma gives the residual ||s V|| = 1."""
+    v1 = np.diag([1.0, 0.0])
+    rep = Representation(2, 2, np.hstack([v1, SWAP @ v1]), sigma={"a": sigma_factor * SWAP}, phi={"a": SWAP})
+    doc = representation_to_dict(rep)
+    doc["phi"] = {phi_label: doc["phi"]["a"]}
+    return doc
 
 
 class TestAnalyze:
@@ -164,6 +181,22 @@ class TestAnalyze:
             assert out == ""  # verify reads the budget before any suite prints
             assert err == f"error: InvalidParams: WOLDKIT_BUDGET must be a positive integer, got {budget!r}\n"
 
+    @pytest.mark.parametrize("sigma_factor, holds, residual", [(1.0, True, 0.0), (2.0, False, 1.0)])
+    def test_generator_images_are_reported_not_gated(self, tmp_path, sigma_factor, holds, residual):
+        fixture = tmp_path / "pair.json"
+        fixture.write_text(json.dumps(swap_pair_doc(sigma_factor)))
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(fixture), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["covariance"] == {"holds": holds, "residuals": {"a": pytest.approx(residual, abs=1e-15)}}
+
+    def test_generator_labels_must_match(self, tmp_path, capsys):
+        fixture = tmp_path / "labels.json"
+        fixture.write_text(json.dumps(swap_pair_doc(phi_label="b")))
+        assert run_cli("analyze", str(fixture), "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == "error: sigma and phi must carry the same generator labels\n"
+        assert not (tmp_path / "r.json").exists()
+
 
     def test_reports_form_no_lift(self, tmp_path, capsys, monkeypatch):
         """analyze asks its E (x) H questions block by block: with _lift
@@ -198,6 +231,47 @@ class TestAnalyze:
                 patched.add(name)
         assert patched >= {"woldkit.structure", "woldkit.growth", "woldkit.wold"}
         assert analyze_all("patched") == plain
+
+
+class TestLoadInput:
+    """cli._load_input decodes a file with the cyclic collector paused."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_decoding_pauses_the_collector_and_restores_it(self, tmp_path, monkeypatch, enabled):
+        fixture, bad = tmp_path / "shift.json", tmp_path / "bad.json"
+        save_representation(truncated_shift_rep(3), fixture)
+        bad.write_text('{"dim_E": 1, ')
+        states = []
+        decode = cli.representation_from_dict
+
+        def recorded(data, source):
+            states.append(gc.isenabled())
+            return decode(data, source=source)
+
+        monkeypatch.setattr(cli, "representation_from_dict", recorded)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert isinstance(cli._load_input(fixture), Representation)
+            assert gc.isenabled() == enabled
+            with pytest.raises(woldkit.ParseError):
+                cli._load_input(bad)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert states == [False]
+
+    def test_errors_keep_their_order(self, tmp_path, capsys, monkeypatch):
+        # A file that does not parse is reported before a bad budget, and a
+        # bad budget before a file that parses but does not decode.
+        monkeypatch.setenv("WOLDKIT_BUDGET", "0")
+        unparsed, undecoded = tmp_path / "unparsed.json", tmp_path / "undecoded.json"
+        unparsed.write_text('{"dim_E": 1, ')
+        undecoded.write_text('{"dim_E": 1}')
+        assert run_cli("analyze", str(unparsed)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {unparsed}: line 1")
+        assert run_cli("analyze", str(undecoded)) == 1
+        assert capsys.readouterr().err == "error: InvalidParams: WOLDKIT_BUDGET must be a positive integer, got '0'\n"
 
 
 class TestGenerate:

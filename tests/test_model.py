@@ -17,7 +17,6 @@ from woldkit.model import (
     _times_ampliation,
     budget_horizon,
     check_covariance,
-    iterate_lower,
     iterate_map,
     _decode_complex_list,
     _encode_complex_list,
@@ -30,7 +29,7 @@ from woldkit.model import (
 )
 from woldkit.shifts import build_bilateral_shift
 
-from conftest import fixed_point_corpus, svd_levels_oracle
+from conftest import fixed_point_corpus, lowering_oracle, svd_levels_oracle
 
 
 def rand_c(rng, r, c):
@@ -111,26 +110,27 @@ class TestTimesAmpliation:
 
 
 class TestIterateLower:
+    """Level n of the lowering walk _lower_levels is the lowering iterate
+    S^(n), against the dense kron form of conftest.lowering_oracle."""
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_dense_lift(self, rng, d, n):
         m = 3
         s = rand_c(rng, d * m, m)
-        dense = s
-        for k in range(1, n):
-            dense = np.kron(np.eye(d**k), s) @ dense
-        out = iterate_lower(s, d, n)
-        assert out.shape == (d**n * m, m)
+        dense = lowering_oracle(s, d, n)
+        out = next(itertools.islice(_lower_levels(s, d), n - 1, None))
+        assert out.shape == dense.shape == (d**n * m, m)
         assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_budget(self, monkeypatch, rng, d):
         m = 2
-        s = rand_c(rng, d * m, m)
+        walk = _lower_levels(rand_c(rng, d * m, m), d)
         monkeypatch.setenv("WOLDKIT_BUDGET", str(d**3 * m))
-        assert iterate_lower(s, d, 3).shape == (d**3 * m, m)
+        assert [level.shape for level in itertools.islice(walk, 3)] == [(d**n * m, m) for n in (1, 2, 3)]
         with pytest.raises(BudgetExceeded):
-            iterate_lower(s, d, 4)
+            next(walk)
 
 
 class TestWalks:
@@ -158,7 +158,6 @@ class TestWalks:
             assert np.linalg.norm(maps[n - 1] - dense_v) <= 1e-13 * np.linalg.norm(dense_v)
             assert np.linalg.norm(lowered[n - 1] - dense_s) <= 1e-13 * np.linalg.norm(dense_s)
             assert np.array_equal(iterate_map(rep, n), maps[n - 1])
-            assert np.array_equal(iterate_lower(s, d, n), lowered[n - 1])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_budget_stops_a_walk_before_the_level(self, monkeypatch, rng, d):
@@ -373,6 +372,36 @@ class TestCovariance:
         ok, residuals = check_covariance(rep)
         assert not ok
         assert residuals["a"] == pytest.approx(1.0)
+
+    @staticmethod
+    def reflected_pair(c, perturb=0.0):
+        """V = [V_1 | s V_1] on C^2 (x) C^4 for a Householder reflection s,
+        with phi(a) = c swap and sigma(a) = c s, perturbed by a relative
+        perturb: V (phi(a) (x) I) = c [s V_1 | V_1] = sigma(a) V exactly."""
+        rng = np.random.default_rng(0)
+        v1 = rand_c(rng, 4, 4)
+        x = rand_c(rng, 4, 1)
+        x /= np.linalg.norm(x)
+        reflection = np.eye(4) - 2.0 * x @ x.conj().T
+        sigma = c * reflection + perturb * c * rand_c(rng, 4, 4) / 2.0
+        v = np.hstack([v1, reflection @ v1])
+        return Representation(2, 4, v, sigma={"a": sigma}, phi={"a": c * np.array([[0.0, 1.0], [1.0, 0.0]])})
+
+    @pytest.mark.parametrize("c", [1.0, 1e8])
+    def test_large_generator_images_hold(self, c):
+        # The residual is round-off of products of size ||V|| c; a rule
+        # anchored at max(1, ||V||) alone read it as broken from c ~ 1e7 on.
+        rep = self.reflected_pair(c)
+        ok, residuals = check_covariance(rep)
+        assert ok
+        assert residuals["a"] <= 1e-13 * c * rep.norm()
+
+    @pytest.mark.parametrize("c", [1.0, 1e8])
+    def test_relative_perturbation_fails(self, c):
+        rep = self.reflected_pair(c, perturb=1e-6)
+        ok, residuals = check_covariance(rep)
+        assert not ok
+        assert residuals["a"] > 1e-8 * c * rep.norm()
 
 
 class TestSerialization:

@@ -17,11 +17,10 @@ from woldkit.shifts import (
     load_shift_spec,
     save_shift_spec,
     shift_pipeline,
-    z_product,
 )
 from woldkit.growth import check_growth
-from woldkit.model import Representation
-from woldkit.structure import generalized_range
+from woldkit.model import Representation, iterate_map
+from woldkit.structure import algebraic_core
 
 from conftest import block_ranges_orthogonal_oracle, minimal_scale_factor_oracle
 
@@ -85,31 +84,44 @@ class TestUnilateralBuild:
         assert subspaces_equal(rng_space, Subspace(total, expected))
 
 
+def shift_weight_product(spec, n):
+    """The block of V_n of the built shift from E^(x)n (x) level 0 to level
+    n, with columns in the order of E^(x)n (x) C^p: Z^(n) (x) I_p for the
+    weight product Z^(n) = Z_n (I (x) Z_{n-1}) ... (I^(n-1) (x) Z_1)."""
+    rep, info = build_unilateral_shift(spec)
+    start = info["level_offsets"][n]
+    cols = (np.arange(spec.d**n)[:, None] * rep.dim_h + np.arange(spec.p)).ravel()
+    return iterate_map(rep, n)[start : start + info["level_dims"][n]][:, cols]
+
+
 class TestZProduct:
+    """The weight products carried by level n of the built shift."""
+
     def test_identity_weights(self):
         spec = UnilateralSpec(d=2, L=2, p=1, Z=(np.eye(2), np.eye(4)))
-        assert np.allclose(z_product(spec, 2), np.eye(4))
+        assert np.allclose(shift_weight_product(spec, 2), np.eye(4))
 
     def test_scalar_weights_multiply(self):
         spec = UnilateralSpec(d=1, L=3, p=1, Z=scalar_weights(2.0, 3))
-        assert z_product(spec, 3)[0, 0] == pytest.approx(8.0)
+        assert shift_weight_product(spec, 3)[0, 0] == pytest.approx(8.0)
 
     def test_two_level_expansion(self, rng):
         z1, z2 = rand_unitary(rng, 2), rand_unitary(rng, 4)
         spec = UnilateralSpec(d=2, L=2, p=1, Z=(z1, z2))
-        assert np.allclose(z_product(spec, 2), z2 @ np.kron(np.eye(2), z1))
+        assert np.allclose(shift_weight_product(spec, 2), z2 @ np.kron(np.eye(2), z1))
 
     def test_matches_kron_at_d3(self, rng):
-        spec = unilateral_spec(rng, d=3, L=3, p=1)
-        for n in range(4):
-            want = kron_z_product(spec, n)
-            got = z_product(spec, n)
-            assert got.shape == want.shape == (3**n, 3**n)
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for p in (1, 2):
+            spec = unilateral_spec(rng, d=3, L=3, p=p)
+            for n in range(4):
+                want = np.kron(kron_z_product(spec, n), np.eye(p))
+                got = shift_weight_product(spec, n)
+                assert got.shape == want.shape == (3**n * p, 3**n * p)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def kron_z_product(spec, n):
-    """z_product with every lift formed by np.kron."""
+    """The weight product Z^(n) with every lift formed by np.kron."""
     out = np.eye(1, dtype=complex) if n == 0 else spec.Z[n - 1]
     for j in range(1, n):
         out = out @ np.kron(np.eye(spec.d**j), spec.Z[n - j - 1])
@@ -358,7 +370,7 @@ class TestBilateralBuild:
             if step == reachable:
                 break
             reachable = step
-        rinf = generalized_range(rep)
+        rinf = algebraic_core(rep)
         expected = sorted(t + M for t in reachable)
         basis = np.zeros((rep.dim_h, len(expected)), dtype=complex)
         for j, r in enumerate(expected):
